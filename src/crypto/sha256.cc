@@ -1,6 +1,13 @@
 #include "crypto/sha256.h"
 
 #include <cstring>
+#include <utility>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <immintrin.h>
+#define SPEED_SHA256_X86 1
+#endif
 
 namespace speed::crypto {
 
@@ -37,7 +44,150 @@ inline void store_be32(std::uint8_t* p, std::uint32_t v) {
   p[3] = static_cast<std::uint8_t>(v);
 }
 
+void compress_portable(std::uint32_t state[8], const std::uint8_t* blocks,
+                       std::size_t n) {
+  for (; n > 0; --n, blocks += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) w[i] = load_be32(blocks + 4 * i);
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#ifdef SPEED_SHA256_X86
+
+// The SHA-NI kernel is compiled through function-level target attributes
+// rather than a per-file -msha: the rest of this file, and every inline
+// function it instantiates, stays baseline x86 code, so the linker can never
+// pick an SHA-NI build of a shared inline function for a CPU without it.
+#define SPEED_SHA_NI_INLINE \
+  __attribute__((target("sha,sse4.1"), always_inline)) inline
+
+/// Quad-round I (rounds 4I..4I+3). w[I % 4] holds message words 4I..4I+3;
+/// the four registers rotate through the 16-word schedule window:
+/// sha256msg2 finishes the words of quad I+1 from quads I-3 to I, and
+/// sha256msg1 starts the words of quad I+3 from quads I-1 and I.
+template <int I>
+SPEED_SHA_NI_INLINE void quad_round(__m128i& abef, __m128i& cdgh,
+                                    __m128i (&w)[4]) {
+  __m128i wk = _mm_add_epi32(
+      w[I % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * I)));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  if constexpr (I >= 3 && I <= 14) {
+    __m128i& next = w[(I + 1) % 4];
+    next = _mm_add_epi32(next, _mm_alignr_epi8(w[I % 4], w[(I + 3) % 4], 4));
+    next = _mm_sha256msg2_epu32(next, w[I % 4]);
+  }
+  wk = _mm_shuffle_epi32(wk, 0x0E);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+  if constexpr (I >= 1 && I <= 12) {
+    w[(I + 3) % 4] = _mm_sha256msg1_epu32(w[(I + 3) % 4], w[I % 4]);
+  }
+}
+
+template <int... I>
+SPEED_SHA_NI_INLINE void all_rounds(__m128i& abef, __m128i& cdgh,
+                                    __m128i (&w)[4],
+                                    std::integer_sequence<int, I...>) {
+  (quad_round<I>(abef, cdgh, w), ...);
+}
+
+#undef SPEED_SHA_NI_INLINE
+
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni(
+    std::uint32_t state[8], const std::uint8_t* blocks, std::size_t n) {
+  // Message words are big-endian; pshufb swaps the bytes of each lane.
+  const __m128i bswap32 =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  // sha256rnds2 keeps the working variables as {A,B,E,F} and {C,D,G,H}
+  // (lanes listed high to low); regroup the state's {A..D}, {E..H} words.
+  const __m128i cdab = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; n > 0; --n, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+    for (int i = 0; i < 4; ++i) {
+      w[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+          bswap32);
+    }
+    all_rounds(abef, cdgh, w, std::make_integer_sequence<int, 16>{});
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif  // SPEED_SHA256_X86
+
 }  // namespace
+
+#ifdef SPEED_SHA256_X86
+bool hw::sha256_available() {
+  static const bool ok = [] {
+    unsigned a = 0, b = 0, c = 0, d = 0;
+    if (__get_cpuid(1, &a, &b, &c, &d) == 0 || (c & bit_SSSE3) == 0 ||
+        (c & bit_SSE4_1) == 0) {
+      return false;
+    }
+    return __get_cpuid_count(7, 0, &a, &b, &c, &d) != 0 && (b & bit_SHA) != 0;
+  }();
+  return ok;
+}
+#else
+bool hw::sha256_available() { return false; }
+#endif
+
+Sha256::Sha256(Impl impl)
+    : use_hw_(impl == Impl::kAuto && hw::sha256_available()) {
+  reset();
+}
 
 void Sha256::reset() {
   state_[0] = 0x6a09e667;
@@ -52,45 +202,14 @@ void Sha256::reset() {
   buffer_len_ = 0;
 }
 
-void Sha256::compress(const std::uint8_t block[64]) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+void Sha256::compress(const std::uint8_t* blocks, std::size_t n) {
+#ifdef SPEED_SHA256_X86
+  if (use_hw_) {
+    compress_sha_ni(state_, blocks, n);
+    return;
   }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+#endif
+  compress_portable(state_, blocks, n);
 }
 
 void Sha256::update(ByteView data) {
@@ -103,13 +222,16 @@ void Sha256::update(ByteView data) {
     buffer_len_ += take;
     off = take;
     if (buffer_len_ == 64) {
-      compress(buffer_);
+      compress(buffer_, 1);
       buffer_len_ = 0;
     }
   }
-  while (off + 64 <= data.size()) {
-    compress(data.data() + off);
-    off += 64;
+  // Every whole block in one call, so the kernel keeps the state in
+  // registers across blocks.
+  const std::size_t blocks = (data.size() - off) / 64;
+  if (blocks > 0) {
+    compress(data.data() + off, blocks);
+    off += 64 * blocks;
   }
   if (off < data.size()) {
     std::memcpy(buffer_, data.data() + off, data.size() - off);

@@ -2,8 +2,17 @@
 //
 // SPEED derives computation tags t = H(func, m) and RCE secondary keys
 // h = H(func, m, r) from SHA-256; it is the collision-resistant hash the
-// paper selects (§III-B). Streaming interface so multi-part tag inputs
-// (descriptor ‖ input ‖ challenge) hash without concatenation copies.
+// paper selects (§III-B). The store pins every result blob with its SHA-256
+// digest. Streaming interface so multi-part tag inputs (descriptor ‖ input ‖
+// challenge) hash without concatenation copies.
+//
+// Two compression functions are provided and selected at runtime, as for
+// AesGcm:
+//   * a hardware path on the x86 SHA extensions (SHA-NI), taken whenever the
+//     CPU has them;
+//   * a portable scalar path, which is the reference the hardware path is
+//     tested against and the only path on other CPUs.
+// Both produce identical digests; the choice changes speed only.
 #pragma once
 
 #include <array>
@@ -23,7 +32,12 @@ using Sha256Digest = std::array<std::uint8_t, kSha256DigestSize>;
 // from one pass over the input).
 class Sha256 {
  public:
-  Sha256() { reset(); }
+  /// Implementation selection. kAuto picks the hardware path when the CPU
+  /// supports it; kPortable forces the scalar path (used by the cross-check
+  /// tests).
+  enum class Impl { kAuto, kPortable };
+
+  explicit Sha256(Impl impl = Impl::kAuto);
 
   /// Reset to the initial state; allows object reuse.
   void reset();
@@ -43,12 +57,14 @@ class Sha256 {
   static Sha256Digest digest_parts(std::initializer_list<ByteView> parts);
 
  private:
-  void compress(const std::uint8_t block[64]);
+  /// Runs the compression function over `n` consecutive 64-byte blocks.
+  void compress(const std::uint8_t* blocks, std::size_t n);
 
   std::uint32_t state_[8];
   std::uint64_t bit_count_;
   std::uint8_t buffer_[64];
   std::size_t buffer_len_;
+  bool use_hw_;
 };
 
 /// Owned-buffer view of a digest (for APIs traveling in Bytes).
@@ -57,5 +73,11 @@ inline Bytes to_bytes(const Sha256Digest& d) { return Bytes(d.begin(), d.end());
 // Re-expose the speed:: byte helpers so this overload does not hide them for
 // code living inside speed::crypto.
 using speed::to_bytes;
+
+namespace hw {
+/// True when the SHA extensions (with SSSE3 and SSE4.1) are usable on this
+/// CPU, i.e. when Sha256{} takes the hardware path.
+bool sha256_available();
+}  // namespace hw
 
 }  // namespace speed::crypto

@@ -704,6 +704,10 @@ PutStatus ResultStore::insert_trusted(const Tag& tag,
                                       bool enforce_quota) {
   Shard& shard = shard_for(tag);
   const LatencyScope timer(shard.put_ns);
+  // The digest reads only the request, so it is taken before the shard lock:
+  // hashing a large blob must not stall the shard's GETs.
+  const crypto::Sha256Digest blob_digest =
+      crypto::Sha256::digest(entry.result_ct);
   MutexLock lock(shard.mu);
   sgx::charge_wait(platform_.cost_model(),
                    platform_.cost_model().store_service_ns);
@@ -744,7 +748,7 @@ PutStatus ResultStore::insert_trusted(const Tag& tag,
   rec.owner = owner;
   rec.challenge = entry.challenge;
   rec.wrapped_key = entry.wrapped_key;
-  rec.blob_digest = crypto::Sha256::digest(entry.result_ct);
+  rec.blob_digest = blob_digest;
   rec.blob_bytes = blob_bytes;
 
   // Result blob first, spill record second, WAL record last: a crash between

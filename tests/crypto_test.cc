@@ -2,6 +2,9 @@
 // cross-checks between the hardware and scalar GCM paths, and DRBG sanity.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <ostream>
+
 #include "common/bytes.h"
 #include "common/error.h"
 #include "crypto/aes.h"
@@ -13,33 +16,71 @@
 namespace speed::crypto {
 namespace {
 
-std::string sha256_hex(std::string_view msg) {
-  return hex_encode(to_bytes(Sha256::digest(as_bytes(msg))));
+// The known-answer tests run on both compression functions: kAuto is the
+// SHA-NI path where the CPU has it, kPortable is the scalar reference.
+constexpr Sha256::Impl kSha256Impls[] = {Sha256::Impl::kAuto,
+                                         Sha256::Impl::kPortable};
+
+std::string sha256_hex(std::string_view msg, Sha256::Impl impl) {
+  Sha256 h(impl);
+  h.update(as_bytes(msg));
+  return hex_encode(to_bytes(h.finish()));
 }
 
 // ---------------------------------------------------------------- SHA-256
 
 TEST(Sha256Test, Fips180EmptyString) {
-  EXPECT_EQ(sha256_hex(""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  for (const Sha256::Impl impl : kSha256Impls) {
+    EXPECT_EQ(sha256_hex("", impl),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  }
 }
 
 TEST(Sha256Test, Fips180Abc) {
-  EXPECT_EQ(sha256_hex("abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  for (const Sha256::Impl impl : kSha256Impls) {
+    EXPECT_EQ(sha256_hex("abc", impl),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  }
 }
 
 TEST(Sha256Test, Fips180TwoBlockMessage) {
-  EXPECT_EQ(sha256_hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  for (const Sha256::Impl impl : kSha256Impls) {
+    EXPECT_EQ(
+        sha256_hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                   impl),
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  }
 }
 
 TEST(Sha256Test, MillionAs) {
-  Sha256 h;
-  const std::string chunk(1000, 'a');
-  for (int i = 0; i < 1000; ++i) h.update(as_bytes(chunk));
-  EXPECT_EQ(hex_encode(to_bytes(h.finish())),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  for (const Sha256::Impl impl : kSha256Impls) {
+    Sha256 h(impl);
+    const std::string chunk(1000, 'a');
+    for (int i = 0; i < 1000; ++i) h.update(as_bytes(chunk));
+    EXPECT_EQ(hex_encode(to_bytes(h.finish())),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  }
+}
+
+TEST(Sha256Test, HwAndPortablePathsAgree) {
+  if (!hw::sha256_available()) GTEST_SKIP() << "no SHA extensions on this machine";
+  Drbg rng(to_bytes("sha256-crosscheck"));
+  for (std::size_t len :
+       {0u, 1u, 55u, 56u, 63u, 64u, 65u, 119u, 120u, 128u, 1000u, 4096u, 65537u}) {
+    const Bytes msg = rng.bytes(len);
+    Sha256 portable(Sha256::Impl::kPortable);
+    portable.update(msg);
+    const Sha256Digest expected = portable.finish();
+
+    // One-shot, and split off the block grid so the hardware path also runs
+    // a buffered partial block followed by a multi-block run.
+    EXPECT_EQ(Sha256::digest(msg), expected) << "len " << len;
+    const std::size_t split = len * 5 / 7;
+    Sha256 hw_split;
+    hw_split.update(ByteView(msg).first(split));
+    hw_split.update(ByteView(msg).subspan(split));
+    EXPECT_EQ(hw_split.finish(), expected) << "len " << len << " split " << split;
+  }
 }
 
 TEST(Sha256Test, StreamingMatchesOneShot) {
@@ -156,6 +197,13 @@ struct GcmVector {
   const char* ct;
   const char* tag;
 };
+
+// gtest prints GetParam() into each listed test name, and ctest registers that
+// name. Without this overload the struct prints as its raw bytes: string
+// pointers that move with every relink and every address-space layout.
+void PrintTo(const GcmVector& v, std::ostream* os) {
+  *os << "AES-" << std::strlen(v.key) * 4;
+}
 
 // McGrew & Viega GCM spec test cases (the ones with 96-bit IVs).
 const GcmVector kGcmVectors[] = {
