@@ -1,21 +1,16 @@
-// Batched wire protocol + switchless transition amortization benchmark
-// (docs/PROTOCOL.md §9).
+// Batched wire protocol benchmark (docs/PROTOCOL.md §9).
 //
 // Measures GET throughput against a live StoreTcpServer (epoll event loop,
-// 8 shards) as two protocol knobs sweep:
+// 8 shards) as the client thread count and the client micro-batch size
+// (RuntimeConfig::Batching::max_ops) sweep. The batch size is how many
+// concurrent GETs share one secure frame, one socket round trip, and —
+// server-side — one enclave crossing.
 //
-//   * client micro-batch size (RuntimeConfig::Batching::max_ops): how many
-//     concurrent GETs share one secure frame, one socket round trip, and —
-//     server-side — one enclave crossing;
-//   * server switchless mode: trusted work per frame routed through the
-//     shared SwitchlessRing (one ECALL per drain) vs a private ECALL per
-//     frame.
-//
-// batch=1 with switchless off is the exact v1 wire protocol: one message
-// per frame, one crossing per message — the baseline every other point is
-// compared against. The store-enclave crossing count is read before/after
-// each run, so `store_ecalls_per_op` reports the measured per-op transition
-// cost, not a model-derived estimate.
+// batch=1 is the exact v1 wire protocol: one message per frame, one
+// crossing per message — the baseline every other point is compared
+// against. The store-enclave crossing count is read before/after each run,
+// so `store_ecalls_per_op` reports the measured per-op transition cost, not
+// a model-derived estimate.
 //
 // Usage: bench_batch RESULTS.json [--smoke]
 //   --smoke (or SPEED_BENCH_SMOKE=1) runs a two-point, ~2 s variant for CI.
@@ -50,29 +45,22 @@ sgx::CostModel store_model() {
 
 struct RunPoint {
   std::size_t threads = 0;
-  std::size_t batch = 0;  ///< 0 = batching disabled (v1 per-op protocol)
-  bool switchless = false;
+  std::size_t batch = 0;  ///< 1 = batching disabled (v1 per-op protocol)
   std::uint64_t ops = 0;
   double seconds = 0;
   double ops_per_sec = 0;
   bench::LatencySummary latency;
   double store_ecalls_per_op = 0;
-  sgx::SwitchlessRing::Stats ring;
 
   std::string json() const {
     char buf[512];
     std::snprintf(
         buf, sizeof(buf),
-        "{\"threads\": %zu, \"batch\": %zu, \"switchless\": %s, "
+        "{\"threads\": %zu, \"batch\": %zu, "
         "\"ops\": %llu, \"seconds\": %.3f, \"ops_per_sec\": %.0f, "
-        "\"store_ecalls_per_op\": %.4f, "
-        "\"ring\": {\"calls\": %llu, \"drains\": %llu, "
-        "\"transitions_saved\": %llu}, \"latency\": ",
-        threads, batch, switchless ? "true" : "false",
-        static_cast<unsigned long long>(ops), seconds, ops_per_sec,
-        store_ecalls_per_op, static_cast<unsigned long long>(ring.calls),
-        static_cast<unsigned long long>(ring.drains),
-        static_cast<unsigned long long>(ring.transitions_saved));
+        "\"store_ecalls_per_op\": %.4f, \"latency\": ",
+        threads, batch, static_cast<unsigned long long>(ops), seconds,
+        ops_per_sec, store_ecalls_per_op);
     return std::string(buf) + latency.json() + "}";
   }
 };
@@ -80,15 +68,13 @@ struct RunPoint {
 /// One configuration: fresh platform/store/server, `kTags` entries seeded
 /// through a setup runtime, then `threads` client threads re-executing the
 /// same inputs (local cache off) so every call is a store GET hit.
-RunPoint run_point(std::size_t threads, std::size_t batch, bool switchless,
+RunPoint run_point(std::size_t threads, std::size_t batch,
                    std::size_t ops_per_thread) {
   sgx::Platform platform(store_model());
   store::StoreConfig store_config;
   store_config.shards = 8;
   store::ResultStore result_store(platform, store_config);
-  store::StoreServerConfig server_config;
-  server_config.switchless = switchless;
-  store::StoreTcpServer server(result_store, 0, std::nullopt, server_config);
+  store::StoreTcpServer server(result_store, 0);
 
   constexpr std::size_t kTags = 64;
   const auto connect = [&](sgx::Enclave& app) {
@@ -145,9 +131,6 @@ RunPoint run_point(std::size_t threads, std::size_t batch, bool switchless,
                                                compute);
 
   const std::uint64_t ecalls_before = result_store.enclave().ecall_count();
-  const sgx::SwitchlessRing::Stats ring_before =
-      switchless ? server.switchless_ring()->stats()
-                 : sgx::SwitchlessRing::Stats{};
 
   std::vector<bench::LatencyRecorder> recorders(threads);
   std::vector<std::thread> workers;
@@ -167,7 +150,6 @@ RunPoint run_point(std::size_t threads, std::size_t batch, bool switchless,
   RunPoint point;
   point.threads = threads;
   point.batch = batch;
-  point.switchless = switchless;
   point.ops = threads * ops_per_thread;
   point.seconds = elapsed_ms / 1e3;
   point.ops_per_sec = point.ops / (elapsed_ms / 1e3);
@@ -176,13 +158,6 @@ RunPoint run_point(std::size_t threads, std::size_t batch, bool switchless,
       static_cast<double>(result_store.enclave().ecall_count() -
                           ecalls_before) /
       static_cast<double>(point.ops);
-  if (switchless) {
-    const auto after = server.switchless_ring()->stats();
-    point.ring.calls = after.calls - ring_before.calls;
-    point.ring.drains = after.drains - ring_before.drains;
-    point.ring.transitions_saved =
-        after.transitions_saved - ring_before.transitions_saved;
-  }
   const std::uint64_t hits = rt->stats().hits;
   if (hits != point.ops) {
     std::fprintf(stderr,
@@ -215,21 +190,8 @@ int main(int argc, char** argv) {
   std::vector<RunPoint> points;
   for (const std::size_t threads : thread_counts) {
     for (const std::size_t batch : batches) {
-      // batch=1 runs the v1 protocol (no batch frames); measure it against
-      // both server modes so the switchless win is visible in isolation.
-      const bool also_plain = batch == 1;
-      if (also_plain) {
-        points.push_back(
-            run_point(threads, batch, /*switchless=*/false, ops_per_thread));
-        std::printf("threads=%zu batch=%zu plain      %9.0f ops/s  "
-                    "%.3f ecalls/op\n",
-                    threads, batch, points.back().ops_per_sec,
-                    points.back().store_ecalls_per_op);
-      }
-      points.push_back(
-          run_point(threads, batch, /*switchless=*/true, ops_per_thread));
-      std::printf("threads=%zu batch=%zu switchless %9.0f ops/s  "
-                  "%.3f ecalls/op\n",
+      points.push_back(run_point(threads, batch, ops_per_thread));
+      std::printf("threads=%zu batch=%zu %9.0f ops/s  %.3f ecalls/op\n",
                   threads, batch, points.back().ops_per_sec,
                   points.back().store_ecalls_per_op);
     }
@@ -241,7 +203,7 @@ int main(int argc, char** argv) {
   const std::size_t top_threads = thread_counts.back();
   for (const RunPoint& p : points) {
     if (p.threads != top_threads) continue;
-    if (p.batch == 1 && !p.switchless) baseline = p.ops_per_sec;
+    if (p.batch == 1) baseline = p.ops_per_sec;
     if (p.batch >= 16) best_batched = std::max(best_batched, p.ops_per_sec);
   }
   const double speedup = baseline > 0 ? best_batched / baseline : 0;

@@ -46,7 +46,7 @@ fi
 "$cluster_bench" "$repo_root/BENCH_cluster.json"
 echo "results:   $repo_root/BENCH_cluster.json"
 
-# Batched wire protocol + switchless transitions: GET throughput vs client
+# Batched wire protocol: GET throughput vs client
 # micro-batch size against the epoll server (acceptance bar: >= 2x at
 # batch >= 16 over the v1 per-op protocol; the bench exits 2 below that).
 batch_bench="$build_dir/bench/bench_batch"

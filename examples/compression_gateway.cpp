@@ -1,11 +1,11 @@
-// Compression gateway with master-store replication across machines.
+// Compression gateway with hot-entry replication across machines.
 //
 // Two bandwidth-optimizing gateways (paper's case study 2, §IV-B Remark)
 // run on different physical machines, each with its own local ResultStore.
-// A master store periodically collects the popular entries from machine A
-// and feeds machine B. Because tags are deterministic and the RCE keywrap
-// is keyless, machine B's gateway decrypts machine A's results even though
-// the two machines share no keys.
+// The anti-entropy replicator (store/replication.h) periodically pushes
+// machine A's popular entries to machine B. Because tags are deterministic
+// and the RCE keywrap is keyless, machine B's gateway decrypts machine A's
+// results even though the two machines share no keys.
 //
 //   $ ./compression_gateway
 #include <cstdio>
@@ -48,13 +48,11 @@ struct Gateway {
 }  // namespace
 
 int main() {
-  // Two machines, each with a local store; plus a dedicated master store.
+  // Two machines, each with a local store.
   sgx::Platform machine_a;
   sgx::Platform machine_b;
-  sgx::Platform master_machine;
   store::ResultStore store_a(machine_a);
   store::ResultStore store_b(machine_b);
-  store::ResultStore master(master_machine);
 
   Gateway gw_a(machine_a, store_a, "gateway");
   Gateway gw_b(machine_b, store_b, "gateway");
@@ -74,12 +72,18 @@ int main() {
               static_cast<double>(documents.size() * 200 * 1024) / static_cast<double>(bytes_out),
               gw_a.executions);
 
-  // Nightly sync: A -> master -> B (entries are self-protecting AEAD
-  // ciphertexts, so replication needs no key exchange).
-  const std::size_t to_master = store::sync_replica_from_master(master, store_a, 10);
-  const std::size_t to_b = store::sync_replica_from_master(store_b, master, 10);
-  std::printf("replication: %zu entries to master, %zu entries to machine B\n",
-              to_master, to_b);
+  // Nightly push of A's hottest entries to B (entries are self-protecting
+  // AEAD ciphertexts, so replication needs no key exchange).
+  store::ReplicationConfig replication;
+  replication.hot_entries = 10;
+  store::ClusterReplicator replicator(
+      {store::PeerStore{"machine-a",
+                        [&](ByteView r) { return store_a.handle(r); }},
+       store::PeerStore{"machine-b",
+                        [&](ByteView r) { return store_b.handle(r); }}},
+      replication);
+  const std::size_t to_b = replicator.push_hot_entries(0);
+  std::printf("replication: %zu entries pushed to machine B\n", to_b);
 
   // Machine B sees an overlapping document mix.
   std::printf("machine B compresses 10 documents (8 already popular)...\n");

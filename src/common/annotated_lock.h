@@ -82,8 +82,8 @@ namespace speed {
 
 // --------------------------------------------------------------------------
 // Lock ranks. A thread may only acquire a lock of STRICTLY greater rank than
-// every lock it already holds (MutexLockAll is the one blessed multi-lock of
-// equal rank and acquires in a canonical order). The values are the
+// every lock it already holds — no exceptions, so two locks of equal rank
+// are never held together. The values are the
 // documented acquisition order — see docs/LOCK_ORDER.md for the full table,
 // the invariants behind each gap, and the two non-obvious placements
 // (telemetry registry, transport sub-ranks).
@@ -104,7 +104,6 @@ enum class LockRank : std::uint16_t {
   kClusterNode = 530,      ///< InprocCluster Node::mu (dialed under resilient)
   kRekeyStaging = 540,     ///< rekey staging (runtime rekey_mu_, Link rekey_mu)
   kSession = 560,          ///< StoreSession::mu_ (per-session strand)
-  kSwitchless = 580,       ///< SwitchlessRing::mu_ (submission ring)
   kAccess = 590,           ///< AccessPolicy / RateLimiter / GatedResultStore
   kStoreShard = 600,       ///< ResultStore Shard::mu (lock-striped dict)
   kStoreCluster = 620,     ///< ResultStore::cluster_mu_ (membership epoch)
@@ -282,18 +281,11 @@ class CAPABILITY("mutex") Mutex {
   LockRank rank() const { return rank_; }
 
   /// Tell the analysis this capability is held — for code whose acquisition
-  /// the analysis cannot track (the MutexLockAll range lock). Purely a
-  /// compile-time fact; no runtime effect.
+  /// the analysis cannot track (a lambda or ECALL body run under the
+  /// caller's lock). Purely a compile-time fact; no runtime effect.
   void assert_held() const ASSERT_CAPABILITY(this) {}
 
  private:
-  template <typename>
-  friend class MutexLockAll;
-
-  /// Untracked access for MutexLockAll only: the range lock does its own
-  /// (single) rank note and must skip the per-element strict-order check.
-  std::mutex& raw() { return mu_; }
-
   std::mutex mu_;
   const LockRank rank_;
 };
@@ -417,42 +409,6 @@ class SCOPED_CAPABILITY ScopedLock {
  private:
   Mutex& mu_;
   bool held_ = true;
-};
-
-/// Locks a contiguous range of equal-rank Mutexes in index order — the one
-/// sanctioned multi-lock (ResultStore snapshot/restore over all shards).
-/// The range's rank is noted ONCE, so later nested acquisitions are checked
-/// against it; the per-element capabilities are invisible to the analysis —
-/// call `mu.assert_held()` on each element before touching guarded state.
-template <typename GetMutex>
-class MutexLockAll {
- public:
-  MutexLockAll(std::size_t count, GetMutex get) NO_THREAD_SAFETY_ANALYSIS
-      : count_(count),
-        get_(get) {
-    if (count_ > 0) lockdetail::note_acquire(get_(0).rank());
-    for (std::size_t i = 0; i < count_; ++i) lock_raw(get_(i));
-  }
-
-  ~MutexLockAll() NO_THREAD_SAFETY_ANALYSIS {
-    for (std::size_t i = count_; i > 0; --i) unlock_raw(get_(i - 1));
-    if (count_ > 0) lockdetail::note_release(get_(0).rank());
-  }
-
-  MutexLockAll(const MutexLockAll&) = delete;
-  MutexLockAll& operator=(const MutexLockAll&) = delete;
-
- private:
-  // Bypass Mutex::lock()'s per-lock rank note: N equal ranks would trip the
-  // strict ordering the rest of the system obeys. The range itself is noted
-  // once in the constructor.
-  static void lock_raw(Mutex& mu) NO_THREAD_SAFETY_ANALYSIS { mu.raw().lock(); }
-  static void unlock_raw(Mutex& mu) NO_THREAD_SAFETY_ANALYSIS {
-    mu.raw().unlock();
-  }
-
-  std::size_t count_;
-  GetMutex get_;
 };
 
 /// Condition variable usable with the annotated Mutex: wait(mu) releases and

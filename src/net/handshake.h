@@ -8,10 +8,8 @@
 // the same platform, (b) its enclave measurement, and (c) that the public
 // key was produced inside that enclave — so the derived session key is
 // bound to both code identities and immune to host-in-the-middle attacks.
-//
-// derive_channel_key() in secure_channel.h remains available as a
-// pre-provisioned-key mode (and as the simpler simulation documented in
-// DESIGN.md); production paths use this handshake.
+// Every secure channel in the system — an application's link to a store,
+// or to each node of a cluster — is keyed by this handshake.
 #pragma once
 
 #include <optional>

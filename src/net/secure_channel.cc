@@ -2,7 +2,6 @@
 
 #include "common/error.h"
 #include "crypto/gcm.h"
-#include "crypto/hmac.h"
 #include "serialize/codec.h"
 #include "telemetry/registry.h"
 
@@ -71,27 +70,6 @@ Bytes make_nonce(bool initiator_to_responder, std::uint64_t seq) {
 [[maybe_unused]] const ChannelMetrics& kEagerChannelMetrics = channel_metrics();
 
 }  // namespace
-
-secret::Buffer derive_channel_key(sgx::Enclave& self,
-                                  const sgx::Measurement& peer) {
-  const auto& a = self.measurement();
-  // Order-independent: hash the lexicographically sorted measurement pair.
-  ByteView first(a.data(), a.size());
-  ByteView second(peer.data(), peer.size());
-  if (std::lexicographical_compare(second.begin(), second.end(), first.begin(),
-                                   first.end())) {
-    std::swap(first, second);
-  }
-  const Bytes context = concat(first, second);
-  // Both endpoints must derive the identical key, so root it in the platform
-  // report-key facility applied to a pseudo-measurement of the *pair* —
-  // modelling the attested key-exchange outcome (shared secret bound to both
-  // measurements, rooted in the platform).
-  const sgx::Measurement pair_id = crypto::Sha256::digest(context);
-  // AES-GCM-128 session keys, like the SGX SDK crypto the paper uses.
-  return crypto::derive_key(self.platform().report_key_for(pair_id),
-                            "channel-key", context, 16);
-}
 
 SecureChannel::SecureChannel(secret::Buffer session_key, bool is_initiator)
     : key_(std::move(session_key)), is_initiator_(is_initiator) {

@@ -1,13 +1,9 @@
 // Authenticated, replay-protected channel between two enclaves.
 //
 // The paper sends tags and entries "via a secure channel" between the
-// application's DedupRuntime and the ResultStore enclave. On real SGX this
-// channel comes from local attestation plus a key exchange bound to the
-// reports. The simulator reaches the same end state — a shared secret bound
-// to both enclaves' measurements and rooted in the platform — by deriving
-// the session key from the platform hardware key over the sorted pair of
-// measurements (see DESIGN.md substitutions; the DH mechanics are elided,
-// the resulting key distribution is the one the protocol needs).
+// application's DedupRuntime and the ResultStore enclave. The session key
+// comes from the attested X25519 handshake (net/handshake.h), so it is
+// bound to both enclaves' measurements and rooted in the platform.
 //
 // Frames are AES-GCM-128 with deterministic per-direction nonces and strictly
 // increasing sequence numbers, so tampering, reordering, and replay are all
@@ -19,15 +15,8 @@
 
 #include "common/bytes.h"
 #include "common/secret.h"
-#include "sgx/enclave.h"
 
 namespace speed::net {
-
-/// Derive the session key shared by `self` and an enclave with measurement
-/// `peer` on the same platform (order-independent). Session keys are key
-/// material, so they are born secret.
-secret::Buffer derive_channel_key(sgx::Enclave& self,
-                                  const sgx::Measurement& peer);
 
 class SecureChannel {
  public:

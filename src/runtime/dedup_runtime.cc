@@ -32,20 +32,6 @@ constexpr std::array<telemetry::LabelValue,
 }  // namespace
 
 DedupRuntime::DedupRuntime(sgx::Enclave& app_enclave,
-                           const sgx::Measurement& store_measurement,
-                           std::unique_ptr<net::Transport> transport,
-                           RuntimeConfig config)
-    : DedupRuntime(app_enclave,
-                   net::derive_channel_key(app_enclave, store_measurement),
-                   std::move(transport), std::move(config)) {}
-
-DedupRuntime::DedupRuntime(sgx::Enclave& app_enclave, Bytes session_key,
-                           std::unique_ptr<net::Transport> transport,
-                           RuntimeConfig config)
-    : DedupRuntime(app_enclave, secret::Buffer::absorb(std::move(session_key)),
-                   std::move(transport), std::move(config)) {}
-
-DedupRuntime::DedupRuntime(sgx::Enclave& app_enclave,
                            secret::Buffer session_key,
                            std::unique_ptr<net::Transport> transport,
                            RuntimeConfig config)

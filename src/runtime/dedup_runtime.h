@@ -121,22 +121,10 @@ struct RuntimeConfig {
 
 class DedupRuntime {
  public:
-  /// Pre-provisioned-key mode: `store_measurement` identifies the
-  /// ResultStore enclave and the channel key derives from the platform (see
-  /// net/secure_channel.h); `transport` delivers frames to the store.
-  DedupRuntime(sgx::Enclave& app_enclave,
-               const sgx::Measurement& store_measurement,
-               std::unique_ptr<net::Transport> transport,
-               RuntimeConfig config = RuntimeConfig{});
-
-  /// Attested-handshake mode: `session_key` comes from a completed
-  /// ChannelKeyExchange (see store::connect_app / net/handshake.h).
+  /// Single-store mode: `session_key` comes from a completed
+  /// ChannelKeyExchange (see store::connect_app / net/handshake.h);
+  /// `transport` delivers frames to the store.
   DedupRuntime(sgx::Enclave& app_enclave, secret::Buffer session_key,
-               std::unique_ptr<net::Transport> transport,
-               RuntimeConfig config = RuntimeConfig{});
-  /// Convenience for callers holding a plain key (tests, fixed vectors):
-  /// absorbs it into the secret domain, emptying the source.
-  DedupRuntime(sgx::Enclave& app_enclave, Bytes session_key,
                std::unique_ptr<net::Transport> transport,
                RuntimeConfig config = RuntimeConfig{});
 

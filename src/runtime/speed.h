@@ -5,9 +5,9 @@
 //   sgx::Platform platform;                          // the machine
 //   store::ResultStore store(platform);              // encrypted ResultStore
 //   auto enclave = platform.create_enclave("my-app");
-//   store::StoreSession session(store, enclave->measurement());
-//   runtime::DedupRuntime rt(*enclave, store.enclave().measurement(),
-//                            session.transport());
+//   auto conn = store::connect_app(store, *enclave); // attested handshake
+//   runtime::DedupRuntime rt(*enclave, std::move(conn.session_key),
+//                            std::move(conn.transport));
 //   rt.libraries().register_library("mylib", "1.0", code_bytes);
 //
 //   runtime::Deduplicable<Out(const In&)> fast_f(
@@ -37,7 +37,6 @@
 #include "sgx/trusted_library.h"
 #include "store/access_control.h"
 #include "store/inproc_cluster.h"
-#include "store/master_sync.h"
 #include "store/replication.h"
 #include "store/result_store.h"
 #include "store/store_session.h"

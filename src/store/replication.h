@@ -1,8 +1,8 @@
 // Cluster replication driver: anti-entropy between ResultStore nodes
-// (docs/PROTOCOL.md §8).
+// (docs/PROTOCOL.md §8). Its hot-entry push is the paper's §IV-B Remark:
+// popular entries spread to the other stores that should hold them.
 //
-// Extends the single master/replica pull of store/master_sync.h into the
-// three mechanisms a replicated cluster needs:
+// Three mechanisms make up a replicated cluster:
 //
 //   * membership: a monotonically-versioned view broadcast to every node
 //     (MembershipUpdate); nodes apply it idempotently, so the driver can
@@ -16,11 +16,14 @@
 //     the tags the ring assigns it. Interrupting and restarting a pull
 //     re-transfers nothing that already merged.
 //
-// The driver speaks the same host-side framed protocol as master_sync
-// (entries are self-protecting AEAD ciphertexts; see that header's trust
-// argument), so a PeerStore::call can be an in-process ResultStore::handle
-// or a TCP conduit. All failures surface as net::StoreUnavailableError —
-// replication is an optimization and must degrade quietly.
+// Entries are self-protecting — AEAD ciphertexts whose keys only eligible
+// applications can recover — so the driver speaks the host-side framed
+// protocol without a per-application secure channel, and a PeerStore::call
+// can be an in-process ResultStore::handle or a TCP conduit. Because tags
+// are deterministic, one ciphertext per computation serves every eligible
+// application, whichever machine computed it. All failures surface as
+// net::StoreUnavailableError — replication is an optimization and must
+// degrade quietly.
 #pragma once
 
 #include <functional>

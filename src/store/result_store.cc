@@ -342,10 +342,6 @@ PutResponse ResultStore::put(const PutRequest& req) {
   return enclave_->ecall([&] { return put_trusted(req); });
 }
 
-SyncResponse ResultStore::sync(const SyncRequest& req) {
-  return enclave_->ecall([&] { return sync_trusted(req); });
-}
-
 // --------------------------------------------------- metadata two-tier core
 
 std::uint64_t ResultStore::record_bytes(const MetaRecord& rec) {
@@ -804,7 +800,8 @@ PutStatus ResultStore::insert_trusted(const Tag& tag,
 
 SyncResponse ResultStore::sync_trusted(const SyncRequest& req) {
   // Serve the hottest entries (popularity = hit count), capped at
-  // max_entries; this is what a master store replicates to peers. Two-phase
+  // max_entries; the anti-entropy push replicates these to peers
+  // (ClusterReplicator::push_hot_entries). Two-phase
   // across shards: rank a point-in-time (hits, tag) census taken one shard
   // at a time, then re-fetch the winners — entries evicted between phases
   // are simply skipped, like entries whose blob vanished. The census is
@@ -845,17 +842,13 @@ SyncResponse ResultStore::sync_trusted(const SyncRequest& req) {
   return resp;
 }
 
-std::size_t ResultStore::merge_from_master(const SyncResponse& batch) {
-  return enclave_->ecall([&] { return merge_entries_trusted(batch.entries); });
-}
-
 std::size_t ResultStore::merge_entries_trusted(
     const std::vector<SyncEntry>& entries) {
   std::size_t inserted = 0;
-  serialize::AppId master_owner{};
-  master_owner.fill(0xee);  // synthetic owner for replicated entries
+  serialize::AppId replica_owner{};
+  replica_owner.fill(0xee);  // synthetic owner for replicated entries
   for (const SyncEntry& e : entries) {
-    if (insert_trusted(e.tag, master_owner, e.entry,
+    if (insert_trusted(e.tag, replica_owner, e.entry,
                        /*enforce_quota=*/false) != PutStatus::kStored) {
       continue;
     }
@@ -1142,80 +1135,6 @@ ResultStore::Stats ResultStore::stats() const {
   }
   s.backend_write_errors = backend_write_errors_.value();
   return s;
-}
-
-// ------------------------------------------------------------- persistence
-
-Bytes ResultStore::seal_snapshot() {
-  return enclave_->ecall([&] {
-    // All shard locks, in index order (the only multi-lock path; single-tag
-    // operations only ever hold one). Equal ranks admit no ordering rule, so
-    // this is the one sanctioned MutexLockAll site for shard locks.
-    const auto get_shard_mu = [&](std::size_t i) -> Mutex& {
-      return shards_[i]->mu;
-    };
-    MutexLockAll<decltype(get_shard_mu)> locks(shards_.size(), get_shard_mu);
-    for (const auto& shard : shards_) shard->mu.assert_held();
-
-    // Spill-aware sweep: fault in every cold record so a snapshot never
-    // silently drops an entry that merely aged out of the resident cache.
-    std::vector<std::pair<MetaRecord, std::uint64_t>> entries;
-    for (const auto& shard : shards_) {
-      shard->index.for_each([&](const MetaSlot& s) {
-        shard->mu.assert_held();
-        auto rec = load_record_locked(*shard, s);
-        if (rec.has_value()) {
-          entries.emplace_back(std::move(*rec), s.hits);
-        }
-      });
-    }
-    serialize::Encoder enc;
-    enc.u32(static_cast<std::uint32_t>(entries.size()));
-    for (const auto& [rec, hits] : entries) {
-      enc.raw(ByteView(rec.tag.data(), rec.tag.size()));
-      enc.var_bytes(rec.challenge);
-      enc.var_bytes(rec.wrapped_key);
-      enc.raw(ByteView(rec.owner.data(), rec.owner.size()));
-      enc.u64(hits);
-      const auto blob = backend_->get_blob(rec.blob);
-      enc.var_bytes(blob.has_value() ? *blob : Bytes{});
-    }
-    return enclave_->seal(as_bytes("result-store-snapshot-v1"), enc.view());
-  });
-}
-
-bool ResultStore::restore_snapshot(ByteView sealed) {
-  return enclave_->ecall([&] {
-    const auto plain =
-        enclave_->unseal(as_bytes("result-store-snapshot-v1"), sealed);
-    if (!plain.has_value()) return false;
-    try {
-      serialize::Decoder dec(*plain);
-      const std::uint32_t n = dec.u32();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        Tag tag;
-        const ByteView tb = dec.raw(32);
-        std::copy(tb.begin(), tb.end(), tag.begin());
-        EntryPayload entry;
-        entry.challenge = dec.var_bytes();
-        entry.wrapped_key = dec.var_bytes();
-        serialize::AppId owner;
-        const ByteView ob = dec.raw(32);
-        std::copy(ob.begin(), ob.end(), owner.begin());
-        const std::uint64_t hits = dec.u64();
-        entry.result_ct = dec.var_bytes();
-        if (insert_trusted(tag, owner, entry, /*enforce_quota=*/false) ==
-                PutStatus::kStored &&
-            hits > 0) {
-          set_hits_trusted(tag, hits);
-        }
-      }
-      dec.expect_done();
-    } catch (const SerializationError&) {
-      return false;
-    }
-    return true;
-  });
 }
 
 }  // namespace speed::store

@@ -60,8 +60,8 @@
 // (GET or PUT) that marshals data at the boundary and touches the trusted
 // dictionary, mirroring the paper's two customized ECALLs. DoS defence is a
 // per-application byte quota (§III-D); capacity pressure is handled by LRU
-// eviction. SYNC implements the master-store replication of the §IV-B
-// Remark.
+// eviction. SYNC serves the hottest entries for the anti-entropy push that
+// implements the §IV-B Remark (store/replication.h).
 #pragma once
 
 #include <atomic>
@@ -105,7 +105,7 @@ struct StoreConfig {
 
   /// Which entry to sacrifice when the arena is full. kLru suits shifting
   /// working sets; kLfu protects long-lived hot computations (the "popular
-  /// results" the §IV-B master store replicates) from scan-like churn.
+  /// results" the §IV-B replication pushes) from scan-like churn.
   enum class Eviction { kLru, kLfu };
   Eviction eviction = Eviction::kLru;
 
@@ -162,13 +162,6 @@ class ResultStore {
   // Typed convenience API (each performs its own ECALL).
   serialize::GetResponse get(const serialize::GetRequest& req);
   serialize::PutResponse put(const serialize::PutRequest& req);
-  serialize::SyncResponse sync(const serialize::SyncRequest& req);
-
-  /// Replica side of master synchronization: merge entries pulled from a
-  /// master store. Quota-exempt (the master is trusted infrastructure), but
-  /// capacity eviction still applies. Returns the number of newly inserted
-  /// entries.
-  std::size_t merge_from_master(const serialize::SyncResponse& batch);
 
   // ----------------------------------------------------------- cluster view
 
@@ -180,12 +173,6 @@ class ResultStore {
     std::vector<serialize::MemberInfo> members;
   };
   ClusterView cluster_view() const;
-
-  /// Persistence: seal the full store state (metadata + blobs) to a blob
-  /// only this store enclave (same measurement, same platform) can restore.
-  /// Spill-aware: cold entries are faulted in, never skipped.
-  Bytes seal_snapshot();
-  bool restore_snapshot(ByteView sealed);
 
   // ------------------------------------------------------------ durability
 
@@ -297,8 +284,7 @@ class ResultStore {
         : cache_budget(cache_budget_bytes), trusted_charge(enclave, 0) {}
 
     // 600: one shard lock per request path; quota stripes (650) and the
-    // WAL (700) nest inside it. seal_snapshot holds all shards at once via
-    // MutexLockAll (the sanctioned equal-rank exception).
+    // WAL (700) nest inside it. No path holds two shard locks at once.
     mutable Mutex mu{LockRank::kStoreShard};
     MetaIndex index GUARDED_BY(mu);
     std::unordered_map<std::uint64_t, CachedMeta> cache GUARDED_BY(mu);
@@ -382,14 +368,13 @@ class ResultStore {
   serialize::MembershipAck membership_trusted(
       const serialize::MembershipUpdate& req);
 
-  /// Quota-exempt merge shared by master sync, anti-entropy push, and pull
-  /// replies; preserves the sender's hit counts so popularity ranking
+  /// Quota-exempt merge shared by anti-entropy push and pull replies; preserves the sender's hit counts so popularity ranking
   /// survives replication. Must already run in the enclave.
   std::size_t merge_entries_trusted(
       const std::vector<serialize::SyncEntry>& entries);
 
   /// Insert helper shared by put and merge; takes `shard.mu` itself.
-  /// `enforce_quota` distinguishes application PUTs from master-sync merges.
+  /// `enforce_quota` distinguishes application PUTs from replication merges.
   serialize::PutStatus insert_trusted(const serialize::Tag& tag,
                                       const serialize::AppId& owner,
                                       const serialize::EntryPayload& entry,

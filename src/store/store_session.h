@@ -7,12 +7,9 @@
 // of the ECALL is to marshal data at the enclave boundary and access the
 // dictionary inside the trusted enclave".
 //
-// Two establishment modes:
-//   * attested handshake (preferred): construct from the client's
-//     HandshakeMessage; the session verifies the report, derives the X25519
-//     session key, and exposes server_hello() for the client;
-//   * pre-provisioned key: construct from the client measurement using the
-//     platform-derived key (see net/secure_channel.h).
+// The session is established by the attested handshake: it is constructed
+// from the client's HandshakeMessage, verifies the report, derives the
+// X25519 session key, and exposes server_hello() for the client.
 #pragma once
 
 #include <memory>
@@ -21,27 +18,19 @@
 #include "net/channel.h"
 #include "net/handshake.h"
 #include "net/secure_channel.h"
-#include "sgx/switchless.h"
 #include "store/result_store.h"
 
 namespace speed::store {
 
 class StoreSession {
  public:
-  /// Pre-provisioned-key mode.
-  StoreSession(ResultStore& store, const sgx::Measurement& client_measurement)
-      : store_(store),
-        channel_(net::derive_channel_key(store.enclave(), client_measurement),
-                 /*is_initiator=*/false) {}
-
-  /// Attested-handshake mode: verifies `client_hello` inside the store
-  /// enclave and derives the session key. Throws ProtocolError if the hello
-  /// does not authenticate.
+  /// Verifies `client_hello` inside the store enclave and derives the
+  /// session key. Throws ProtocolError if the hello does not authenticate.
   StoreSession(ResultStore& store, const net::HandshakeMessage& client_hello)
       : store_(store),
-        key_exchange_(std::in_place, store.enclave()),
+        key_exchange_(store.enclave()),
         channel_(store.enclave().ecall([&] {
-          auto key = key_exchange_->derive(client_hello);
+          auto key = key_exchange_.derive(client_hello);
           if (!key.has_value()) {
             throw ProtocolError("StoreSession: client hello failed attestation");
           }
@@ -52,22 +41,13 @@ class StoreSession {
                                            net::handshake_version(client_hello));
   }
 
-  /// The store's half of the handshake (attested-handshake mode only).
+  /// The store's half of the handshake.
   net::HandshakeMessage server_hello() const {
-    if (!key_exchange_.has_value()) {
-      throw ProtocolError("StoreSession: no handshake in pre-provisioned mode");
-    }
-    return key_exchange_->hello(client_hello_.report.source_measurement);
+    return key_exchange_.hello(client_hello_.report.source_measurement);
   }
 
-  /// Protocol version negotiated with this client (min of both hellos);
-  /// kProtocolVersionLegacy in pre-provisioned mode.
+  /// Protocol version negotiated with this client (min of both hellos).
   std::uint8_t peer_version() const { return peer_version_; }
-
-  /// Route this session's trusted work through a shared switchless ring
-  /// instead of a private ECALL per frame (sgx/switchless.h). The ring must
-  /// belong to the same store enclave and outlive the session.
-  void set_switchless(sgx::SwitchlessRing* ring) { switchless_ = ring; }
 
   /// Cap on ops per batch frame; an oversized batch gets a clean wire
   /// ErrorResponse instead of service. 0 = unlimited.
@@ -82,12 +62,6 @@ class StoreSession {
     MutexLock lock(mu_);
     const serialize::Message err = serialize::ErrorResponse{code, detail};
     const Bytes plain = serialize::encode_message(err);
-    if (switchless_ != nullptr) {
-      return switchless_->call([this, &plain] {
-        mu_.assert_held();  // caller blocks in call() with mu_ held
-        return channel_.wrap(plain);
-      });
-    }
     return store_.enclave().ecall([&] {
       mu_.assert_held();
       return channel_.wrap(plain);
@@ -96,16 +70,11 @@ class StoreSession {
 
   /// Handle one secure frame; throws ProtocolError on channel violations
   /// (tampering/replay), which a real server would treat as a dead peer.
-  // mu_ is held across the ECALL / switchless submission: the session is a
-  // strand — channel sequence numbers require frames to be served in order.
+  // mu_ is held across the ECALL: the session is a strand — channel
+  // sequence numbers require frames to be served in order.
   // lockdiscipline-allow: LD004 session strand orders channel sequence numbers
   Bytes handle_frame(ByteView frame) {
     MutexLock lock(mu_);
-    if (switchless_ != nullptr) {
-      // The caller blocks inside call(), so `frame` stays alive for the
-      // poller; the transition cost is charged once per ring drain.
-      return switchless_->call([this, frame] { return handle_frame_trusted(frame); });
-    }
     return store_.enclave().ecall([&] { return handle_frame_trusted(frame); });
   }
 
@@ -117,12 +86,9 @@ class StoreSession {
   }
 
  private:
-  /// Body of one frame; must already run in the store enclave's context
-  /// (under handle_frame's own ECALL or a switchless ring drain). The
-  /// caller blocks inside handle_frame with mu_ held, so channel_ access
-  /// here is covered even when a ring poller thread runs the closure —
+  /// Body of one frame; runs under handle_frame's ECALL with mu_ held —
   /// asserted (not REQUIRES) because the analysis cannot see through the
-  /// ECALL/ring submission lambda.
+  /// ECALL lambda.
   Bytes handle_frame_trusted(ByteView frame) {
     mu_.assert_held();
     const auto request_plain = channel_.unwrap(frame);
@@ -147,14 +113,13 @@ class StoreSession {
   }
 
   ResultStore& store_;
-  std::optional<net::ChannelKeyExchange> key_exchange_;
+  net::ChannelKeyExchange key_exchange_;
   net::HandshakeMessage client_hello_;
   net::SecureChannel channel_ GUARDED_BY(mu_);
   std::uint8_t peer_version_ = net::kProtocolVersionLegacy;
-  sgx::SwitchlessRing* switchless_ = nullptr;
   std::size_t max_batch_entries_ = 0;
-  // 560: held across the dispatch into the store (shard 600+) and across
-  // switchless submission (580) — both nest above it.
+  // 560: held across the dispatch into the store (shard 600+), which nests
+  // above it.
   mutable Mutex mu_{LockRank::kSession};
 };
 

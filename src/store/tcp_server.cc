@@ -69,11 +69,6 @@ StoreTcpServer::StoreTcpServer(ResultStore& store, std::uint16_t port,
   ev.data.fd = event_fd_;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev);
 
-  if (config_.switchless) {
-    sgx::SwitchlessRing::Config ring_config;
-    ring_config.max_burst = config_.switchless_burst;
-    ring_.emplace(store_.enclave(), ring_config);
-  }
   if (admin_port.has_value()) {
     admin_ = std::make_unique<telemetry::AdminServer>(*admin_port);
   }
@@ -108,8 +103,8 @@ StoreTcpServer::~StoreTcpServer() { stop(); }
 void StoreTcpServer::stop() {
   if (stopping_.exchange(true)) return;
   listener_.close();
-  // Workers first: they may be blocked on the ring, whose poller keeps
-  // draining until ring stop — so join order is workers, ring, loop.
+  // Workers first: a worker finishing its frame still writes the eventfd,
+  // which is closed below.
   {
     MutexLock lock(ready_mu_);
   }
@@ -117,7 +112,6 @@ void StoreTcpServer::stop() {
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
-  if (ring_.has_value()) ring_->stop();
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t r = ::write(event_fd_, &one, sizeof(one));
   if (loop_thread_.joinable()) loop_thread_.join();
@@ -469,9 +463,6 @@ void StoreTcpServer::handle_frame_on_worker(const std::shared_ptr<Conn>& conn,
       conn->close_after_flush = true;
       conn->error_counted = true;
       return;
-    }
-    if (switchless_ring() != nullptr) {
-      conn->session->set_switchless(switchless_ring());
     }
     conn->session->set_max_batch_entries(config_.max_batch_entries);
     const Bytes reply = net::encode_handshake(conn->session->server_hello());

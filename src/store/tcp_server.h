@@ -14,9 +14,6 @@
 // one worker drains its parsed-frame inbox at a time, so secure-channel
 // sequence numbers stay aligned with delivery order while frames from many
 // connections (and pipelined frames within one) execute concurrently.
-// Optionally the workers submit their trusted work to a shared switchless
-// ring (sgx/switchless.h) so the enclave-transition cost is charged once
-// per ring drain instead of once per frame.
 //
 // Connections that fail attestation or violate the channel (tamper/replay)
 // are dropped, costing only themselves — identical containment to the old
@@ -36,7 +33,6 @@
 #include "common/annotated_lock.h"
 #include "net/resilient.h"
 #include "net/tcp.h"
-#include "sgx/switchless.h"
 #include "store/store_session.h"
 #include "telemetry/admin_server.h"
 
@@ -53,11 +49,6 @@ struct StoreServerConfig {
   /// Cap on sub-requests per batch frame (clean wire error beyond it).
   /// 0 = unlimited.
   std::size_t max_batch_entries = 4096;
-  /// Route per-frame trusted work through a shared switchless ring: one
-  /// enclave crossing per ring drain instead of per frame.
-  bool switchless = false;
-  /// Largest burst one ring drain executes (ignored unless switchless).
-  std::size_t switchless_burst = 64;
 };
 
 class StoreTcpServer {
@@ -81,10 +72,6 @@ class StoreTcpServer {
   }
 
   const StoreServerConfig& config() const { return config_; }
-  /// Shared transition-amortization ring; nullptr unless switchless mode.
-  sgx::SwitchlessRing* switchless_ring() {
-    return ring_.has_value() ? &*ring_ : nullptr;
-  }
 
   /// Stop serving: close every connection, join the loop and workers.
   void stop();
@@ -157,7 +144,6 @@ class StoreTcpServer {
   net::TcpListener listener_;
   int epoll_fd_ = -1;
   int event_fd_ = -1;
-  std::optional<sgx::SwitchlessRing> ring_;
 
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> accepted_{0};

@@ -1,7 +1,7 @@
 // Tests for src/common/annotated_lock.h: guard round-trips, try-lock
-// semantics, the ScopedLock release/reacquire window, the MutexLockAll
-// range lock, CondVar integration, and the run-time lock-rank checker
-// (fire on a deliberate inversion, no fire on ascending order).
+// semantics, the ScopedLock release/reacquire window, CondVar integration,
+// and the run-time lock-rank checker (fire on a deliberate inversion and on
+// equal-rank nesting, no fire on ascending order).
 #include "common/annotated_lock.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -64,26 +63,6 @@ TEST(AnnotatedLockTest, ScopedLockReleaseWindowAdmitsOtherThreads) {
   }
   EXPECT_TRUE(other_ran.load());
   lock.lock();  // reacquire; destructor releases exactly once
-}
-
-TEST(AnnotatedLockTest, MutexLockAllHoldsEveryElement) {
-  std::vector<std::unique_ptr<Mutex>> shards;
-  for (int i = 0; i < 4; ++i) {
-    shards.push_back(std::make_unique<Mutex>(LockRank::kStoreShard));
-  }
-  const auto get = [&](std::size_t i) -> Mutex& { return *shards[i]; };
-  {
-    MutexLockAll<decltype(get)> all(shards.size(), get);
-    std::thread contender([&] {
-      for (auto& shard : shards) EXPECT_FALSE(shard->try_lock());
-    });
-    contender.join();
-  }
-  // Destructor released the whole range.
-  for (auto& shard : shards) {
-    EXPECT_TRUE(shard->try_lock());
-    shard->unlock();
-  }
 }
 
 TEST(AnnotatedLockTest, CondVarWaitReleasesAndReacquires) {
@@ -234,24 +213,6 @@ TEST_F(RankCheckTest, HeldRanksAreThreadLocal) {
   std::thread other([&] { MutexLock inner(low); });
   other.join();
   EXPECT_EQ(g_violations.load(), 0);
-}
-
-TEST_F(RankCheckTest, MutexLockAllNotesRankOnce) {
-  std::vector<std::unique_ptr<Mutex>> shards;
-  for (int i = 0; i < 8; ++i) {
-    shards.push_back(std::make_unique<Mutex>(LockRank::kStoreShard));
-  }
-  const auto get = [&](std::size_t i) -> Mutex& { return *shards[i]; };
-  {
-    // Eight equal-rank locks through the sanctioned range lock: no violation
-    // (element-wise MutexLocks would fire on the second element).
-    MutexLockAll<decltype(get)> all(shards.size(), get);
-    EXPECT_EQ(g_violations.load(), 0);
-    // The range's rank is live: a lower acquisition still trips.
-    Mutex low{LockRank::kApp};
-    MutexLock lock(low);
-    EXPECT_EQ(g_violations.load(), 1);
-  }
 }
 
 }  // namespace

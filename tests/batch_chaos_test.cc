@@ -1,8 +1,8 @@
 // Fault-injection suite for the batched protocol and the epoll server
 // (ctest -L chaos; CI also runs it under ThreadSanitizer): mid-batch
 // disconnects, abrupt-close durability of acknowledged PUTs, connection
-// churn against a shared switchless ring, and hostile clients racing
-// honest ones. Deterministic conformance tests live in batch_test.cc.
+// churn, and hostile clients racing honest ones. Deterministic conformance
+// tests live in batch_test.cc.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -253,16 +253,13 @@ TEST(BatchChaosTest, MidFrameDisconnectCostsOnlyThatConnection) {
   (void)probe_meas;
 }
 
-TEST(BatchChaosTest, SwitchlessServerSurvivesConnectionChurn) {
-  // Connections come and go while the shared ring drains their frames; a
-  // departed session's queued calls must complete (or fail cleanly) without
-  // wedging the ring for the survivors.
+TEST(BatchChaosTest, ServerSurvivesConnectionChurn) {
+  // Connections come and go while the worker pool serves their frames; a
+  // departed session's queued frames must complete (or fail cleanly)
+  // without wedging the pool for the survivors.
   sgx::Platform platform(fast_model());
   store::ResultStore result_store(platform);
-  store::StoreServerConfig config;
-  config.switchless = true;
-  config.switchless_burst = 8;
-  store::StoreTcpServer server(result_store, 0, std::nullopt, config);
+  store::StoreTcpServer server(result_store, 0);
 
   std::atomic<int> completed{0};
   constexpr int kThreads = 4;
@@ -293,7 +290,7 @@ TEST(BatchChaosTest, SwitchlessServerSurvivesConnectionChurn) {
   for (auto& t : churn) t.join();
   EXPECT_EQ(completed.load(), kThreads * kGenerations);
 
-  // The ring is still live: a fresh client gets served.
+  // The server is still live: a fresh client gets served.
   auto app = platform.create_enclave("survivor");
   RawTcpClient client(*app, result_store, server.port());
   SPEED_SEEDED_RNG(rng, 0x5077u);
@@ -302,16 +299,15 @@ TEST(BatchChaosTest, SwitchlessServerSurvivesConnectionChurn) {
   EXPECT_EQ(std::get<PutResponse>(client.recv()).status, PutStatus::kStored);
   client.send(Message(make_get(tag, app->measurement())));
   EXPECT_TRUE(std::get<GetResponse>(client.recv()).found);
-  EXPECT_GE(server.switchless_ring()->stats().calls, 2u);
+  EXPECT_EQ(server.connections_accepted(),
+            static_cast<std::uint64_t>(kThreads * kGenerations + 1));
+  EXPECT_EQ(server.connections_rejected(), 0u);
 }
 
 TEST(BatchChaosTest, ServerStopWithInFlightBatchesDoesNotHang) {
   sgx::Platform platform(fast_model());
   store::ResultStore result_store(platform);
-  store::StoreServerConfig config;
-  config.switchless = true;
-  auto server = std::make_unique<store::StoreTcpServer>(
-      result_store, 0, std::nullopt, config);
+  auto server = std::make_unique<store::StoreTcpServer>(result_store, 0);
 
   SPEED_SEEDED_RNG(rng, 0x570Full);
   std::vector<std::unique_ptr<sgx::Enclave>> apps;

@@ -1,7 +1,7 @@
 // Conformance suite for the batched wire protocol (docs/PROTOCOL.md §9):
 // batch codec, version negotiation, per-entry statuses, server frame/batch
-// limits, the epoll server's pipelining, switchless transition
-// amortization, the client micro-batcher, and cluster batch routing. The
+// limits, the epoll server's pipelining, the client micro-batcher, and
+// cluster batch routing. The
 // disconnect/fault-injection variants live in batch_chaos_test.cc.
 #include <gtest/gtest.h>
 
@@ -445,88 +445,6 @@ TEST(BatchTcpTest, BatchOverTcpMatchesPerOpResults) {
               PutStatus::kStored);
     EXPECT_TRUE(std::get<GetResponse>(resp->replies[kOps + i]).found);
   }
-}
-
-// ------------------------------------------------------------ switchless --
-
-TEST(SwitchlessTest, RingAmortizesEnclaveTransitions) {
-  // A 50 µs parked ecall makes drains slow enough that concurrent
-  // submitters pile onto the ring while one drain runs — so bursts form and
-  // the crossing count provably drops below one-per-call.
-  sgx::CostModel model;
-  model.ecall_ns = 50'000;
-  model.ocall_ns = 0;
-  model.wait = sgx::CostModel::Wait::kSleep;
-  sgx::Platform platform(model);
-  store::ResultStore result_store(platform);
-  sgx::SwitchlessRing ring(result_store.enclave());
-
-  constexpr int kThreads = 8;
-  constexpr int kOpsPerThread = 4;
-  std::vector<store::AppConnection> conns;
-  std::vector<std::unique_ptr<sgx::Enclave>> apps;
-  for (int i = 0; i < kThreads; ++i) {
-    apps.push_back(platform.create_enclave("sw-app-" + std::to_string(i)));
-    conns.push_back(store::connect_app(result_store, *apps.back()));
-    conns.back().session->set_switchless(&ring);
-  }
-
-  const std::uint64_t ecalls_before = result_store.enclave().ecall_count();
-  std::vector<std::thread> threads;
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&, i] {
-      RawClient client(conns[static_cast<std::size_t>(i)]);
-      const sgx::Measurement me = apps[static_cast<std::size_t>(i)]->measurement();
-      for (std::uint8_t n = 0; n < kOpsPerThread; ++n) {
-        const Message m = client.call(
-            Message(make_get(nth_tag(static_cast<std::uint8_t>(i), n), me)));
-        EXPECT_FALSE(std::get<GetResponse>(m).found);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  const auto stats = ring.stats();
-  const std::uint64_t ecall_delta =
-      result_store.enclave().ecall_count() - ecalls_before;
-  EXPECT_EQ(stats.calls, static_cast<std::uint64_t>(kThreads * kOpsPerThread));
-  // Honest accounting: exactly one enclave crossing per drain, and every
-  // crossing a per-call design would have paid beyond that is "saved".
-  EXPECT_EQ(ecall_delta, stats.drains);
-  EXPECT_EQ(stats.transitions_saved, stats.calls - stats.drains);
-  EXPECT_GE(stats.transitions_saved, 1u);
-  EXPECT_LT(stats.drains, stats.calls);
-}
-
-TEST(SwitchlessTest, ServerRingServesTcpClients) {
-  sgx::Platform platform(fast_model());
-  store::ResultStore result_store(platform);
-  store::StoreServerConfig config;
-  config.switchless = true;
-  store::StoreTcpServer server(result_store, 0, std::nullopt, config);
-  ASSERT_NE(server.switchless_ring(), nullptr);
-
-  auto app = platform.create_enclave("sw-tcp-app");
-  auto conn = store::connect_tcp_app(*app,
-                                     result_store.enclave().measurement(),
-                                     "127.0.0.1", server.port());
-  runtime::DedupRuntime rt(*app, std::move(conn.session_key),
-                           std::move(conn.transport));
-  rt.libraries().register_library("lib", "1", as_bytes("code"));
-
-  int executions = 0;
-  runtime::Deduplicable<Bytes(const Bytes&)> f(
-      rt, {"lib", "1", "f"}, [&](const Bytes& in) {
-        ++executions;
-        return concat(in, as_bytes("+sw"));
-      });
-  const Bytes r1 = f(to_bytes("payload"));
-  rt.flush();
-  const Bytes r2 = f(to_bytes("payload"));
-  EXPECT_EQ(r1, r2);
-  EXPECT_EQ(executions, 1);
-  // Every post-handshake frame went through the ring, not a private ECALL.
-  EXPECT_GE(server.switchless_ring()->stats().calls, 2u);
 }
 
 // --------------------------------------------------------- micro-batcher --

@@ -66,7 +66,9 @@ TEST(ChunkerTest, ChunksTileTheInputWithinBounds) {
     for (std::size_t i = 0; i < chunks.size(); ++i) {
       EXPECT_EQ(chunks[i].offset, offset);
       EXPECT_LE(chunks[i].size, cfg.max_size);
-      if (i + 1 < chunks.size()) EXPECT_GE(chunks[i].size, cfg.min_size);
+      if (i + 1 < chunks.size()) {
+        EXPECT_GE(chunks[i].size, cfg.min_size);
+      }
       offset += chunks[i].size;
     }
     EXPECT_EQ(offset, data.size());
@@ -88,7 +90,9 @@ TEST(ChunkerTest, BoundsHoldUnderRandomConfigsAndInputs) {
       ASSERT_EQ(chunks[i].offset, offset);
       ASSERT_GT(chunks[i].size, 0u);
       ASSERT_LE(chunks[i].size, cfg.max_size);
-      if (i + 1 < chunks.size()) ASSERT_GE(chunks[i].size, cfg.min_size);
+      if (i + 1 < chunks.size()) {
+        ASSERT_GE(chunks[i].size, cfg.min_size);
+      }
       offset += chunks[i].size;
     }
     ASSERT_EQ(offset, data.size());

@@ -288,6 +288,12 @@ struct DeflateCase {
   int shape;  // 0 random, 1 text-ish, 2 zeros, 3 alternating
 };
 
+// Stable ctest names: gtest would otherwise print the struct's raw bytes,
+// including the `name` pointer, which moves with every relink.
+void PrintTo(const DeflateCase& c, std::ostream* os) {
+  *os << "size " << c.size;
+}
+
 class DeflateSweep : public ::testing::TestWithParam<DeflateCase> {};
 
 TEST_P(DeflateSweep, RoundTrips) {

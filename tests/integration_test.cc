@@ -1,6 +1,6 @@
 // End-to-end integration tests: the four paper case studies running through
 // the real SPEED stack (app enclaves + secure channels + encrypted store),
-// cross-application sharing, Zipf workloads, master-store replication across
+// cross-application sharing, Zipf workloads, hot-entry replication across
 // machines, EPC behaviour, and store persistence across restarts.
 #include <gtest/gtest.h>
 
@@ -220,12 +220,11 @@ TEST_F(IntegrationTest, ManyAppsShareOneStore) {
 }
 
 TEST_F(IntegrationTest, MasterSyncAcrossMachines) {
-  // Machine A computes; its store syncs to a master; machine B's store
-  // pulls from the master; machine B's app decrypts without recomputing —
-  // the §IV-B Remark scenario.
+  // Machine A computes; the anti-entropy push carries its hottest entry to
+  // machine B's store; machine B's app decrypts without recomputing — the
+  // §IV-B Remark scenario.
   sgx::Platform machine_b(fast_model());
   store::ResultStore store_b(machine_b);
-  store::ResultStore master(platform_);
 
   App app_a(platform_, store_, "worker");
   app_a.rt.libraries().register_library("lib", "1", as_bytes("code"));
@@ -239,9 +238,13 @@ TEST_F(IntegrationTest, MasterSyncAcrossMachines) {
   fa(input);
   app_a.rt.flush();
 
-  // Replicate A's store -> master -> B's store.
-  EXPECT_EQ(store::sync_replica_from_master(master, store_, 10), 1u);
-  EXPECT_EQ(store::sync_replica_from_master(store_b, master, 10), 1u);
+  // Replicate machine A's store -> machine B's store.
+  store::ClusterReplicator replicator(
+      {store::PeerStore{"machine-a",
+                        [this](ByteView r) { return store_.handle(r); }},
+       store::PeerStore{"machine-b",
+                        [&store_b](ByteView r) { return store_b.handle(r); }}});
+  EXPECT_EQ(replicator.push_hot_entries(0), 1u);
 
   // Machine B's application (same code + input) reuses the result.
   App app_b(machine_b, store_b, "worker");
@@ -254,35 +257,35 @@ TEST_F(IntegrationTest, MasterSyncAcrossMachines) {
       });
   const Bytes out = fb(input);
   EXPECT_EQ(out, concat(input, as_bytes("!")));
-  EXPECT_EQ(exec_b, 0) << "cross-machine reuse through the master store";
+  EXPECT_EQ(exec_b, 0) << "cross-machine reuse through the pushed entry";
   EXPECT_EQ(exec_a, 1);
 }
 
-TEST_F(IntegrationTest, StoreRestartWithSealedSnapshot) {
-  App app(platform_, store_, "persistent-app");
-  app.rt.libraries().register_library("lib", "1", as_bytes("code"));
+TEST_F(IntegrationTest, StoreRestartRecoversFromWal) {
+  // The durable backend outlives the store: a restarted store replays the
+  // sealed WAL and serves the old result.
+  store::StoreConfig durable;
+  durable.backend = std::make_shared<store::MemoryBackend>(/*record_wal=*/true);
   int executions = 0;
-  Deduplicable<Bytes(const Bytes&)> f(
-      app.rt, {"lib", "1", "f"}, [&](const Bytes& in) {
-        ++executions;
-        return in;
-      });
-  f(to_bytes("survives"));
-  app.rt.flush();
+  const auto compute = [&](const Bytes& in) {
+    ++executions;
+    return in;
+  };
+  {
+    store::ResultStore first_run(platform_, durable);
+    App app(platform_, first_run, "persistent-app");
+    app.rt.libraries().register_library("lib", "1", as_bytes("code"));
+    Deduplicable<Bytes(const Bytes&)> f(app.rt, {"lib", "1", "f"}, compute);
+    f(to_bytes("survives"));
+    app.rt.flush();
+  }
 
-  const Bytes snapshot = store_.seal_snapshot();
-  store::ResultStore revived(platform_);
-  ASSERT_TRUE(revived.restore_snapshot(snapshot));
-
+  store::ResultStore revived(platform_, durable);
   App app2(platform_, revived, "persistent-app");
   app2.rt.libraries().register_library("lib", "1", as_bytes("code"));
-  Deduplicable<Bytes(const Bytes&)> f2(
-      app2.rt, {"lib", "1", "f"}, [&](const Bytes& in) {
-        ++executions;
-        return in;
-      });
+  Deduplicable<Bytes(const Bytes&)> f2(app2.rt, {"lib", "1", "f"}, compute);
   EXPECT_EQ(f2(to_bytes("survives")), to_bytes("survives"));
-  EXPECT_EQ(executions, 1) << "restored store serves the old result";
+  EXPECT_EQ(executions, 1) << "restarted store serves the old result";
 }
 
 TEST_F(IntegrationTest, EpcStaysSmallWhileCiphertextsGrow) {

@@ -107,6 +107,13 @@ struct RegexCase {
   bool expect;
 };
 
+// gtest prints GetParam() into each listed test name, and ctest registers that
+// name. Without this overload the struct prints as its raw bytes: string
+// pointers that move with every relink and every address-space layout.
+void PrintTo(const RegexCase& c, std::ostream* os) {
+  *os << (c.expect ? "match" : "no match");
+}
+
 const RegexCase kRegexCases[] = {
     {"literal_hit", "abc", "xxabcxx", true},
     {"literal_miss", "abc", "ab c", false},

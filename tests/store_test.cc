@@ -1,10 +1,10 @@
 // Tests for the encrypted ResultStore: GET/PUT semantics, blob integrity,
-// quota enforcement, LRU eviction, wire dispatch, secure sessions, master
-// sync, and sealed snapshots.
+// quota enforcement, LRU eviction, wire dispatch, secure sessions, hot-entry
+// replication (the §IV-B Remark), and WAL recovery across shard layouts.
 #include <gtest/gtest.h>
 
 #include "crypto/drbg.h"
-#include "store/master_sync.h"
+#include "store/replication.h"
 #include "store/result_store.h"
 #include "store/store_session.h"
 
@@ -17,7 +17,6 @@ using serialize::GetResponse;
 using serialize::PutRequest;
 using serialize::PutResponse;
 using serialize::PutStatus;
-using serialize::SyncRequest;
 using serialize::Tag;
 
 sgx::CostModel fast_model() {
@@ -277,15 +276,13 @@ TEST_F(StoreTest, HostTamperedBlobDegradesToMiss) {
 
 TEST_F(StoreTest, SecureSessionEndToEnd) {
   auto app = platform_.create_enclave("client-app");
-  StoreSession session(store_, app->measurement());
-  net::SecureChannel client(
-      net::derive_channel_key(*app, store_.enclave().measurement()),
-      /*is_initiator=*/true);
-  auto transport = session.transport();
+  AppConnection conn = connect_app(store_, *app);
+  net::SecureChannel client(std::move(conn.session_key),
+                            /*is_initiator=*/true);
 
   const PutRequest put = make_put(11);
   Bytes frame = client.wrap(serialize::encode_message(put));
-  auto resp = client.unwrap(transport->round_trip(frame));
+  auto resp = client.unwrap(conn.transport->round_trip(frame));
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(std::get<PutResponse>(serialize::decode_message(*resp)).status,
             PutStatus::kStored);
@@ -293,93 +290,75 @@ TEST_F(StoreTest, SecureSessionEndToEnd) {
   GetRequest get;
   get.tag = make_tag(11);
   frame = client.wrap(serialize::encode_message(get));
-  resp = client.unwrap(transport->round_trip(frame));
+  resp = client.unwrap(conn.transport->round_trip(frame));
   ASSERT_TRUE(resp.has_value());
   EXPECT_TRUE(std::get<GetResponse>(serialize::decode_message(*resp)).found);
 }
 
 TEST_F(StoreTest, SecureSessionRejectsTamperedFrames) {
   auto app = platform_.create_enclave("client-app");
-  StoreSession session(store_, app->measurement());
-  net::SecureChannel client(
-      net::derive_channel_key(*app, store_.enclave().measurement()), true);
+  AppConnection conn = connect_app(store_, *app);
+  net::SecureChannel client(std::move(conn.session_key), true);
   Bytes frame = client.wrap(serialize::encode_message(make_put(1)));
   frame[frame.size() - 1] ^= 1;
-  EXPECT_THROW(session.handle_frame(frame), ProtocolError);
+  EXPECT_THROW(conn.session->handle_frame(frame), ProtocolError);
 }
 
 // ------------------------------------------------------------ master sync
 
+/// Node 0 = `from`, node 1 = `to`, over the host-side infra plane. With two
+/// nodes and the default two copies, each node is a ring owner of every
+/// tag, so push_hot_entries(0) offers `to` all of `from`'s hot entries.
+std::vector<PeerStore> two_nodes(ResultStore& from, ResultStore& to) {
+  return {PeerStore{"from", [&from](ByteView r) { return from.handle(r); }},
+          PeerStore{"to", [&to](ByteView r) { return to.handle(r); }}};
+}
+
 TEST_F(StoreTest, MasterSyncReplicatesHottestEntries) {
-  ResultStore master(platform_);
+  ResultStore source(platform_);
   for (std::uint64_t i = 0; i < 5; ++i) {
-    ASSERT_EQ(master.put(make_put(i)).status, PutStatus::kStored);
+    ASSERT_EQ(source.put(make_put(i)).status, PutStatus::kStored);
   }
   // Heat up tags 3 and 4.
   for (int round = 0; round < 3; ++round) {
     for (std::uint64_t i : {3u, 4u}) {
       GetRequest get;
       get.tag = make_tag(i);
-      ASSERT_TRUE(master.get(get).found);
+      ASSERT_TRUE(source.get(get).found);
     }
   }
 
   ResultStore replica(platform_);
-  const std::size_t inserted = sync_replica_from_master(replica, master, 2);
-  EXPECT_EQ(inserted, 2u);
+  ReplicationConfig cfg;
+  cfg.hot_entries = 2;
+  ClusterReplicator replicator(two_nodes(source, replica), cfg);
+  EXPECT_EQ(replicator.push_hot_entries(0), 2u);
   for (std::uint64_t i : {3u, 4u}) {
     GetRequest get;
     get.tag = make_tag(i);
     EXPECT_TRUE(replica.get(get).found) << "hot entry " << i << " replicated";
   }
-  GetRequest cold;
-  cold.tag = make_tag(0);
-  EXPECT_FALSE(replica.get(cold).found) << "cold entries not replicated";
+  for (std::uint64_t i : {0u, 1u, 2u}) {
+    GetRequest cold;
+    cold.tag = make_tag(i);
+    EXPECT_FALSE(replica.get(cold).found) << "cold entry " << i << " pushed";
+  }
 
-  // Re-sync is idempotent.
-  EXPECT_EQ(sync_replica_from_master(replica, master, 2), 0u);
+  // A second round finds the replica already holding both.
+  EXPECT_EQ(replicator.push_hot_entries(0), 0u);
 }
 
 TEST_F(StoreTest, MasterSyncIsQuotaExempt) {
   StoreConfig tight;
   tight.per_app_quota_bytes = 10;  // no app could PUT anything this size
   ResultStore replica(platform_, tight);
-  ResultStore master(platform_);
-  ASSERT_EQ(master.put(make_put(1, 64)).status, PutStatus::kStored);
-  EXPECT_EQ(sync_replica_from_master(replica, master, 8), 1u);
-}
-
-// -------------------------------------------------------------- snapshots
-
-TEST_F(StoreTest, SealedSnapshotRestoresIntoSameIdentity) {
-  ASSERT_EQ(store_.put(make_put(21, 80)).status, PutStatus::kStored);
-  ASSERT_EQ(store_.put(make_put(22, 80)).status, PutStatus::kStored);
-  const Bytes snapshot = store_.seal_snapshot();
-
-  ResultStore revived(platform_);  // same measurement, same platform
-  ASSERT_TRUE(revived.restore_snapshot(snapshot));
-  for (std::uint64_t i : {21u, 22u}) {
-    GetRequest get;
-    get.tag = make_tag(i);
-    EXPECT_TRUE(revived.get(get).found);
-  }
-}
-
-TEST_F(StoreTest, SnapshotRejectedOnOtherPlatform) {
-  ASSERT_EQ(store_.put(make_put(31)).status, PutStatus::kStored);
-  const Bytes snapshot = store_.seal_snapshot();
-
-  sgx::Platform other_machine(fast_model());
-  ResultStore foreign(other_machine);
-  EXPECT_FALSE(foreign.restore_snapshot(snapshot));
-}
-
-TEST_F(StoreTest, TamperedSnapshotRejected) {
-  ASSERT_EQ(store_.put(make_put(41)).status, PutStatus::kStored);
-  Bytes snapshot = store_.seal_snapshot();
-  snapshot[snapshot.size() / 2] ^= 1;
-  ResultStore revived(platform_);
-  EXPECT_FALSE(revived.restore_snapshot(snapshot));
+  ResultStore source(platform_);
+  ASSERT_EQ(source.put(make_put(1, 64)).status, PutStatus::kStored);
+  ClusterReplicator replicator(two_nodes(source, replica));
+  EXPECT_EQ(replicator.push_hot_entries(0), 1u);
+  GetRequest get;
+  get.tag = make_tag(1);
+  EXPECT_TRUE(replica.get(get).found);
 }
 
 // ------------------------------------------------------- sharded store
@@ -490,25 +469,33 @@ TEST_F(StoreTest, ShardedQuotaStaysGloballyExact) {
   EXPECT_EQ(store.put(other_app).status, PutStatus::kStored);
 }
 
-TEST_F(StoreTest, SnapshotRestoresAcrossShardCounts) {
-  // Snapshots are shard-layout independent: entries re-shard on restore.
-  StoreConfig cfg8;
-  cfg8.shards = 8;
-  ResultStore sharded(platform_, cfg8);
-  for (std::uint64_t n = 0; n < 16; ++n) {
-    PutRequest put = make_put(n);
-    put.tag = sharded_tag(static_cast<std::uint8_t>(n % 8), n);
-    ASSERT_EQ(sharded.put(put).status, PutStatus::kStored);
+TEST_F(StoreTest, RecoveryAcrossShardCounts) {
+  // The WAL is shard-layout independent: a store written with 8 shards
+  // reopens over the same durable backend with 1, re-sharding on replay.
+  auto backend = std::make_shared<MemoryBackend>(/*record_wal=*/true);
+  {
+    StoreConfig cfg8;
+    cfg8.shards = 8;
+    cfg8.backend = backend;
+    ResultStore sharded(platform_, cfg8);
+    for (std::uint64_t n = 0; n < 16; ++n) {
+      PutRequest put = make_put(n);
+      put.tag = sharded_tag(static_cast<std::uint8_t>(n % 8), n);
+      ASSERT_EQ(sharded.put(put).status, PutStatus::kStored);
+    }
   }
-  const Bytes snapshot = sharded.seal_snapshot();
 
-  ResultStore single(platform_);  // shards = 1
-  ASSERT_TRUE(single.restore_snapshot(snapshot));
+  StoreConfig cfg1;  // shards = 1
+  cfg1.backend = backend;
+  ResultStore single(platform_, cfg1);
+  EXPECT_EQ(single.recovery_info().inserts, 16u);
   EXPECT_EQ(single.stats().entries, 16u);
   for (std::uint64_t n = 0; n < 16; ++n) {
     GetRequest get;
     get.tag = sharded_tag(static_cast<std::uint8_t>(n % 8), n);
-    EXPECT_TRUE(single.get(get).found) << "tag " << n;
+    const GetResponse hit = single.get(get);
+    ASSERT_TRUE(hit.found) << "tag " << n;
+    EXPECT_EQ(hit.entry, make_entry(64, static_cast<std::uint8_t>(n)));
   }
 }
 

@@ -289,47 +289,59 @@ struct RecordingTransport : net::Transport {
 
 TEST(StreamSessionTest, SingleChunkPutIsWireIdenticalToExecute) {
   // The degrade rule's contract: an input below the chunking threshold must
-  // produce the very frames DedupRuntime::execute would — same GET bytes
-  // (deterministic under a seeded platform), same PUT frame shape — so a
-  // store cannot even distinguish the two paths.
+  // produce the very requests DedupRuntime::execute would — same GET
+  // plaintext, same PUT frame shape — so a store cannot even distinguish
+  // the two paths.
   const Bytes input = to_bytes("one small payload, one chunk");
 
-  auto run = [&](auto&& do_put) -> std::vector<Bytes> {
-    // Pre-provisioned-key mode on a seeded platform: the channel key is a
-    // deterministic platform derivation (no handshake randomness), so two
-    // identical runs produce bit-identical ciphertext frames.
-    sgx::Platform platform(fast_model(), as_bytes("wire-compat-seed"));
+  struct Capture {
+    std::vector<Bytes> frames;
+    Bytes get_plain;  ///< the GET frame as the store's end unwraps it
+  };
+  auto run = [&](auto&& do_put) -> Capture {
+    sgx::Platform platform(fast_model());
     store::ResultStore result_store(platform);
     auto enclave = platform.create_enclave("wire-app");
-    store::StoreSession session(result_store, enclave->measurement());
+    auto conn = store::connect_app(result_store, *enclave);
+    // A second responder endpoint on the same session key decrypts the
+    // recorded frames; the handshake key itself is fresh on every run.
+    net::SecureChannel responder(conn.session_key.clone(),
+                                 /*is_initiator=*/false);
     auto recording =
-        std::make_unique<RecordingTransport>(session.transport());
+        std::make_unique<RecordingTransport>(std::move(conn.transport));
     auto* rec = recording.get();
     runtime::RuntimeConfig config;
     config.async_put = false;  // PUT rides the calling thread in both paths
-    runtime::DedupRuntime rt(*enclave, result_store.enclave().measurement(),
+    runtime::DedupRuntime rt(*enclave, std::move(conn.session_key),
                              std::move(recording), config);
     do_put(rt);
-    return rec->frames;
+    Capture out;
+    out.frames = rec->frames;
+    if (!out.frames.empty()) {
+      out.get_plain = responder.unwrap(out.frames[0]).value_or(Bytes{});
+    }
+    return out;
   };
 
-  const auto execute_frames = run([&](runtime::DedupRuntime& rt) {
+  const Capture execute = run([&](runtime::DedupRuntime& rt) {
     const auto fn = stream_identity(rt);
     rt.execute(fn, input, [&] { return input; });
   });
-  const auto stream_frames = run([&](runtime::DedupRuntime& rt) {
+  const Capture stream = run([&](runtime::DedupRuntime& rt) {
     runtime::StreamSession s(rt, stream_identity(rt));
     s.put(input);
   });
 
-  ASSERT_EQ(execute_frames.size(), 2u);  // GET miss, then PUT
-  ASSERT_EQ(stream_frames.size(), 2u);
-  // The GET frames must be bit-identical: same tag (call domain), same
-  // requester, same channel key and sequence number.
-  EXPECT_EQ(stream_frames[0], execute_frames[0]);
+  ASSERT_EQ(execute.frames.size(), 2u);  // GET miss, then PUT
+  ASSERT_EQ(stream.frames.size(), 2u);
+  // The GET requests must be byte-identical: same tag (call domain), same
+  // requester, same framing at the same sequence number.
+  EXPECT_EQ(stream.frames[0].size(), execute.frames[0].size());
+  ASSERT_FALSE(execute.get_plain.empty());
+  EXPECT_EQ(stream.get_plain, execute.get_plain);
   // The PUT carries fresh randomness (challenge, key, IV), so assert shape:
   // identical frame length means identical tag/challenge/key/ct layout.
-  EXPECT_EQ(stream_frames[1].size(), execute_frames[1].size());
+  EXPECT_EQ(stream.frames[1].size(), execute.frames[1].size());
 }
 
 TEST(StreamSessionTest, SingleChunkPutInteroperatesWithExecute) {

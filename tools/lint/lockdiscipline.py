@@ -68,8 +68,7 @@ DECL_RANK_RE = re.compile(
 )
 
 # Guard acquisitions. The expression's trailing identifier names the mutex
-# (`shard.mu`, `node->mu`, `mu_`). MutexLockAll is the sanctioned equal-rank
-# multi-lock and is deliberately NOT matched here.
+# (`shard.mu`, `node->mu`, `mu_`).
 GUARD_RE = re.compile(
     r"\b(MutexLock|ReaderLock|WriterLock|ScopedLock)\s+\w+\s*[({]\s*([^);]*?)\s*[)}]"
 )
