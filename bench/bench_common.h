@@ -15,14 +15,35 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 
+#include "common/annotated_lock.h"
 #include "common/clock.h"
 #include "common/table.h"
+#include "crypto/gcm.h"
+#include "crypto/sha256.h"
 #include "runtime/speed.h"
 #include "telemetry/exposition.h"
 #include "telemetry/metrics.h"
 
 namespace speed::bench {
+
+/// The host block every recorded BENCH_*.json carries, so a number is never
+/// read without the machine and build it came from: core count, CMake build
+/// type (SPEED_BUILD_TYPE, set by speed_add_bench), run-time lock-rank
+/// checking, and whether the hardware SHA-256 and AES-GCM paths ran.
+inline std::string host_json() {
+  std::string out = "{\"cores\": ";
+  out += std::to_string(std::thread::hardware_concurrency());
+  out += ", \"build_type\": \"" SPEED_BUILD_TYPE "\"";
+  out += std::string(", \"lock_rank_check\": ") +
+         (lock_rank_check_enabled() ? "true" : "false");
+  out += std::string(", \"sha_ni\": ") +
+         (crypto::hw::sha256_available() ? "true" : "false");
+  out += std::string(", \"aes_ni\": ") +
+         (crypto::hw::gcm128_available() ? "true" : "false");
+  return out + "}";
+}
 
 inline sgx::CostModel realistic_model() {
   return sgx::CostModel{};  // defaults documented in sgx/cost_model.h

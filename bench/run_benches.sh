@@ -1,14 +1,28 @@
 #!/usr/bin/env bash
-# Run the Fig. 6 store benchmark and drop its machine-readable results at
-# the repo root as BENCH_fig6.json (the committed reference numbers). The
-# bench also writes BENCH_fig6.telemetry.json — the process-wide telemetry
-# snapshot (speed_* metric families) captured at the end of the run.
+# Run the recorded benches and drop their machine-readable results at the
+# repo root as BENCH_*.json (the committed reference numbers). The Fig. 6
+# store bench also writes BENCH_fig6.telemetry.json — the process-wide
+# telemetry snapshot (speed_* metric families) captured at the end of the
+# run.
 #
 # Usage: bench/run_benches.sh [build-dir]
 set -euo pipefail
 
 repo_root=$(CDPATH='' cd -- "$(dirname -- "$0")/.." && pwd)
 build_dir=${1:-"$repo_root/build"}
+
+# Table I: ms per DedupRuntime crypto operation (tag, key gen/rec, result
+# enc/dec) at 1 KB-1 MB, with the host block (cores, build type, lock-rank
+# checking, SHA-NI / AES-NI). Honors SPEED_BENCH_SMOKE=1 (3 trials).
+table1_bench="$build_dir/bench/bench_table1_crypto"
+if [ ! -x "$table1_bench" ]; then
+  echo "building $table1_bench ..."
+  cmake -B "$build_dir" -S "$repo_root"
+  cmake --build "$build_dir" --target bench_table1_crypto -j
+fi
+"$table1_bench" "$repo_root/BENCH_table1.json"
+echo "results:   $repo_root/BENCH_table1.json"
+
 bench="$build_dir/bench/bench_fig6_store"
 
 if [ ! -x "$bench" ]; then

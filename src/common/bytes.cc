@@ -46,8 +46,12 @@ bool ct_equal(ByteView a, ByteView b) {
 }
 
 void secure_zero(void* p, std::size_t n) {
-  volatile std::uint8_t* vp = static_cast<volatile std::uint8_t*>(p);
-  while (n--) *vp++ = 0;
+  if (n == 0) return;  // memset's pointer must be valid even for n == 0
+  std::memset(p, 0, n);
+  // The empty asm may read anything `p` points to, so the memset is not a
+  // dead store the optimizer could drop; unlike a volatile byte loop, the
+  // wipe runs at memset speed on megabyte results.
+  __asm__ __volatile__("" : : "r"(p) : "memory");
 }
 
 Bytes xor_bytes(ByteView a, ByteView b) {

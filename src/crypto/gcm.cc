@@ -168,17 +168,24 @@ AesGcm::AesGcm(const secret::Buffer& key, Impl impl)
     : AesGcm(key.reveal_for(secret::Purpose::of("aes_key_schedule")), impl) {}
 
 Bytes AesGcm::seal(ByteView iv, ByteView aad, ByteView plaintext) const {
-  const ByteView key = key_.reveal_for(secret::Purpose::of("aes_key_schedule"));
   Bytes out(plaintext.size() + kGcmTagSize);
+  seal_into(iv, aad, plaintext, out);
+  return out;
+}
+
+void AesGcm::seal_into(ByteView iv, ByteView aad, ByteView plaintext,
+                       std::span<std::uint8_t> out) const {
+  if (out.size() != plaintext.size() + kGcmTagSize) {
+    throw CryptoError("AesGcm: output must hold ciphertext and tag");
+  }
+  const ByteView key = key_.reveal_for(secret::Purpose::of("aes_key_schedule"));
+  std::uint8_t* tag = out.data() + plaintext.size();
   if (use_hw_) {
     if (iv.size() != kGcmIvSize) throw CryptoError("AesGcm: IV must be 12 bytes");
-    hw::gcm128_encrypt(key.data(), iv.data(), aad, plaintext, out.data(),
-                       out.data() + plaintext.size());
+    hw::gcm128_encrypt(key.data(), iv.data(), aad, plaintext, out.data(), tag);
   } else {
-    scalar_gcm(key, iv, aad, plaintext, /*encrypting=*/true, out.data(),
-               out.data() + plaintext.size());
+    scalar_gcm(key, iv, aad, plaintext, /*encrypting=*/true, out.data(), tag);
   }
-  return out;
 }
 
 std::optional<Bytes> AesGcm::open(ByteView iv, ByteView aad,
@@ -191,9 +198,9 @@ std::optional<Bytes> AesGcm::open(ByteView iv, ByteView aad,
   Bytes pt(ct.size());
   if (use_hw_) {
     if (iv.size() != kGcmIvSize) throw CryptoError("AesGcm: IV must be 12 bytes");
+    // A failed decrypt has already zeroed `pt`.
     if (!hw::gcm128_decrypt(key.data(), iv.data(), aad, ct, tag.data(),
                             pt.data())) {
-      secure_zero(pt.data(), pt.size());
       return std::nullopt;
     }
     return pt;
@@ -207,36 +214,47 @@ std::optional<Bytes> AesGcm::open(ByteView iv, ByteView aad,
   return pt;
 }
 
-Bytes gcm_encrypt(ByteView key, ByteView aad, ByteView plaintext, Drbg& drbg) {
+namespace {
+
+// One body for each pair of envelope overloads (plain and secret keys).
+template <typename Key>
+Bytes seal_envelope(const Key& key, ByteView aad, ByteView plaintext,
+                    Drbg& drbg) {
   const AesGcm gcm(key);
-  Bytes envelope = drbg.bytes(kGcmIvSize);
-  Bytes ct = gcm.seal(envelope, aad, plaintext);
-  envelope.insert(envelope.end(), ct.begin(), ct.end());
+  Bytes envelope(gcm_envelope_size(plaintext.size()));
+  const std::span<std::uint8_t> iv(envelope.data(), kGcmIvSize);
+  drbg.fill(iv);
+  gcm.seal_into(iv, aad, plaintext, std::span(envelope).subspan(kGcmIvSize));
   return envelope;
 }
 
-std::optional<Bytes> gcm_decrypt(ByteView key, ByteView aad, ByteView envelope) {
+template <typename Key>
+std::optional<Bytes> open_envelope(const Key& key, ByteView aad,
+                                   ByteView envelope) {
   if (envelope.size() < kGcmIvSize + kGcmTagSize) return std::nullopt;
   const AesGcm gcm(key);
   return gcm.open(envelope.first(kGcmIvSize), aad,
                   envelope.subspan(kGcmIvSize));
+}
+
+}  // namespace
+
+Bytes gcm_encrypt(ByteView key, ByteView aad, ByteView plaintext, Drbg& drbg) {
+  return seal_envelope(key, aad, plaintext, drbg);
+}
+
+std::optional<Bytes> gcm_decrypt(ByteView key, ByteView aad, ByteView envelope) {
+  return open_envelope(key, aad, envelope);
 }
 
 Bytes gcm_encrypt(const secret::Buffer& key, ByteView aad, ByteView plaintext,
                   Drbg& drbg) {
-  const AesGcm gcm(key);
-  Bytes envelope = drbg.bytes(kGcmIvSize);
-  Bytes ct = gcm.seal(envelope, aad, plaintext);
-  envelope.insert(envelope.end(), ct.begin(), ct.end());
-  return envelope;
+  return seal_envelope(key, aad, plaintext, drbg);
 }
 
 std::optional<Bytes> gcm_decrypt(const secret::Buffer& key, ByteView aad,
                                  ByteView envelope) {
-  if (envelope.size() < kGcmIvSize + kGcmTagSize) return std::nullopt;
-  const AesGcm gcm(key);
-  return gcm.open(envelope.first(kGcmIvSize), aad,
-                  envelope.subspan(kGcmIvSize));
+  return open_envelope(key, aad, envelope);
 }
 
 }  // namespace speed::crypto

@@ -7,12 +7,20 @@
 //
 // Two implementations are provided and selected at runtime:
 //   * a hardware path (AES-NI + PCLMULQDQ) for 128-bit keys, matching the
-//     SGX SDK crypto library the paper used;
-//   * a portable scalar path for any key size.
+//     SGX SDK crypto library the paper used. It is one stitched pass per
+//     payload byte: eight CTR blocks per group with their GHASH products
+//     accumulated and reduced once per group (aggregated reduction). A
+//     decrypt fetches each ciphertext block once, and on a tag mismatch it
+//     zeroes the plaintext it wrote (aesni.cc);
+//   * a portable scalar path for any key size: the reference, and the
+//     fallback on CPUs without AES-NI/PCLMULQDQ.
 // Both are validated against NIST vectors and against each other in tests.
+// seal_into and the envelope helpers write into the caller's final buffer,
+// so sealing a payload costs one allocation and no copy.
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "common/bytes.h"
 #include "common/secret.h"
@@ -41,6 +49,11 @@ class AesGcm {
   /// Encrypt + authenticate. `iv` must be 12 bytes and unique per key.
   /// Returns ciphertext ‖ 16-byte tag.
   Bytes seal(ByteView iv, ByteView aad, ByteView plaintext) const;
+
+  /// seal() into `out`, which must hold exactly plaintext.size() + 16
+  /// bytes (ciphertext ‖ tag) and must not overlap `plaintext`.
+  void seal_into(ByteView iv, ByteView aad, ByteView plaintext,
+                 std::span<std::uint8_t> out) const;
 
   /// Verify + decrypt `ciphertext ‖ tag`. Returns nullopt on authentication
   /// failure (the ⊥ of the paper's verification protocol).
@@ -75,7 +88,8 @@ bool gcm128_available();
 void gcm128_encrypt(const std::uint8_t key[16], const std::uint8_t iv[12],
                     ByteView aad, ByteView pt, std::uint8_t* ct,
                     std::uint8_t tag[16]);
-/// Returns false on tag mismatch; `pt` holds ct.size() bytes on success.
+/// Returns false on tag mismatch, with `pt` zeroed; `pt` holds ct.size()
+/// bytes on success. Each ciphertext byte is read once.
 bool gcm128_decrypt(const std::uint8_t key[16], const std::uint8_t iv[12],
                     ByteView aad, ByteView ct, const std::uint8_t tag[16],
                     std::uint8_t* pt);

@@ -1,5 +1,7 @@
 #include "net/secure_channel.h"
 
+#include <array>
+
 #include "common/error.h"
 #include "crypto/gcm.h"
 #include "serialize/codec.h"
@@ -54,8 +56,9 @@ ChannelMetrics& channel_metrics() {
 
 /// Deterministic 12-byte nonce: 4-byte direction ‖ 8-byte sequence number.
 /// Unique per key because each direction owns its own counter.
-Bytes make_nonce(bool initiator_to_responder, std::uint64_t seq) {
-  Bytes nonce(12, 0);
+std::array<std::uint8_t, crypto::kGcmIvSize> make_nonce(
+    bool initiator_to_responder, std::uint64_t seq) {
+  std::array<std::uint8_t, crypto::kGcmIvSize> nonce{};
   nonce[0] = initiator_to_responder ? 0x01 : 0x02;
   for (int i = 0; i < 8; ++i) {
     nonce[4 + i] = static_cast<std::uint8_t>(seq >> (8 * i));
@@ -84,31 +87,39 @@ SecureChannel::SecureChannel(Bytes session_key, bool is_initiator)
 
 Bytes SecureChannel::wrap(ByteView plaintext) {
   const std::uint64_t seq = send_seq_++;
-  const Bytes nonce = make_nonce(is_initiator_, seq);
+  const auto nonce = make_nonce(is_initiator_, seq);
   const crypto::AesGcm gcm(key_);
 
   serialize::Encoder aad;
   aad.u8(is_initiator_ ? 1 : 2);
   aad.u64(seq);
-  const Bytes sealed = gcm.seal(nonce, aad.view(), plaintext);
 
-  serialize::Encoder frame;
-  frame.u64(seq);
-  frame.var_bytes(sealed);
+  // Frame: u64 seq ‖ var_bytes(ct ‖ tag). The header goes first and the
+  // payload is sealed straight into the frame's tail.
+  const std::size_t sealed_len = plaintext.size() + crypto::kGcmTagSize;
+  serialize::Encoder header;
+  header.reserve(sizeof(std::uint64_t) + sizeof(std::uint32_t) + sealed_len);
+  header.u64(seq);
+  header.u32(static_cast<std::uint32_t>(sealed_len));
+  Bytes frame = header.take();
+  const std::size_t header_len = frame.size();
+  frame.resize(header_len + sealed_len);
+  gcm.seal_into(nonce, aad.view(), plaintext,
+                std::span(frame).subspan(header_len));
   ChannelMetrics& cm = channel_metrics();
   cm.frames_sent.inc();
   cm.bytes_sealed.inc(plaintext.size());
-  return frame.take();
+  return frame;
 }
 
 std::optional<Bytes> SecureChannel::unwrap(ByteView frame) {
   std::uint64_t seq;
-  Bytes sealed;
+  ByteView sealed;
   ChannelMetrics& cm = channel_metrics();
   try {
     serialize::Decoder dec(frame);
     seq = dec.u64();
-    sealed = dec.var_bytes();
+    sealed = dec.var_view();
     dec.expect_done();
   } catch (const SerializationError&) {
     cm.unwrap_failures.inc();
@@ -120,7 +131,7 @@ std::optional<Bytes> SecureChannel::unwrap(ByteView frame) {
     return std::nullopt;
   }
 
-  const Bytes nonce = make_nonce(!is_initiator_, seq);
+  const auto nonce = make_nonce(!is_initiator_, seq);
   serialize::Encoder aad;
   aad.u8(is_initiator_ ? 2 : 1);
   aad.u64(seq);

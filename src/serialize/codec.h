@@ -54,6 +54,10 @@ class Encoder {
   /// Raw bytes without a length prefix (caller guarantees framing).
   void raw(ByteView data) { append(out_, data); }
 
+  /// Reserve room for `n` bytes in total, so a caller that appends a known
+  /// payload after the header never reallocates.
+  void reserve(std::size_t n) { out_.reserve(n); }
+
   const Bytes& view() const { return out_; }
   Bytes take() { return std::move(out_); }
   std::size_t size() const { return out_.size(); }
@@ -101,10 +105,13 @@ class Decoder {
   }
 
   Bytes var_bytes() {
-    const std::uint32_t len = u32();
-    const ByteView b = take(len);
+    const ByteView b = var_view();
     return Bytes(b.begin(), b.end());
   }
+
+  /// var_bytes() without the copy: a view into the decoder's input, valid
+  /// as long as that input is.
+  ByteView var_view() { return take(u32()); }
 
   std::string str() {
     const Bytes b = var_bytes();

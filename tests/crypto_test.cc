@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <ostream>
 
 #include "common/bytes.h"
@@ -237,45 +238,176 @@ const GcmVector kGcmVectors[] = {
      "cea7403d4d606b6e074ec5d3baf39d18", "d0d1c8a799996bf0265b98b5d48ab919"},
 };
 
-class GcmVectorTest : public ::testing::TestWithParam<GcmVector> {};
-
-TEST_P(GcmVectorTest, SealMatchesVector) {
-  const auto& v = GetParam();
-  const AesGcm gcm(hex_decode(v.key));
+void expect_seal_matches(const GcmVector& v, AesGcm::Impl impl) {
+  const AesGcm gcm(hex_decode(v.key), impl);
   const Bytes sealed =
       gcm.seal(hex_decode(v.iv), hex_decode(v.aad), hex_decode(v.pt));
   const std::string expected = std::string(v.ct) + v.tag;
   EXPECT_EQ(hex_encode(sealed), expected);
 }
 
-TEST_P(GcmVectorTest, OpenRoundTrips) {
-  const auto& v = GetParam();
-  const AesGcm gcm(hex_decode(v.key));
+void expect_open_round_trips(const GcmVector& v, AesGcm::Impl impl) {
+  const AesGcm gcm(hex_decode(v.key), impl);
   const Bytes sealed = hex_decode(std::string(v.ct) + v.tag);
   const auto opened = gcm.open(hex_decode(v.iv), hex_decode(v.aad), sealed);
   ASSERT_TRUE(opened.has_value());
   EXPECT_EQ(*opened, hex_decode(v.pt));
 }
 
-TEST_P(GcmVectorTest, TamperedCiphertextFailsAuth) {
-  const auto& v = GetParam();
-  const AesGcm gcm(hex_decode(v.key));
+void expect_tamper_fails(const GcmVector& v, AesGcm::Impl impl) {
+  const AesGcm gcm(hex_decode(v.key), impl);
   Bytes sealed = hex_decode(std::string(v.ct) + v.tag);
   sealed[sealed.size() / 2] ^= 0x01;
   EXPECT_FALSE(gcm.open(hex_decode(v.iv), hex_decode(v.aad), sealed).has_value());
+}
+
+class GcmVectorTest : public ::testing::TestWithParam<GcmVector> {};
+
+TEST_P(GcmVectorTest, SealMatchesVector) {
+  expect_seal_matches(GetParam(), AesGcm::Impl::kAuto);
+}
+
+TEST_P(GcmVectorTest, OpenRoundTrips) {
+  expect_open_round_trips(GetParam(), AesGcm::Impl::kAuto);
+}
+
+TEST_P(GcmVectorTest, TamperedCiphertextFailsAuth) {
+  expect_tamper_fails(GetParam(), AesGcm::Impl::kAuto);
 }
 
 INSTANTIATE_TEST_SUITE_P(McGrewViega, GcmVectorTest,
                          ::testing::ValuesIn(kGcmVectors),
                          [](const auto& info) { return info.param.name; });
 
+// The same vectors on the portable reference, which kAuto bypasses for
+// AES-128 wherever the CPU has AES-NI.
+class GcmPortableVectorTest : public ::testing::TestWithParam<GcmVector> {};
+
+TEST_P(GcmPortableVectorTest, SealMatchesVector) {
+  expect_seal_matches(GetParam(), AesGcm::Impl::kPortable);
+}
+
+TEST_P(GcmPortableVectorTest, OpenRoundTrips) {
+  expect_open_round_trips(GetParam(), AesGcm::Impl::kPortable);
+}
+
+TEST_P(GcmPortableVectorTest, TamperedCiphertextFailsAuth) {
+  expect_tamper_fails(GetParam(), AesGcm::Impl::kPortable);
+}
+
+INSTANTIATE_TEST_SUITE_P(McGrewViega, GcmPortableVectorTest,
+                         ::testing::ValuesIn(kGcmVectors),
+                         [](const auto& info) { return info.param.name; });
+
+// AES-128 vectors long enough to reach the hardware path's 8-block groups
+// (the ones above stop at 64 bytes). Plaintext and AAD are counters,
+// p(n, s)[i] = (s + 31 i) mod 256, with s = 0 for the plaintext and 0x55
+// for the AAD; the ciphertext is pinned by its SHA-256. Generated with the
+// Python `cryptography` package, 48.0.0:
+//   python3 -c "from cryptography.hazmat.primitives.ciphers.aead import AESGCM; import hashlib; p=lambda n,s: bytes((s+31*i)%256 for i in range(n)); o=AESGCM(bytes.fromhex(KEY)).encrypt(bytes.fromhex(IV), p(PT_LEN,0), p(AAD_LEN,0x55)); print(hashlib.sha256(o[:-16]).hexdigest(), o[-16:].hex())"
+struct GcmLongVector {
+  const char* name;
+  const char* key;
+  const char* iv;
+  std::size_t aad_len;
+  std::size_t pt_len;
+  const char* ct_sha256;
+  const char* tag;
+};
+
+void PrintTo(const GcmLongVector& v, std::ostream* os) {
+  *os << v.pt_len << " B, AAD " << v.aad_len << " B";
+}
+
+const GcmLongVector kGcmLongVectors[] = {
+    {"one_group", "000102030405060708090a0b0c0d0e0f",
+     "cafebabefacedbaddecaf888", 0, 128,
+     "bc5fd7254f0168bbc9268c2fd7e584d27d8fa34fc72f3e47ae97accfe19cf916",
+     "e59a0873d55505729acadc4623b2634f"},
+    {"two_groups_and_tail", "feffe9928665731c6d6a8f9467308308",
+     "0a1b2c3d4e5f60718293a4b5", 20, 300,
+     "fad10c5b985f3ed5c8ca424fd8aebf4700d37928cdcbd27f01d127155d69e50e",
+     "5179857a803484aacd935cb984603ee0"},
+    {"four_kib_plus_five", "8f3a61c2d05e4b97a1c3e5f70921b4d6",
+     "ffeeddccbbaa998877665544", 13, 4101,
+     "b9769fba7f3e08cf74d47bd97d9842f2041140f52e1a8330f4e07a3d0e84c9e1",
+     "0a4dac785087abc5a2a4d8e7f8bd68e2"},
+};
+
+Bytes counter_pattern(std::size_t n, std::uint8_t start) {
+  Bytes out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(start + 31 * i);
+  }
+  return out;
+}
+
+constexpr AesGcm::Impl kGcmImpls[] = {AesGcm::Impl::kAuto,
+                                      AesGcm::Impl::kPortable};
+
+class GcmLongVectorTest : public ::testing::TestWithParam<GcmLongVector> {
+ protected:
+  Bytes key() const { return hex_decode(GetParam().key); }
+  Bytes iv() const { return hex_decode(GetParam().iv); }
+  Bytes aad() const { return counter_pattern(GetParam().aad_len, 0x55); }
+  Bytes pt() const { return counter_pattern(GetParam().pt_len, 0); }
+
+  /// Seal on `impl` and check the result against the known answer.
+  Bytes sealed_known_answer(AesGcm::Impl impl) const {
+    const Bytes sealed = AesGcm(key(), impl).seal(iv(), aad(), pt());
+    const ByteView ct = ByteView(sealed).first(GetParam().pt_len);
+    EXPECT_EQ(hex_encode(to_bytes(Sha256::digest(ct))), GetParam().ct_sha256);
+    EXPECT_EQ(hex_encode(ByteView(sealed).last(kGcmTagSize)), GetParam().tag);
+    return sealed;
+  }
+};
+
+TEST_P(GcmLongVectorTest, SealMatchesVector) {
+  for (const AesGcm::Impl impl : kGcmImpls) {
+    SCOPED_TRACE(impl == AesGcm::Impl::kAuto ? "auto" : "portable");
+    sealed_known_answer(impl);
+  }
+}
+
+TEST_P(GcmLongVectorTest, OpenRoundTrips) {
+  for (const AesGcm::Impl impl : kGcmImpls) {
+    SCOPED_TRACE(impl == AesGcm::Impl::kAuto ? "auto" : "portable");
+    const Bytes sealed = sealed_known_answer(impl);
+    const auto opened = AesGcm(key(), impl).open(iv(), aad(), sealed);
+    ASSERT_TRUE(opened.has_value());
+    EXPECT_EQ(*opened, pt());
+  }
+}
+
+TEST_P(GcmLongVectorTest, TamperedCiphertextFailsAuth) {
+  for (const AesGcm::Impl impl : kGcmImpls) {
+    SCOPED_TRACE(impl == AesGcm::Impl::kAuto ? "auto" : "portable");
+    Bytes sealed = sealed_known_answer(impl);
+    sealed[sealed.size() / 2] ^= 0x01;
+    EXPECT_FALSE(AesGcm(key(), impl).open(iv(), aad(), sealed).has_value());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(MultiGroup, GcmLongVectorTest,
+                         ::testing::ValuesIn(kGcmLongVectors),
+                         [](const auto& info) { return info.param.name; });
+
 TEST(GcmTest, HwAndScalarPathsAgree) {
   if (!hw::gcm128_available()) GTEST_SKIP() << "no AES-NI on this machine";
   Drbg rng(to_bytes("gcm-crosscheck"));
-  for (std::size_t len : {0u, 1u, 15u, 16u, 17u, 63u, 64u, 100u, 1000u, 65536u}) {
+  // Lengths straddle the 16-byte block and the hardware path's 128-byte
+  // group; AAD lengths rotate through block edges up to 200 bytes.
+  constexpr std::size_t kAadLens[] = {0,  1,  12, 13,  15,  16,  17,
+                                      31, 32, 33, 100, 128, 129, 200};
+  std::size_t round = 0;
+  for (std::size_t len :
+       {0u, 1u, 15u, 16u, 17u, 63u, 64u, 100u, 127u, 128u, 129u, 255u, 256u,
+        257u, 1000u, 1023u, 1025u, 4111u, 65536u, (1u << 20) + 3u}) {
+    const std::size_t aad_len = kAadLens[round++ % std::size(kAadLens)];
+    SCOPED_TRACE(testing::Message() << "len " << len << " aad " << aad_len);
     const Bytes key = rng.bytes(16);
     const Bytes iv = rng.bytes(12);
-    const Bytes aad = rng.bytes(len % 37);
+    const Bytes aad = rng.bytes(aad_len);
     const Bytes pt = rng.bytes(len);
 
     std::uint8_t hw_tag[16];
@@ -298,6 +430,27 @@ TEST(GcmTest, HwAndScalarPathsAgree) {
     const auto opened = portable.open(iv, aad, sealed);
     ASSERT_TRUE(opened.has_value());
     EXPECT_EQ(*opened, pt);
+  }
+}
+
+TEST(GcmTest, HwDecryptZeroesPlaintextOnTagMismatch) {
+  if (!hw::gcm128_available()) GTEST_SKIP() << "no AES-NI on this machine";
+  Drbg rng(to_bytes("gcm-wipe-on-failure"));
+  for (std::size_t len : {100u, 65536u}) {
+    SCOPED_TRACE(testing::Message() << "len " << len);
+    const Bytes key = rng.bytes(16);
+    const Bytes iv = rng.bytes(12);
+    const Bytes aad = rng.bytes(13);
+    const Bytes pt = rng.bytes(len);
+    Bytes ct(len);
+    std::uint8_t tag[16];
+    hw::gcm128_encrypt(key.data(), iv.data(), aad, pt, ct.data(), tag);
+    tag[7] ^= 0x10;
+
+    Bytes out(len, 0xA5);
+    EXPECT_FALSE(
+        hw::gcm128_decrypt(key.data(), iv.data(), aad, ct, tag, out.data()));
+    EXPECT_EQ(out, Bytes(len, 0)) << "a failed decrypt must release nothing";
   }
 }
 

@@ -5,8 +5,10 @@
 #include <thread>
 #include <vector>
 
+#include "crypto/gcm.h"
 #include "net/channel.h"
 #include "net/secure_channel.h"
+#include "serialize/codec.h"
 
 namespace speed::net {
 namespace {
@@ -112,6 +114,47 @@ TEST_F(SecureChannelTest, ForeignKeyRejected) {
   SecureChannel eavesdropper(fixed_key(0x43), /*is_initiator=*/false);
   const Bytes frame = client_.wrap(as_bytes("secret"));
   EXPECT_FALSE(eavesdropper.unwrap(frame).has_value());
+}
+
+// The wire layout is u64 seq ‖ var_bytes(ct ‖ tag), sealed under the nonce
+// direction ‖ 0³ ‖ seq (little-endian) with AAD direction ‖ seq, where the
+// initiator's direction byte is 1 and the responder's 2.
+TEST_F(SecureChannelTest, FrameLayoutIsSeqThenSealedBytes) {
+  const Bytes payload = to_bytes("pinned layout payload, longer than a block");
+  client_.wrap(as_bytes("seq 0"));
+  const Bytes frame = client_.wrap(payload);
+
+  serialize::Decoder dec(frame);
+  const std::uint64_t seq = dec.u64();
+  const Bytes sealed = dec.var_bytes();
+  dec.expect_done();
+  EXPECT_EQ(seq, 1u);
+  ASSERT_EQ(sealed.size(), payload.size() + crypto::kGcmTagSize);
+
+  Bytes nonce(crypto::kGcmIvSize, 0);
+  nonce[0] = 0x01;
+  nonce[4] = static_cast<std::uint8_t>(seq);
+  serialize::Encoder aad;
+  aad.u8(0x01);
+  aad.u64(seq);
+  const auto opened = crypto::AesGcm(fixed_key()).open(nonce, aad.view(), sealed);
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, payload);
+}
+
+TEST_F(SecureChannelTest, LengthOverrunAndTrailingByteRejected) {
+  const Bytes frame = client_.wrap(as_bytes("payload"));
+
+  Bytes overrun = frame;
+  overrun[8] = static_cast<std::uint8_t>(overrun[8] + 1);  // u32 length, LSB
+  EXPECT_FALSE(server_.unwrap(overrun).has_value());
+
+  Bytes trailing = frame;
+  trailing.push_back(0);
+  EXPECT_FALSE(server_.unwrap(trailing).has_value());
+
+  // Neither rejection consumed the sequence number.
+  EXPECT_TRUE(server_.unwrap(frame).has_value());
 }
 
 TEST_F(SecureChannelTest, GarbageFrameRejected) {
