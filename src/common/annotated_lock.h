@@ -112,8 +112,6 @@ enum class LockRank : std::uint16_t {
   kBackendInject = 750,    ///< FaultInjectingBackend::mu_ (fault schedule)
   kBackend = 760,          ///< FileBackend::mu_, MemoryBackend Stripe::mu
   kBackendWal = 780,       ///< MemoryBackend::wal_mu_ (in-memory WAL tape)
-  kServerConn = 840,       ///< StoreTcpServer Conn::mu (per-connection state)
-  kServerPool = 850,       ///< StoreTcpServer ready_mu_ / completed_mu_
   kTrace = 900,            ///< TraceRing::mu_ (span push from any context)
   kCryptoDrbg = 950,       ///< Enclave::drbg_mu_, Drbg::system_bytes
 };

@@ -47,8 +47,8 @@
 // partitioned into `StoreConfig::shards` tag-addressed shards,
 // memcached-style. A tag maps to exactly one shard (an entry is never
 // split), each shard has its own mutex and eviction state, and GET/PUT for
-// different shards proceed in parallel — which is what lets the
-// per-connection worker threads of StoreTcpServer scale. Per-application
+// different shards proceed in parallel — which is what lets the event
+// loops of StoreTcpServer scale. Per-application
 // quotas stay globally exact through a lock-striped ledger keyed by AppId,
 // and stats() aggregates per-shard atomic counters without taking any shard
 // lock. `shards = 1` (the default) reproduces the original single-mutex

@@ -2,14 +2,15 @@
 
 #include <fcntl.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <unordered_map>
 #include <utility>
-#include <vector>
 
 namespace speed::store {
 
@@ -19,9 +20,21 @@ namespace {
 /// only tightens it.
 constexpr std::size_t kTransportMaxFrame = 256u * 1024 * 1024;
 
-/// Compact consumed rbuf/wbuf prefixes once the cursor passes this, so a
-/// long-lived pipelined connection does not hold on to dead bytes.
+/// Bytes one readiness event reads when no larger frame is in progress.
+constexpr std::size_t kReadChunk = 64u * 1024;
+
+/// Compact the sent prefix of a reply buffer once it passes this and
+/// outweighs the unsent rest, so a connection that reads slowly but never
+/// quite catches up does not hold on to dead bytes.
 constexpr std::size_t kCompactThreshold = 256u * 1024;
+
+/// Wake-pipe message that tells a loop to exit (fd numbers are >= 0).
+constexpr int kStopMessage = -1;
+
+std::size_t max_frame(const StoreServerConfig& config) {
+  const std::size_t limit = config.max_frame_bytes;
+  return limit > 0 && limit < kTransportMaxFrame ? limit : kTransportMaxFrame;
+}
 
 std::uint32_t le32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
@@ -40,34 +53,105 @@ void append_frame(Bytes& out, ByteView payload) {
   out.insert(out.end(), payload.begin(), payload.end());
 }
 
+/// Request bytes read from one socket; [head, tail) are not yet served.
+struct InputBuffer {
+  Bytes data;  ///< kept at its full size; recv writes into [tail, size())
+  std::size_t head = 0;
+  std::size_t tail = 0;
+
+  std::size_t size() const { return tail - head; }
+  const std::uint8_t* front() const { return data.data() + head; }
+
+  /// Make room for `n` more bytes at the tail: slide the unserved bytes to
+  /// the front, and grow only if that is not enough.
+  void reserve_tail(std::size_t n) {
+    if (data.size() - tail >= n) return;
+    if (head > 0) std::memmove(data.data(), front(), size());
+    tail -= head;
+    head = 0;
+    if (data.size() - tail < n) {
+      data.resize(std::max(data.size() * 2, tail + n));
+    }
+  }
+};
+
+/// One client connection, owned by exactly one loop thread.
+struct Conn {
+  explicit Conn(int fd) : fd(fd) {}
+  const int fd;
+  InputBuffer in;
+  Bytes out;                ///< encoded replies awaiting the socket
+  std::size_t out_off = 0;  ///< send cursor into out
+  std::optional<StoreSession> session;  ///< set by the handshake
+  std::uint32_t interest = 0;  ///< epoll mask currently registered
+  bool read_closed = false;  ///< EOF, read or send failure, refusal
+  bool done = false;         ///< refused or violated: serve no more frames
+  bool peer_gone = false;    ///< a send failed: replies are dropped
+  bool torn = false;         ///< a read failed
+  bool counted = false;      ///< how it ended is already counted
+
+  std::size_t unsent() const { return out.size() - out_off; }
+};
+
 }  // namespace
+
+/// One event loop: an epoll set, the wake pipe the acceptor and stop() write
+/// to, and the connections it owns. Only `live` is shared with other threads.
+class StoreTcpServer::Loop {
+ public:
+  explicit Loop(StoreTcpServer& server);
+  ~Loop();
+
+  Loop(const Loop&) = delete;
+  Loop& operator=(const Loop&) = delete;
+
+  void start() { thread_ = std::thread([this] { run(); }); }
+  /// Hand this loop an accepted socket, or kStopMessage.
+  void post(int message);
+  /// Join the thread, then close every socket the loop still owns.
+  void join();
+
+  /// Live connections: counted by the acceptor at hand-off and uncounted by
+  /// the loop at close, so placement never lags the pipe.
+  std::atomic<std::size_t> live{0};
+
+ private:
+  void run();
+  /// Adopt every socket posted so far; false once kStopMessage arrives.
+  bool drain_wake_pipe();
+  void adopt(int fd);
+  void on_event(Conn& c, std::uint32_t events);
+  void read_once(Conn& c);
+  void serve(Conn& c);
+  void serve_frame(Conn& c, ByteView frame);
+  void refuse_oversized(Conn& c);
+  void reply(Conn& c, ByteView payload);
+  void flush(Conn& c);
+  void update_interest(Conn& c);
+  /// Count how a connection died, once: a rejection before the handshake,
+  /// a session error after it.
+  void count_death(Conn& c);
+  void close(Conn& c);
+
+  bool over_mark(const Conn& c) const { return c.unsent() > max_frame_; }
+
+  StoreTcpServer& server_;
+  const std::size_t max_frame_;
+  int epoll_fd_ = -1;
+  int wake_rd_ = -1;
+  int wake_wr_ = -1;
+  std::unordered_map<int, std::unique_ptr<Conn>> conns_;
+  std::thread thread_;
+};
 
 StoreTcpServer::StoreTcpServer(ResultStore& store, std::uint16_t port,
                                std::optional<std::uint16_t> admin_port,
                                StoreServerConfig config)
     : store_(store), config_(config), listener_(port) {
-  if (config_.workers == 0) config_.workers = 1;
-
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) {
-    throw net::TcpError(std::string("epoll_create1: ") + std::strerror(errno));
+  const std::size_t loops = std::max(1u, std::thread::hardware_concurrency());
+  for (std::size_t i = 0; i < loops; ++i) {
+    loops_.push_back(std::make_unique<Loop>(*this));
   }
-  event_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (event_fd_ < 0) {
-    const int err = errno;
-    ::close(epoll_fd_);
-    epoll_fd_ = -1;
-    throw net::TcpError(std::string("eventfd: ") + std::strerror(err));
-  }
-  listener_.set_nonblocking();
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listener_.fd();
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listener_.fd(), &ev);
-  ev = {};
-  ev.events = EPOLLIN;
-  ev.data.fd = event_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev);
 
   if (admin_port.has_value()) {
     admin_ = std::make_unique<telemetry::AdminServer>(*admin_port);
@@ -75,6 +159,7 @@ StoreTcpServer::StoreTcpServer(ResultStore& store, std::uint16_t port,
   telemetry_handle_ = telemetry::Registry::global().add_collector(
       [this](telemetry::SampleSink& sink) {
         constexpr auto kResult = telemetry::LabelKey::of("result");
+        constexpr auto kLoop = telemetry::LabelKey::of("loop");
         sink.counter("speed_server_connections_total",
                      "Store TCP connections by handshake result",
                      {{kResult, telemetry::LabelValue::lit("accepted")}},
@@ -89,450 +174,313 @@ StoreTcpServer::StoreTcpServer(ResultStore& store, std::uint16_t port,
         sink.counter("speed_server_oversized_frames_total",
                      "Frames refused for exceeding max_frame_bytes", {},
                      oversized_frames_.load(std::memory_order_relaxed));
+        for (std::size_t i = 0; i < loops_.size(); ++i) {
+          sink.gauge("speed_server_loop_connections",
+                     "Live store TCP connections owned by each event loop",
+                     {{kLoop, telemetry::LabelValue::index(i)}},
+                     static_cast<std::int64_t>(
+                         loops_[i]->live.load(std::memory_order_relaxed)));
+        }
       });
 
-  workers_.reserve(config_.workers);
-  for (std::size_t i = 0; i < config_.workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-  loop_thread_ = std::thread([this] { loop(); });
+  for (const auto& loop : loops_) loop->start();
+  acceptor_ = std::thread([this] { accept_loop(); });
 }
 
 StoreTcpServer::~StoreTcpServer() { stop(); }
 
 void StoreTcpServer::stop() {
   if (stopping_.exchange(true)) return;
-  listener_.close();
-  // Workers first: a worker finishing its frame still writes the eventfd,
-  // which is closed below.
-  {
-    MutexLock lock(ready_mu_);
-  }
-  ready_cv_.notify_all();
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t r = ::write(event_fd_, &one, sizeof(one));
-  if (loop_thread_.joinable()) loop_thread_.join();
-  // Abrupt teardown of live connections: clients see EOF/RST and surface it
-  // as TcpError, same as the thread-per-connection server's shutdown().
-  for (auto& [fd, conn] : conns_) {
-    if (!conn->closed) {
-      conn->closed = true;
-      ::close(fd);
+  listener_.close();  // wakes the acceptor out of accept()
+  if (acceptor_.joinable()) acceptor_.join();
+  // Every socket handed off is now in its loop's pipe, ahead of this message.
+  for (const auto& loop : loops_) loop->post(kStopMessage);
+  for (const auto& loop : loops_) loop->join();
+}
+
+void StoreTcpServer::accept_loop() {
+  while (!stopping_.load()) {
+    int fd = -1;
+    try {
+      fd = listener_.accept().release();
+    } catch (const net::TcpError&) {
+      if (stopping_.load()) return;  // stop() closed the listener
+      // Out of descriptors or similar: back off instead of spinning.
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
     }
-  }
-  conns_.clear();
-  if (event_fd_ >= 0) {
-    ::close(event_fd_);
-    event_fd_ = -1;
-  }
-  if (epoll_fd_ >= 0) {
-    ::close(epoll_fd_);
-    epoll_fd_ = -1;
+    // Fewest live connections wins; ties go to the lowest index.
+    Loop* target = loops_.front().get();
+    for (const auto& loop : loops_) {
+      if (loop->live.load() < target->live.load()) target = loop.get();
+    }
+    target->live.fetch_add(1);
+    target->post(fd);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Event loop (single thread; owns every fd).
+// Event loops (each owns its sockets; every frame runs to completion inline).
 // ---------------------------------------------------------------------------
 
-void StoreTcpServer::loop() {
-  const int listen_fd = listener_.fd();
-  std::vector<epoll_event> events(64);
-  while (!stopping_.load()) {
-    const int n = ::epoll_wait(epoll_fd_, events.data(),
-                               static_cast<int>(events.size()), -1);
+StoreTcpServer::Loop::Loop(StoreTcpServer& server)
+    : server_(server), max_frame_(max_frame(server.config_)) {
+  int pipe_fds[2] = {-1, -1};
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0 || ::pipe2(pipe_fds, O_CLOEXEC) != 0) {
+    const int err = errno;
+    if (epoll_fd_ >= 0) ::close(epoll_fd_);
+    throw net::TcpError(std::string("event loop: ") + std::strerror(err));
+  }
+  wake_rd_ = pipe_fds[0];
+  wake_wr_ = pipe_fds[1];
+  // Only the read end is nonblocking: the loop drains it to EAGAIN, while a
+  // writer may block briefly on a full pipe that the loop is draining.
+  ::fcntl(wake_rd_, F_SETFL, O_NONBLOCK);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = wake_rd_;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_rd_, &ev);
+}
+
+StoreTcpServer::Loop::~Loop() {
+  ::close(wake_rd_);
+  ::close(wake_wr_);
+  ::close(epoll_fd_);
+}
+
+void StoreTcpServer::Loop::post(int message) {
+  // A write of 4 bytes to a pipe is atomic, and this one blocks rather than
+  // fail: its read end stays open until the loop is destroyed.
+  while (::write(wake_wr_, &message, sizeof(message)) < 0 && errno == EINTR) {
+  }
+}
+
+void StoreTcpServer::Loop::join() {
+  if (thread_.joinable()) thread_.join();
+  // Abrupt teardown of live connections: clients see EOF/RST and surface it
+  // as TcpError.
+  for (const auto& [fd, conn] : conns_) ::close(fd);
+  conns_.clear();
+}
+
+void StoreTcpServer::Loop::run() {
+  epoll_event events[64] = {};
+  for (;;) {
+    const int n = ::epoll_wait(epoll_fd_, events, 64, -1);
     if (n < 0) {
       if (errno == EINTR) continue;
-      break;  // epoll fd gone — only happens at teardown
+      return;
     }
-    for (int i = 0; i < n && !stopping_.load(); ++i) {
+    for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == listen_fd) {
-        accept_ready();
-        continue;
-      }
-      if (fd == event_fd_) {
-        std::uint64_t drained = 0;
-        while (::read(event_fd_, &drained, sizeof(drained)) > 0) {
-        }
-        std::vector<std::shared_ptr<Conn>> done;
-        {
-          MutexLock lock(completed_mu_);
-          done.swap(completed_);
-        }
-        for (const auto& conn : done) {
-          if (conn->closed) continue;
-          flush_conn(conn);
-          update_interest(conn);
-          reevaluate(conn);
-        }
+      if (fd == wake_rd_) {
+        if (!drain_wake_pipe()) return;
         continue;
       }
       const auto it = conns_.find(fd);
-      if (it == conns_.end()) continue;
-      const std::shared_ptr<Conn> conn = it->second;
-      if ((events[i].events & EPOLLOUT) != 0 && !conn->closed) {
-        flush_conn(conn);
-      }
-      if ((events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0 &&
-          !conn->closed && !conn->read_closed) {
-        handle_readable(conn);
-      }
-      if (!conn->closed) {
-        update_interest(conn);
-        reevaluate(conn);
-      }
+      if (it != conns_.end()) on_event(*it->second, events[i].events);
     }
   }
 }
 
-void StoreTcpServer::accept_ready() {
+bool StoreTcpServer::Loop::drain_wake_pipe() {
+  // Each message is one atomic 4-byte write, so reads return whole messages.
+  int messages[64] = {};
   for (;;) {
-    std::optional<net::FramedSocket> socket;
-    try {
-      socket = listener_.try_accept();
-    } catch (const net::TcpError&) {
-      return;  // listener closed (stop) — the loop exits on stopping_
+    const ssize_t n = ::read(wake_rd_, messages, sizeof(messages));
+    if (n <= 0) return true;
+    const std::size_t count = static_cast<std::size_t>(n) / sizeof(int);
+    for (std::size_t k = 0; k < count; ++k) {
+      if (messages[k] == kStopMessage) return false;
+      adopt(messages[k]);
     }
-    if (!socket.has_value()) return;
-    const int fd = socket->release();
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    auto conn = std::make_shared<Conn>(fd);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      ::close(fd);
-      continue;
-    }
-    conn->interest = EPOLLIN;
-    conns_.emplace(fd, std::move(conn));
   }
 }
 
-void StoreTcpServer::handle_readable(const std::shared_ptr<Conn>& conn) {
-  bool eof = false;
-  bool read_error = false;
-  std::uint8_t buf[64 * 1024];
-  while (!conn->read_closed) {
-    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn->rbuf.insert(conn->rbuf.end(), buf, buf + n);
-      // Parse as we go: an oversized length prefix flips read_closed before
-      // the payload is ever buffered, let alone allocated whole.
-      parse_frames(conn);
-      continue;
-    }
-    if (n == 0) {
-      eof = true;
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    read_error = true;
-    break;
-  }
-  if (!eof && !read_error) return;
-
-  conn->read_closed = true;
-  const bool mid_frame = (conn->rbuf.size() - conn->roff) > 0 || read_error;
-  MutexLock lock(conn->mu);
-  conn->close_after_flush = true;
-  if (!conn->handshaken) {
-    // Disconnect before the handshake completed. If a hello frame is already
-    // parsed (or being processed), the worker decides accepted/rejected;
-    // otherwise this mirrors the blocking server, where recv_frame failing
-    // during the hello counted the connection as rejected.
-    if (!conn->error_counted && conn->inbox.empty() && !conn->processing &&
-        !conn->oversized) {
-      ++rejected_;
-      conn->error_counted = true;
-    }
-  } else if (mid_frame && !conn->error_counted) {
-    ++session_errors_;  // client died mid-frame after a good handshake
-    conn->error_counted = true;
-  }
-}
-
-void StoreTcpServer::parse_frames(const std::shared_ptr<Conn>& conn) {
-  const std::size_t max_frame =
-      config_.max_frame_bytes > 0 && config_.max_frame_bytes < kTransportMaxFrame
-          ? config_.max_frame_bytes
-          : kTransportMaxFrame;
-  std::vector<Bytes> frames;
-  bool oversize = false;
-  for (;;) {
-    const std::size_t avail = conn->rbuf.size() - conn->roff;
-    if (avail < 4) break;
-    const std::uint8_t* p = conn->rbuf.data() + conn->roff;
-    const std::uint32_t len = le32(p);
-    if (len > max_frame) {
-      oversize = true;
-      break;
-    }
-    if (avail < 4u + len) break;
-    frames.emplace_back(p + 4, p + 4 + len);
-    conn->roff += 4u + len;
-  }
-  if (conn->roff == conn->rbuf.size()) {
-    conn->rbuf.clear();
-    conn->roff = 0;
-  } else if (conn->roff > kCompactThreshold) {
-    conn->rbuf.erase(conn->rbuf.begin(),
-                     conn->rbuf.begin() + static_cast<std::ptrdiff_t>(conn->roff));
-    conn->roff = 0;
-  }
-  if (oversize) {
-    ++oversized_frames_;
-    conn->read_closed = true;  // refuse the rest of the stream
-  }
-  if (frames.empty() && !oversize) return;
-  MutexLock lock(conn->mu);
-  for (auto& f : frames) conn->inbox.push_back(std::move(f));
-  if (oversize) conn->oversized = true;
-}
-
-void StoreTcpServer::flush_conn(const std::shared_ptr<Conn>& conn) {
-  if (conn->closed) return;
-  MutexLock lock(conn->mu);
-  bool write_failed = false;
-  while (conn->woff < conn->wbuf.size()) {
-    const ssize_t n = ::send(conn->fd, conn->wbuf.data() + conn->woff,
-                             conn->wbuf.size() - conn->woff, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn->woff += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    write_failed = true;
-    break;
-  }
-  if (conn->woff == conn->wbuf.size()) {
-    conn->wbuf.clear();
-    conn->woff = 0;
-  } else if (conn->woff > kCompactThreshold) {
-    conn->wbuf.erase(conn->wbuf.begin(),
-                     conn->wbuf.begin() + static_cast<std::ptrdiff_t>(conn->woff));
-    conn->woff = 0;
-  }
-  if (write_failed) {
-    // Peer is gone; responses are undeliverable. Matches the blocking
-    // server's send_frame throwing out of the serve loop.
-    if (!conn->error_counted) {
-      if (conn->handshaken) {
-        ++session_errors_;
-      } else {
-        ++rejected_;
-      }
-      conn->error_counted = true;
-    }
-    conn->abort = true;
-    conn->close_after_flush = true;
-    conn->wbuf.clear();
-    conn->woff = 0;
-  }
-}
-
-void StoreTcpServer::update_interest(const std::shared_ptr<Conn>& conn) {
-  if (conn->closed) return;
-  bool residual;
-  {
-    MutexLock lock(conn->mu);
-    residual = conn->woff < conn->wbuf.size();
-  }
-  conn->want_write = residual;
-  std::uint32_t mask = 0;
-  if (!conn->read_closed) mask |= EPOLLIN;
-  if (conn->want_write) mask |= EPOLLOUT;
-  if (mask == conn->interest) return;
-  conn->interest = mask;
+void StoreTcpServer::Loop::adopt(int fd) {
+  const int flags = ::fcntl(fd, F_GETFL, 0);
   epoll_event ev{};
-  ev.events = mask;
-  ev.data.fd = conn->fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
-}
-
-void StoreTcpServer::reevaluate(const std::shared_ptr<Conn>& conn) {
-  if (conn->closed) return;
-  bool close_now = false;
-  {
-    MutexLock lock(conn->mu);
-    const bool pending =
-        !conn->abort && (!conn->inbox.empty() ||
-                         (conn->oversized && !conn->oversized_handled));
-    if (pending && !conn->processing) {
-      conn->processing = true;
-      {
-        MutexLock ready_lock(ready_mu_);
-        ready_.push_back(conn);
-      }
-      ready_cv_.notify_one();
-      return;
-    }
-    close_now = conn->close_after_flush && !conn->processing && !pending &&
-                conn->woff == conn->wbuf.size();
-  }
-  if (close_now) close_conn(conn);
-}
-
-void StoreTcpServer::close_conn(const std::shared_ptr<Conn>& conn) {
-  if (conn->closed) return;
-  conn->closed = true;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-  ::close(conn->fd);
-  conns_.erase(conn->fd);
-}
-
-// ---------------------------------------------------------------------------
-// Worker pool (CPU only: handshake, unwrap, dispatch, wrap — never fds).
-// ---------------------------------------------------------------------------
-
-void StoreTcpServer::worker_loop() {
-  for (;;) {
-    std::shared_ptr<Conn> conn;
-    {
-      MutexLock lock(ready_mu_);
-      while (!stopping_.load() && ready_.empty()) ready_cv_.wait(ready_mu_);
-      if (stopping_.load()) return;
-      conn = std::move(ready_.front());
-      ready_.pop_front();
-    }
-    process_conn(conn);
-  }
-}
-
-void StoreTcpServer::process_conn(const std::shared_ptr<Conn>& conn) {
-  // Strand: this worker exclusively owns the connection's inbox until it
-  // runs dry, so responses are produced — and wbuf-appended — in arrival
-  // order, which the secure channel's sequence numbers require.
-  for (;;) {
-    Bytes frame;
-    bool have_frame = false;
-    bool do_oversize = false;
-    {
-      MutexLock lock(conn->mu);
-      if (conn->abort) conn->inbox.clear();
-      if (!conn->abort && !conn->inbox.empty()) {
-        frame = std::move(conn->inbox.front());
-        conn->inbox.pop_front();
-        have_frame = true;
-      } else if (!conn->abort && conn->oversized && !conn->oversized_handled) {
-        conn->oversized_handled = true;
-        do_oversize = true;
-      } else {
-        conn->processing = false;
-        break;
-      }
-    }
-    if (have_frame) {
-      handle_frame_on_worker(conn, std::move(frame));
-    } else if (do_oversize) {
-      handle_oversize_on_worker(conn);
-    }
-    if (stopping_.load()) {
-      MutexLock lock(conn->mu);
-      conn->processing = false;
-      break;
-    }
-  }
-  notify_loop(conn);
-}
-
-void StoreTcpServer::handle_frame_on_worker(const std::shared_ptr<Conn>& conn,
-                                            Bytes frame) {
-  bool first;
-  {
-    MutexLock lock(conn->mu);
-    first = !conn->handshaken;
-  }
-  if (first) {
-    // Steps 1-2: attested handshake. `session` is strand-private, so the
-    // emplace needs no lock; `handshaken` is shared and does.
-    try {
-      const net::HandshakeMessage client_hello = net::decode_handshake(frame);
-      conn->session.emplace(store_, client_hello);  // throws on bad attestation
-    } catch (const Error&) {
-      ++rejected_;
-      MutexLock lock(conn->mu);
-      conn->abort = true;
-      conn->close_after_flush = true;
-      conn->error_counted = true;
-      return;
-    }
-    conn->session->set_max_batch_entries(config_.max_batch_entries);
-    const Bytes reply = net::encode_handshake(conn->session->server_hello());
-    ++accepted_;
-    MutexLock lock(conn->mu);
-    conn->handshaken = true;
-    append_frame(conn->wbuf, reply);
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0 ||
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    ::close(fd);
+    live.fetch_sub(1);
     return;
   }
+  auto conn = std::make_unique<Conn>(fd);
+  conn->interest = EPOLLIN;
+  conns_.emplace(fd, std::move(conn));
+}
 
+void StoreTcpServer::Loop::on_event(Conn& c, std::uint32_t events) {
+  if ((events & (EPOLLOUT | EPOLLHUP | EPOLLERR)) != 0) flush(c);
+  // Frames held back by the mark first; then read only with no complete
+  // frame buffered, so one event serves at most one read's worth.
+  serve(c);
+  if ((events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0 && !c.read_closed &&
+      !over_mark(c)) {
+    read_once(c);
+    serve(c);
+  }
+  if ((c.done || c.read_closed) && c.unsent() == 0) {
+    close(c);
+  } else {
+    update_interest(c);
+  }
+}
+
+void StoreTcpServer::Loop::read_once(Conn& c) {
+  std::size_t want = kReadChunk;
+  const std::size_t avail = c.in.size();
+  if (avail >= 4) {
+    // The rest of the frame in progress (serve() has checked its length), in
+    // one call when the buffer has room; growth stays within twice the bytes
+    // already here, so an announced length costs memory only as it arrives.
+    const std::size_t rest = std::size_t{4} + le32(c.in.front()) - avail;
+    const std::size_t room = std::max(avail, c.in.data.size() - avail);
+    want = std::max(want, std::min(rest, room));
+  }
+  c.in.reserve_tail(want);
+  for (;;) {
+    const ssize_t n = ::recv(c.fd, c.in.data.data() + c.in.tail, want, 0);
+    if (n > 0) {
+      c.in.tail += static_cast<std::size_t>(n);
+      return;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    c.read_closed = true;
+    c.torn = n < 0;
+    return;
+  }
+}
+
+void StoreTcpServer::Loop::serve(Conn& c) {
+  while (!c.done && !over_mark(c) && c.in.size() >= 4) {
+    const std::uint8_t* p = c.in.front();
+    const std::size_t len = le32(p);
+    if (len > max_frame_) {
+      refuse_oversized(c);
+      break;
+    }
+    if (c.in.size() < 4 + len) break;
+    c.in.head += 4 + len;  // `p` stays valid: only read_once moves bytes
+    serve_frame(c, ByteView(p + 4, len));
+  }
+  if (c.in.size() == 0) c.in.head = c.in.tail = 0;
+}
+
+void StoreTcpServer::Loop::serve_frame(Conn& c, ByteView frame) {
+  if (!c.session.has_value()) {
+    // Steps 1-2: the attested handshake.
+    try {
+      c.session.emplace(server_.store_, net::decode_handshake(frame));
+    } catch (const Error&) {
+      count_death(c);
+      c.done = c.read_closed = true;
+      return;
+    }
+    c.session->set_max_batch_entries(server_.config_.max_batch_entries);
+    ++server_.accepted_;
+    reply(c, net::encode_handshake(c.session->server_hello()));
+    return;
+  }
   Bytes response;
   try {
-    response = conn->session->handle_frame(frame);
+    response = c.session->handle_frame(frame);
   } catch (const Error&) {
     // Channel violation (tamper/replay) or a poisoned session: drop the
     // connection, costing only itself.
-    MutexLock lock(conn->mu);
-    if (!conn->error_counted) {
-      ++session_errors_;
-      conn->error_counted = true;
-    }
-    conn->abort = true;
-    conn->close_after_flush = true;
+    count_death(c);
+    c.done = c.read_closed = true;
     return;
   }
-  MutexLock lock(conn->mu);
-  append_frame(conn->wbuf, response);
+  reply(c, response);
 }
 
-void StoreTcpServer::handle_oversize_on_worker(
-    const std::shared_ptr<Conn>& conn) {
-  bool handshaken;
-  {
-    MutexLock lock(conn->mu);
-    handshaken = conn->handshaken;
-  }
-  if (!handshaken) {
-    // A giant pre-handshake frame is just a malformed hello.
-    ++rejected_;
-    MutexLock lock(conn->mu);
-    conn->abort = true;
-    conn->close_after_flush = true;
-    conn->error_counted = true;
+void StoreTcpServer::Loop::refuse_oversized(Conn& c) {
+  ++server_.oversized_frames_;
+  c.done = c.read_closed = true;  // refuse the rest of the stream
+  if (!c.session.has_value()) {
+    count_death(c);  // a giant hello is just a malformed hello
     return;
   }
   try {
-    const Bytes err = conn->session->wrap_error(
-        serialize::ErrorCode::kFrameTooLarge,
-        "frame exceeds server max_frame_bytes");
-    MutexLock lock(conn->mu);
-    append_frame(conn->wbuf, err);
-    conn->close_after_flush = true;
+    reply(c, c.session->wrap_error(serialize::ErrorCode::kFrameTooLarge,
+                                   "frame exceeds server max_frame_bytes"));
   } catch (const Error&) {
-    MutexLock lock(conn->mu);
-    if (!conn->error_counted) {
-      ++session_errors_;
-      conn->error_counted = true;
+    count_death(c);
+  }
+  c.counted = true;  // refused, not torn: the header stays unserved
+}
+
+void StoreTcpServer::Loop::reply(Conn& c, ByteView payload) {
+  if (c.peer_gone) return;
+  append_frame(c.out, payload);
+  flush(c);
+}
+
+void StoreTcpServer::Loop::flush(Conn& c) {
+  while (c.out_off < c.out.size()) {
+    const ssize_t n = ::send(c.fd, c.out.data() + c.out_off, c.unsent(),
+                             MSG_NOSIGNAL);
+    if (n > 0) {
+      c.out_off += static_cast<std::size_t>(n);
+      continue;
     }
-    conn->abort = true;
-    conn->close_after_flush = true;
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    // Peer is gone and replies are undeliverable; frames already buffered
+    // are still served, so their effects land.
+    count_death(c);
+    c.peer_gone = c.read_closed = true;
+    c.out.clear();
+    c.out_off = 0;
+    return;
+  }
+  if (c.out_off == c.out.size()) {
+    c.out.clear();
+    c.out_off = 0;
+  } else if (c.out_off > kCompactThreshold && c.out_off >= c.unsent()) {
+    c.out.erase(c.out.begin(),
+                c.out.begin() + static_cast<std::ptrdiff_t>(c.out_off));
+    c.out_off = 0;
   }
 }
 
-void StoreTcpServer::notify_loop(const std::shared_ptr<Conn>& conn) {
-  {
-    MutexLock lock(completed_mu_);
-    completed_.push_back(conn);
+void StoreTcpServer::Loop::update_interest(Conn& c) {
+  std::uint32_t mask = 0;
+  if (!c.read_closed && !over_mark(c)) mask |= EPOLLIN;
+  if (c.unsent() > 0) mask |= EPOLLOUT;
+  if (mask == c.interest) return;
+  c.interest = mask;
+  epoll_event ev{};
+  ev.events = mask;
+  ev.data.fd = c.fd;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &ev);
+}
+
+void StoreTcpServer::Loop::count_death(Conn& c) {
+  if (c.counted) return;
+  c.counted = true;
+  if (c.session.has_value()) {
+    ++server_.session_errors_;
+  } else {
+    ++server_.rejected_;
   }
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t r = ::write(event_fd_, &one, sizeof(one));
+}
+
+void StoreTcpServer::Loop::close(Conn& c) {
+  // A hang-up before the handshake is a rejection; one after it that leaves
+  // part of a frame behind is a session error.
+  if (!c.session.has_value() || c.torn || c.in.size() > 0) count_death(c);
+  const int fd = c.fd;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  ::close(fd);
+  live.fetch_sub(1);
+  conns_.erase(fd);  // destroys `c`
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 // Conformance suite for the batched wire protocol (docs/PROTOCOL.md §9):
 // batch codec, version negotiation, per-entry statuses, server frame/batch
-// limits, the epoll server's pipelining, the client micro-batcher, and
-// cluster batch routing. The
+// limits, the server's pipelining, connection placement and backpressure,
+// the client micro-batcher, and cluster batch routing. The
 // disconnect/fault-injection variants live in batch_chaos_test.cc.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -445,6 +448,163 @@ TEST(BatchTcpTest, BatchOverTcpMatchesPerOpResults) {
               PutStatus::kStored);
     EXPECT_TRUE(std::get<GetResponse>(resp->replies[kOps + i]).found);
   }
+}
+
+// ---------------------------------------------------------- server loops --
+
+std::size_t server_loops() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/// Live connections per event loop (slot i = loop i), read from the gauge the
+/// server exports.
+std::vector<std::int64_t> loop_connections() {
+  std::vector<std::int64_t> per_loop;
+  for (const auto& family : telemetry::Registry::global().collect()) {
+    if (family.name != "speed_server_loop_connections") continue;
+    for (const auto& sample : family.samples) {
+      const std::size_t loop = std::stoul(sample.labels.at(0).value.str());
+      if (per_loop.size() <= loop) per_loop.resize(loop + 1);
+      per_loop[loop] = sample.value;
+    }
+  }
+  return per_loop;
+}
+
+TEST(ServerLoopTest, NonReadingClientIsPausedNotBuffered) {
+  sgx::Platform platform(fast_model());
+  store::ResultStore result_store(platform);
+  store::StoreTcpServer server(result_store, 0);
+  auto app = platform.create_enclave("flood-app");
+  const sgx::Measurement me = app->measurement();
+  const Tag big = nth_tag(0x1B, 0);
+
+  RawTcpClient flooder(*app, result_store, server.port());
+  flooder.send(Message(make_put(big, me, /*ct_bytes=*/1 << 20)));
+  ASSERT_EQ(std::get<PutResponse>(flooder.recv()).status, PutStatus::kStored);
+
+  // 128 GETs for the ~1 MiB entry fit in one read; no reply is read yet.
+  // Served without a bound, they would pile ~128 MiB of replies up in the
+  // server.
+  constexpr int kGets = 128;
+  const std::uint64_t base = result_store.stats().get_requests;
+  for (int i = 0; i < kGets; ++i) flooder.send(Message(make_get(big, me)));
+
+  // Wait until the store stops seeing GETs: the server has paused the
+  // connection. The kernel's socket buffers (send side up to 4 MiB) and one
+  // mark's worth of unsent replies are all it may run ahead of the reader.
+  std::uint64_t served = 0;
+  for (int still = 0; still < 10;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::uint64_t now = result_store.stats().get_requests - base;
+    still = now == served ? still + 1 : 0;
+    served = now;
+  }
+  EXPECT_LT(served, 32u);
+
+  // The paused connection holds nothing up: another client is served.
+  auto app2 = platform.create_enclave("patient-app");
+  RawTcpClient other(*app2, result_store, server.port());
+  other.send(Message(make_get(nth_tag(0x1B, 1), app2->measurement())));
+  EXPECT_FALSE(std::get<GetResponse>(other.recv()).found);
+
+  // Reading resumes service: every reply arrives, in order (the channel's
+  // sequence numbers check that), and each is a hit.
+  for (int i = 0; i < kGets; ++i) {
+    const Message reply = flooder.recv();
+    const auto* get = std::get_if<GetResponse>(&reply);
+    ASSERT_NE(get, nullptr) << "reply " << i;
+    EXPECT_TRUE(get->found) << "reply " << i;
+  }
+  EXPECT_EQ(result_store.stats().get_requests - base, kGets + 1u);
+  EXPECT_EQ(server.session_errors(), 0u);
+}
+
+TEST(ServerLoopTest, ConnectionsSpreadAcrossLoops) {
+  sgx::Platform platform(fast_model());
+  store::ResultStore result_store(platform);
+  store::StoreTcpServer server(result_store, 0);
+  auto app = platform.create_enclave("spread-app");
+  const std::size_t loops = server_loops();
+  const std::vector<std::int64_t> two_each(loops, 2);
+
+  // A connection is placed before the server's hello goes out, so a
+  // completed handshake is already counted on its loop.
+  std::vector<std::unique_ptr<RawTcpClient>> clients;
+  for (std::size_t i = 0; i < 2 * loops; ++i) {
+    clients.push_back(
+        std::make_unique<RawTcpClient>(*app, result_store, server.port()));
+  }
+  EXPECT_EQ(loop_connections(), two_each);
+
+  // Closing one connection frees a place on its loop...
+  clients.erase(clients.begin());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (;;) {
+    const auto per_loop = loop_connections();
+    if (std::count(per_loop.begin(), per_loop.end(), 1) == 1) break;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "closed connection still counted on its loop";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // ...which the next connection takes.
+  clients.push_back(
+      std::make_unique<RawTcpClient>(*app, result_store, server.port()));
+  EXPECT_EQ(loop_connections(), two_each);
+}
+
+TEST(ServerLoopTest, PipelinedConnectionsShareLoopsInOrder) {
+  // Three pipelining connections per loop, each sending 8 PUT/GET pairs
+  // before it reads anything. A loop interleaves its connections' frames;
+  // each connection's replies must still come back in order, and any
+  // reordering fails the channel's sequence check in recv().
+  sgx::Platform platform(fast_model());
+  store::ResultStore result_store(platform);
+  store::StoreTcpServer server(result_store, 0);
+  const std::size_t clients = 3 * server_loops();
+  constexpr std::uint8_t kPairs = 8;
+
+  std::atomic<std::size_t> clean{0};
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      try {
+        auto app = platform.create_enclave("pipe-" + std::to_string(c));
+        const sgx::Measurement me = app->measurement();
+        const auto tag = [c](std::uint8_t n) {
+          Tag t = nth_tag(0x9E, n);
+          t[1] = static_cast<std::uint8_t>(c);
+          t[2] = static_cast<std::uint8_t>(c >> 8);
+          return t;
+        };
+        RawTcpClient client(*app, result_store, server.port());
+        for (std::uint8_t n = 0; n < kPairs; ++n) {
+          client.send(Message(make_put(tag(n), me)));
+          client.send(Message(make_get(tag(n), me)));
+        }
+        for (std::uint8_t n = 0; n < kPairs; ++n) {
+          const Message put_reply = client.recv();
+          const auto* put = std::get_if<PutResponse>(&put_reply);
+          const Message get_reply = client.recv();
+          const auto* get = std::get_if<GetResponse>(&get_reply);
+          if (put == nullptr || put->status != PutStatus::kStored ||
+              get == nullptr || !get->found) {
+            ADD_FAILURE() << "client " << c << " pair " << int{n};
+            return;
+          }
+        }
+        clean.fetch_add(1);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "client " << c << ": " << e.what();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(clean.load(), clients);
+  EXPECT_EQ(server.connections_accepted(), clients);
+  EXPECT_EQ(server.session_errors(), 0u);
 }
 
 // --------------------------------------------------------- micro-batcher --
