@@ -91,10 +91,9 @@ namespace speed {
 
 enum class LockRank : std::uint16_t {
   kApp = 100,              ///< BlockStore index, mapreduce result merge
-  kRuntimeChannel = 200,   ///< DedupRuntime::channel_mu_
+  kRuntimeChannel = 200,   ///< StoreLink::mu_ (client channel strand)
   kRuntimeAdaptive = 240,  ///< AdaptiveProfile::mu_ (standalone EMAs)
   kBatch = 300,            ///< DedupRuntime::batch_mu_ (micro-batcher)
-  kClusterLink = 400,      ///< ClusterTransport Link::mu (per-node strand)
   kTelemetryRegistry = 450,///< Registry::mu_ (held across collectors)
   kRuntimeCache = 460,     ///< DedupRuntime::cache_mu_ (hot-result LRU)
   kRuntimeQueue = 470,     ///< DedupRuntime::queue_mu_ (async PUT queue)
@@ -102,7 +101,7 @@ enum class LockRank : std::uint16_t {
   kTransportInject = 505,  ///< FaultInjectingTransport::mu_ (under resilient)
   kTransportLink = 510,    ///< TcpTransport / LoopbackTransport (innermost)
   kClusterNode = 530,      ///< InprocCluster Node::mu (dialed under resilient)
-  kRekeyStaging = 540,     ///< rekey staging (runtime rekey_mu_, Link rekey_mu)
+  kRekeyStaging = 540,     ///< StoreLink::rekey_mu_ (staged rekey key)
   kSession = 560,          ///< StoreSession::mu_ (per-session strand)
   kAccess = 590,           ///< AccessPolicy / RateLimiter / GatedResultStore
   kStoreShard = 600,       ///< ResultStore Shard::mu (lock-striped dict)

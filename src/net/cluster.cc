@@ -1,7 +1,7 @@
 #include "net/cluster.h"
 
 #include <algorithm>
-#include <future>
+#include <chrono>
 #include <unordered_map>
 
 #include "common/clock.h"
@@ -39,21 +39,31 @@ ClusterTransport::ClusterTransport(sgx::Enclave& app_enclave,
   for (ClusterNode& node : nodes) {
     members_.push_back(
         {node.name, serialize::MemberStatus::kUp});
-    auto link = std::make_unique<Link>();
-    link->name = std::move(node.name);
-    link->dial = std::move(node.dial);
-    links_.push_back(std::move(link));
-  }
-  // Eager dial: a node that cannot be reached now starts out down and is
-  // re-dialed by the first walk that probes it.
-  for (const auto& link : links_) {
-    MutexLock lock(link->mu);
+    // Every connection the node's link dials gets its own ResilientTransport,
+    // whose reconnects re-run the node's plain dial.
+    ResilientTransport::ReconnectFn dial =
+        [raw = std::move(node.dial), resilience = config_.resilience]() {
+          ResilientTransport::Connection conn = raw();
+          if (conn.transport != nullptr) {
+            conn.transport = std::make_unique<ResilientTransport>(
+                std::move(conn.transport), raw, resilience);
+          }
+          return conn;
+        };
+    ResilientTransport::Connection initial;
     try {
-      establish_locked(*link);
+      initial = enclave_.ocall(dial);
     } catch (const Error&) {
-      note_failure(*link);
-      link->health.store(static_cast<std::uint8_t>(NodeHealth::kDown),
-                         std::memory_order_relaxed);
+      // Unreachable now: the node starts out down with an undialed link,
+      // which the first walk that probes it dials.
+    }
+    const bool dialed = initial.transport != nullptr;
+    links_.push_back(
+        std::make_unique<Link>(enclave_, std::move(initial), std::move(dial)));
+    if (!dialed) {
+      note_failure(*links_.back());
+      links_.back()->health.store(static_cast<std::uint8_t>(NodeHealth::kDown),
+                                  std::memory_order_relaxed);
     }
   }
   telemetry_handle_ = telemetry::Registry::global().add_collector(
@@ -74,9 +84,6 @@ ClusterTransport::ClusterTransport(sgx::Enclave& app_enclave,
         sink.counter("speed_cluster_failovers_total",
                      "Node legs that failed and extended a walk", {},
                      failovers_.value());
-        sink.counter("speed_cluster_hedged_gets_total",
-                     "GETs that opened a hedge leg to a replica", {},
-                     hedged_gets_.value());
         sink.counter("speed_cluster_read_repairs_total",
                      "Entries pushed back to an owner that missed", {},
                      read_repairs_.value());
@@ -104,7 +111,6 @@ ClusterTransport::Stats ClusterTransport::stats() const {
   s.gets = gets_.value();
   s.puts = puts_.value();
   s.failovers = failovers_.value();
-  s.hedged_gets = hedged_gets_.value();
   s.read_repairs = read_repairs_.value();
   s.partial_puts = partial_puts_.value();
   s.unavailable = unavailable_.value();
@@ -197,14 +203,7 @@ Message ClusterTransport::cluster_batch(const serialize::BatchRequest& req) {
         } else {
           walked = cluster_put(std::get<PutRequest>(req.ops[i]));
         }
-        if (auto* get_resp = std::get_if<GetResponse>(&walked)) {
-          resp.replies[i] = std::move(*get_resp);
-        } else if (const auto* put_resp = std::get_if<PutResponse>(&walked)) {
-          resp.replies[i] = *put_resp;
-        } else {
-          resp.replies[i] = serialize::ErrorResponse{
-              serialize::ErrorCode::kBadRequest, "unexpected reply type"};
-        }
+        resp.replies[i] = serialize::to_batch_reply(std::move(walked));
       } catch (const Error& e) {
         // Only this op degrades; its neighbors keep their answers.
         resp.replies[i] =
@@ -228,11 +227,6 @@ Message ClusterTransport::cluster_get(const GetRequest& req) {
   std::optional<GetResponse> found;
   std::optional<std::size_t> first_missing;  ///< earliest definitive miss
   std::vector<std::size_t> skipped;          ///< down nodes bypassed w/o I/O
-  // Hedge leg: the primary finishing on a helper thread while the walk
-  // continues. Joined before every return (it references `request`).
-  std::optional<std::future<Message>> hedge;
-  std::size_t hedge_node = 0;
-  bool first_attempt = true;
 
   // Interpret one node's answer; returns true when the walk can stop.
   const auto process = [&](std::size_t idx, const Message& m) {
@@ -256,45 +250,11 @@ Message ClusterTransport::cluster_get(const GetRequest& req) {
       skipped.push_back(idx);
       continue;
     }
-    const bool can_hedge = first_attempt && config_.hedge_delay_ms > 0 &&
-                           idx != order.back() && !hedge.has_value();
-    first_attempt = false;
-    if (can_hedge) {
-      auto leg = std::async(std::launch::async, [this, &link, &request] {
-        return link_round_trip(link, request);
-      });
-      if (leg.wait_for(std::chrono::milliseconds(config_.hedge_delay_ms)) ==
-          std::future_status::ready) {
-        try {
-          if (process(idx, leg.get())) break;
-        } catch (const Error&) {
-          failovers_.inc();
-        }
-        continue;
-      }
-      // Primary is slow: keep its leg running, walk on to a replica.
-      hedged_gets_.inc();
-      hedge = std::move(leg);
-      hedge_node = idx;
-      continue;
-    }
     try {
       if (process(idx, link_round_trip_retry(link, request))) break;
     } catch (const Error&) {
       failovers_.inc();
     }
-  }
-
-  if (hedge.has_value()) {
-    // Join the slow primary; its answer still counts (it may even be the
-    // only copy if every replica failed).
-    try {
-      const Message m = hedge->get();
-      if (!found.has_value()) process(hedge_node, m);
-    } catch (const Error&) {
-      failovers_.inc();
-    }
-    hedge.reset();
   }
 
   // Last-chance pass: a node the walk skipped as down (its probe window has
@@ -313,7 +273,7 @@ Message ClusterTransport::cluster_get(const GetRequest& req) {
   }
 
   if (found.has_value()) {
-    if (config_.read_repair && first_missing.has_value()) {
+    if (first_missing.has_value()) {
       read_repair(*first_missing, req, *found);
     }
     return *found;
@@ -442,70 +402,10 @@ std::size_t ClusterTransport::probe_all() {
 
 // ------------------------------------------------------------- link plumbing
 
-void ClusterTransport::establish_locked(Link& link) {
-  ResilientTransport::Connection conn =
-      enclave_.ocall([&] { return link.dial(); });
-  if (conn.transport == nullptr) {
-    throw StoreUnavailableError("ClusterTransport: dial failed for node " +
-                                link.name);
-  }
-  auto transport = std::make_unique<ResilientTransport>(
-      std::move(conn.transport), link.dial, config_.resilience);
-  Link* link_ptr = &link;
-  transport->set_rekey_callback([link_ptr](secret::Buffer key) {
-    MutexLock lock(link_ptr->rekey_mu);
-    link_ptr->pending_rekey = std::move(key);
-  });
-  link.transport = std::move(transport);
-  link.channel.emplace(std::move(conn.session_key), /*is_initiator=*/true);
-  link.poisoned = false;
-}
-
-void ClusterTransport::install_rekey_locked(Link& link) {
-  MutexLock lock(link.rekey_mu);
-  if (!link.pending_rekey.has_value()) return;
-  link.channel.emplace(std::move(*link.pending_rekey), /*is_initiator=*/true);
-  link.pending_rekey.reset();
-  link.poisoned = false;
-}
-
-// link.mu is the per-node strand: the attested channel's sequence numbers
-// require strictly ordered frames, so the lock spans the whole leg.
-// lockdiscipline-allow: LD004 per-link strand orders channel sequence numbers
 Message ClusterTransport::link_round_trip(Link& link, const Message& request) {
-  MutexLock lock(link.mu);
   link.last_attempt_ns.store(steady_now_ns(), std::memory_order_relaxed);
   try {
-    if (link.transport == nullptr) establish_locked(link);
-    install_rekey_locked(link);
-    if (link.poisoned) {
-      // The old key must never wrap another frame (same invariant as
-      // DedupRuntime::secure_round_trip): recover re-dials + re-attests.
-      enclave_.ocall([&] { return link.transport->recover(); });
-      install_rekey_locked(link);
-      if (link.poisoned) {
-        throw StoreUnavailableError("ClusterTransport: node " + link.name +
-                                    " poisoned and cannot rekey");
-      }
-    }
-    const Bytes frame = link.channel->wrap(serialize::encode_message(request));
-    Bytes response_frame;
-    try {
-      response_frame =
-          enclave_.ocall([&] { return link.transport->round_trip(frame); });
-    } catch (...) {
-      // Request possibly consumed, response never seen: sequence numbers on
-      // this link are out of sync for good.
-      link.poisoned = true;
-      throw;
-    }
-    const auto plain = link.channel->unwrap(response_frame);
-    if (!plain.has_value()) {
-      link.poisoned = true;
-      throw ProtocolError("ClusterTransport: node " + link.name +
-                          " response failed channel check");
-    }
-    Message out = serialize::decode_message(*plain);
+    Message out = link.store_link.round_trip(request);
     note_success(link);
     return out;
   } catch (...) {
@@ -519,9 +419,9 @@ Message ClusterTransport::link_round_trip_retry(Link& link,
   try {
     return link_round_trip(link, request);
   } catch (const Error&) {
-    // The failure poisoned the link; the retry re-enters link_round_trip,
-    // which sees the poison, recovers (re-dial + re-attest + rekey), and
-    // wraps the frame under the fresh channel key. A genuinely dead node
+    // The failure poisoned the link; the retry's StoreLink round trip sees
+    // the poison, recovers (re-dial + re-attest + rekey), and wraps the
+    // frame under the fresh channel key. A genuinely dead node
     // fails again quickly (bounded reconnect attempts or an open breaker).
     return link_round_trip(link, request);
   }

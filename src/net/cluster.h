@@ -5,9 +5,10 @@
 // preference order is the tag's primary owner, the next `replicas` elements
 // its replicas. Unlike the single-node Transport it operates on decoded
 // messages, not opaque frames — routing needs the tag, and the tag is
-// inside the frame — so every node link owns its *own* attested
-// SecureChannel (sequence numbers are per-connection) wrapped around its
-// own ResilientTransport (reconnect + breaker, net/resilient.h).
+// inside the frame — so every node has its *own* StoreLink
+// (net/store_link.h): an attested SecureChannel (sequence numbers are
+// per-connection) over its own ResilientTransport (reconnect + breaker,
+// net/resilient.h). Every leg of a walk runs on the calling thread.
 //
 // Failure semantics, chaos-tested (tests/chaos_cluster_test.cc):
 //
@@ -29,22 +30,17 @@
 //     themselves plus explicit heartbeat probes; a down node is skipped
 //     without I/O until `probe_interval_ms` elapses, when one request is
 //     admitted as the probe.
-//   * Hedged GETs: when the primary is slower than `hedge_delay_ms`, the
-//     walk continues to a replica while the primary leg finishes on a
-//     helper thread; whichever leg finds the entry serves the call.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "common/annotated_lock.h"
 #include "net/resilient.h"
-#include "net/secure_channel.h"
+#include "net/store_link.h"
 #include "serialize/rendezvous.h"
 #include "serialize/wire.h"
 #include "sgx/enclave.h"
@@ -66,16 +62,11 @@ struct ClusterConfig {
   /// Additional copies beyond the primary; effective copy count per tag is
   /// min(replicas + 1, N).
   std::size_t replicas = 1;
-  /// Hedge a GET to the next candidate when the primary has not answered
-  /// within this budget. 0 disables hedging.
-  std::uint64_t hedge_delay_ms = 0;
   /// A down node is skipped without I/O until this much time has passed
   /// since the last attempt; then one request is admitted as the probe.
   std::uint64_t probe_interval_ms = 50;
   /// Consecutive failures that take a node from suspect to down.
   int down_threshold = 2;
-  /// Push a replica-served entry back to the owner that missed it.
-  bool read_repair = true;
   /// Per-link reconnect/breaker settings.
   ResilienceConfig resilience;
 };
@@ -84,8 +75,9 @@ class ClusterTransport {
  public:
   enum class NodeHealth : std::uint8_t { kUp = 0, kSuspect = 1, kDown = 2 };
 
-  /// Dials every node eagerly; nodes that cannot be reached start out down
-  /// and are re-dialed on demand. Throws if `nodes` is empty.
+  /// Dials every node eagerly; a node that cannot be reached starts out
+  /// down, and the first walk that probes it dials it once. Throws if
+  /// `nodes` is empty.
   ClusterTransport(sgx::Enclave& app_enclave, std::vector<ClusterNode> nodes,
                    ClusterConfig config = ClusterConfig{});
 
@@ -93,8 +85,8 @@ class ClusterTransport {
   ClusterTransport& operator=(const ClusterTransport&) = delete;
 
   /// Route one application request (GET or PUT) across the cluster. Must be
-  /// called from inside the application enclave (it performs its own OCALLs
-  /// per node leg, mirroring DedupRuntime::secure_round_trip). Throws
+  /// called from inside the application enclave (each node leg is one
+  /// StoreLink round trip, with its own OCALL). Throws
   /// StoreUnavailableError when no node can serve — the degrade-to-compute
   /// signal.
   serialize::Message round_trip_message(const serialize::Message& request);
@@ -107,9 +99,6 @@ class ClusterTransport {
 
   NodeHealth node_health(std::size_t node) const;
   std::size_t node_count() const { return links_.size(); }
-  const std::vector<serialize::MemberInfo>& members() const {
-    return members_;
-  }
   const ClusterConfig& config() const { return config_; }
 
   /// Preference order for a tag (test/bench introspection).
@@ -121,7 +110,6 @@ class ClusterTransport {
     std::uint64_t gets = 0;
     std::uint64_t puts = 0;
     std::uint64_t failovers = 0;       ///< node legs that failed mid-walk
-    std::uint64_t hedged_gets = 0;     ///< GETs that opened a hedge leg
     std::uint64_t read_repairs = 0;    ///< entries pushed back to an owner
     std::uint64_t partial_puts = 0;    ///< PUTs below quorum (not acked)
     std::uint64_t unavailable = 0;     ///< walks with zero definitive answers
@@ -131,24 +119,11 @@ class ClusterTransport {
 
  private:
   struct Link {
-    std::string name;
-    ResilientTransport::ReconnectFn dial;
+    Link(sgx::Enclave& enclave, ResilientTransport::Connection initial,
+         ResilientTransport::ReconnectFn dial)
+        : store_link(enclave, std::move(initial), std::move(dial)) {}
 
-    /// Serializes channel + transport use for this node (sequence numbers
-    /// must match delivery order, exactly like DedupRuntime's channel_mu_).
-    /// Rank 400: held across the leg's round trip AND across transport
-    /// (re)construction, which registers/removes telemetry collectors — the
-    /// reason kTelemetryRegistry ranks above it (docs/LOCK_ORDER.md).
-    Mutex mu{LockRank::kClusterLink};
-    std::unique_ptr<ResilientTransport> transport GUARDED_BY(mu);  ///< null until dialed
-    std::optional<SecureChannel> channel GUARDED_BY(mu);
-    bool poisoned GUARDED_BY(mu) = false;
-
-    /// Fresh key staged by the transport's rekey callback (own lock: the
-    /// callback fires while mu is held by the recovering thread).
-    Mutex rekey_mu{LockRank::kRekeyStaging};
-    std::optional<secret::Buffer> pending_rekey GUARDED_BY(rekey_mu);
-
+    StoreLink store_link;
     std::atomic<std::uint8_t> health{
         static_cast<std::uint8_t>(NodeHealth::kUp)};
     std::atomic<int> consecutive_failures{0};
@@ -156,8 +131,8 @@ class ClusterTransport {
     std::atomic<std::int64_t> last_attempt_ns{0};
   };
 
-  /// One request/response over `link`'s secure channel; throws on any
-  /// failure after updating health. Established lazily.
+  /// One StoreLink round trip to `link`'s node; throws on any failure after
+  /// updating health.
   serialize::Message link_round_trip(Link& link,
                                      const serialize::Message& request);
   /// link_round_trip plus one inline retry: the first failure may only mean
@@ -166,9 +141,6 @@ class ClusterTransport {
   /// a walk right after a node restart succeeds instead of failing over.
   serialize::Message link_round_trip_retry(Link& link,
                                            const serialize::Message& request);
-  /// Dial + build transport/channel; caller holds link.mu.
-  void establish_locked(Link& link) REQUIRES(link.mu);
-  void install_rekey_locked(Link& link) REQUIRES(link.mu);
   void note_success(Link& link);
   void note_failure(Link& link);
   /// True when the walk should skip this node without attempting I/O.
@@ -196,7 +168,6 @@ class ClusterTransport {
   telemetry::Counter gets_;
   telemetry::Counter puts_;
   telemetry::Counter failovers_;
-  telemetry::Counter hedged_gets_;
   telemetry::Counter read_repairs_;
   telemetry::Counter partial_puts_;
   telemetry::Counter unavailable_;

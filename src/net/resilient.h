@@ -16,14 +16,14 @@
 //   * failure classification: all underlying errors surface as
 //     StoreUnavailableError, the single degrade-to-compute signal.
 //
-// Division of labor with DedupRuntime: the runtime wraps frames under its
-// SecureChannel key *before* they reach the transport, so a frame in flight
-// is bound to the connection that existed when it was wrapped. A failed
-// round trip therefore fails the *current* call (the runtime degrades to
-// local compute and poisons its channel); recovery happens on the *next*
-// call, when the runtime sees the poisoned channel and asks the transport to
-// recover() — which reconnects, re-handshakes, and stages the fresh session
-// key through the rekey callback.
+// Division of labor with StoreLink (net/store_link.h): the link wraps
+// frames under its SecureChannel key *before* they reach the transport, so
+// a frame in flight is bound to the connection that existed when it was
+// wrapped. A failed round trip therefore fails the *current* call (the
+// runtime degrades to local compute and the link is poisoned); recovery
+// happens on the *next* call, when the link sees the poison and asks the
+// transport to recover() — which reconnects, re-handshakes, and stages the
+// fresh session key through the rekey callback.
 #pragma once
 
 #include <chrono>

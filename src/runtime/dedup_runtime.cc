@@ -36,19 +36,11 @@ DedupRuntime::DedupRuntime(sgx::Enclave& app_enclave,
                            std::unique_ptr<net::Transport> transport,
                            RuntimeConfig config)
     : enclave_(app_enclave),
-      transport_(std::move(transport)),
+      link_(std::in_place, app_enclave,
+            net::ResilientTransport::Connection{std::move(transport),
+                                                std::move(session_key)}),
       config_(std::move(config)),
-      channel_(std::in_place, std::move(session_key), /*is_initiator=*/true),
       cache_charge_(app_enclave, 0) {
-  if (transport_ == nullptr) {
-    throw ProtocolError("DedupRuntime: transport is required");
-  }
-  // A recovering transport (net/resilient.h) re-runs the attested handshake
-  // after a reconnect; stage the fresh key for the next round trip.
-  transport_->set_rekey_callback([this](secret::Buffer key) {
-    MutexLock lock(rekey_mu_);
-    pending_rekey_ = std::move(key);
-  });
   init_common();
 }
 
@@ -62,8 +54,6 @@ DedupRuntime::DedupRuntime(sgx::Enclave& app_enclave,
   if (cluster_ == nullptr) {
     throw ProtocolError("DedupRuntime: cluster transport is required");
   }
-  // No single-link channel/rekey state: every cluster link carries its own
-  // attested channel and reconnect machinery (net/cluster.h).
   init_common();
 }
 
@@ -177,64 +167,15 @@ mle::FunctionIdentity DedupRuntime::resolve(
   return mle::FunctionIdentity{desc, *measurement};
 }
 
-void DedupRuntime::install_rekey_locked() {
-  MutexLock lock(rekey_mu_);
-  if (!pending_rekey_.has_value()) return;
-  channel_.emplace(std::move(*pending_rekey_), /*is_initiator=*/true);
-  pending_rekey_.reset();
-  channel_poisoned_ = false;
-}
-
-// channel_mu_ is held across the transport recover/round-trip OCALLs: the
-// secure channel is a strict single-link strand (sequence numbers admit no
-// interleaving), so wrap -> ship -> unwrap must be one critical section.
-// lockdiscipline-allow: LD004 channel sequence numbers admit no interleaving
 Message DedupRuntime::secure_round_trip(const Message& request) {
-  if (cluster_ != nullptr) {
-    // Cluster mode: routing, per-node channels, failover, and OCALLs all
-    // live in the ClusterTransport; it throws StoreUnavailableError when no
-    // node can serve, which the fail-open GET path degrades to compute.
-    const Stopwatch rtt_sw;
-    Message response = cluster_->round_trip_message(request);
-    metrics_.round_trip_ns.record(rtt_sw.elapsed_ns());
-    return response;
-  }
-  MutexLock lock(channel_mu_);
-  install_rekey_locked();
-  if (channel_poisoned_) {
-    // The old key must never wrap another frame. Ask the transport for a
-    // fresh connection + key (ResilientTransport re-runs the handshake and
-    // stages the key through the rekey callback; plain transports cannot).
-    enclave_.ocall([&] { return transport_->recover(); });
-    install_rekey_locked();
-    if (channel_poisoned_) {
-      throw net::StoreUnavailableError(
-          "DedupRuntime: secure channel poisoned and transport cannot rekey");
-    }
-  }
-  // Wrap inside the enclave, cross to the host to hit the transport (the
-  // prototype's customized OCALL carrying the request), unwrap back inside.
-  const Bytes frame = channel_->wrap(serialize::encode_message(request));
-  Bytes response_frame;
+  // Both paths throw when the store cannot serve; the fail-open GET path
+  // degrades that to compute.
   const Stopwatch rtt_sw;
-  try {
-    response_frame =
-        enclave_.ocall([&] { return transport_->round_trip(frame); });
-    metrics_.round_trip_ns.record(rtt_sw.elapsed_ns());
-  } catch (...) {
-    // Request possibly consumed, response never seen: sequence numbers are
-    // out of sync with the store's session for good.
-    channel_poisoned_ = true;
-    throw;
-  }
-  const auto plain = channel_->unwrap(response_frame);
-  if (!plain.has_value()) {
-    // Tampered/garbled response (or a response under a stale server
-    // session). Either way the channel state is no longer trustworthy.
-    channel_poisoned_ = true;
-    throw ProtocolError("DedupRuntime: store response failed channel check");
-  }
-  return serialize::decode_message(*plain);
+  Message response = link_.has_value()
+                         ? link_->round_trip(request)
+                         : cluster_->round_trip_message(request);
+  metrics_.round_trip_ns.record(rtt_sw.elapsed_ns());
+  return response;
 }
 
 namespace {
@@ -354,19 +295,7 @@ std::vector<serialize::BatchReply> DedupRuntime::batch_execute(
 
     lock.lock();
     if (!transport_failed && shipping.size() == 1) {
-      // Map the plain reply into the slot; a non-GET/PUT reply (including a
-      // top-level ErrorResponse) is a per-op refusal.
-      if (auto* get_resp = std::get_if<GetResponse>(&*response)) {
-        shipping.front()->reply = std::move(*get_resp);
-      } else if (const auto* put_resp = std::get_if<PutResponse>(&*response)) {
-        shipping.front()->reply = *put_resp;
-      } else if (const auto* err =
-                     std::get_if<serialize::ErrorResponse>(&*response)) {
-        shipping.front()->reply = *err;
-      } else {
-        shipping.front()->reply = serialize::ErrorResponse{
-            serialize::ErrorCode::kBadRequest, "unexpected reply type"};
-      }
+      shipping.front()->reply = serialize::to_batch_reply(std::move(*response));
     } else if (!transport_failed) {
       const auto* batch_resp = std::get_if<serialize::BatchResponse>(&*response);
       if (batch_resp != nullptr &&
@@ -774,19 +703,9 @@ std::vector<serialize::BatchReply> DedupRuntime::stream_ops(
   replies.reserve(ops.size());
   for (const serialize::BatchOp& op : ops) {
     try {
-      Message response = std::visit(
-          [this](const auto& o) { return secure_round_trip(Message(o)); }, op);
-      if (auto* get_resp = std::get_if<GetResponse>(&response)) {
-        replies.emplace_back(std::move(*get_resp));
-      } else if (const auto* put_resp = std::get_if<PutResponse>(&response)) {
-        replies.emplace_back(*put_resp);
-      } else if (const auto* err =
-                     std::get_if<serialize::ErrorResponse>(&response)) {
-        replies.emplace_back(*err);
-      } else {
-        replies.emplace_back(serialize::ErrorResponse{
-            serialize::ErrorCode::kBadRequest, "unexpected reply type"});
-      }
+      replies.push_back(serialize::to_batch_reply(std::visit(
+          [this](const auto& o) { return secure_round_trip(Message(o)); },
+          op)));
     } catch (const Error& e) {
       replies.emplace_back(serialize::ErrorResponse{
           serialize::ErrorCode::kUnavailable, e.what()});

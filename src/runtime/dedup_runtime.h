@@ -21,12 +21,13 @@
 // `RuntimeConfig::fail_open` (the default), a crashed store, dropped
 // connection, timeout, or malformed frame on the GET path degrades the call
 // to `compute()` (counted in `Stats::degraded_calls`) instead of throwing
-// into the application. A failed round trip poisons the SecureChannel —
-// its sequence numbers are in an unknown state and are never reused — and
-// the runtime asks the transport to recover() on the next call, installing
-// the fresh session key a ResilientTransport reports after re-running the
-// attested handshake (see net/resilient.h, docs/PROTOCOL.md §"Failure
-// semantics").
+// into the application. Every store frame is sealed, shipped and opened by
+// a net::StoreLink on the calling thread: one link for a single store, one
+// per node inside a ClusterTransport. A failed round trip poisons the link
+// (its sequence numbers are in an unknown state and are never reused), and
+// the next call asks the transport to recover(), installing the fresh
+// session key a ResilientTransport reports after re-running the attested
+// handshake (see net/store_link.h, docs/PROTOCOL.md §"Failure semantics").
 #pragma once
 
 #include <array>
@@ -43,7 +44,7 @@
 #include "mle/tag.h"
 #include "net/channel.h"
 #include "net/cluster.h"
-#include "net/secure_channel.h"
+#include "net/store_link.h"
 #include "serialize/function_descriptor.h"
 #include "serialize/wire.h"
 #include "sgx/enclave.h"
@@ -129,11 +130,11 @@ class DedupRuntime {
                RuntimeConfig config = RuntimeConfig{});
 
   /// Cluster mode: GET/PUT route across a replicated store cluster instead
-  /// of one connection. The ClusterTransport owns a per-node attested
-  /// secure channel (plus reconnect/breaker machinery), so the runtime's
-  /// own single-link channel state stays disengaged; shared_ptr because the
-  /// deployment layer (capi, examples) keeps the cluster alive across
-  /// runtimes and probes it for health independently.
+  /// of one connection. The ClusterTransport owns a StoreLink per node
+  /// (plus reconnect/breaker machinery), so the runtime's own single-store
+  /// link stays disengaged; shared_ptr because the deployment layer (capi,
+  /// examples) keeps the cluster alive across runtimes and probes it for
+  /// health independently.
   DedupRuntime(sgx::Enclave& app_enclave,
                std::shared_ptr<net::ClusterTransport> cluster,
                RuntimeConfig config = RuntimeConfig{});
@@ -215,16 +216,10 @@ class DedupRuntime {
   std::vector<serialize::BatchReply> stream_ops(
       std::vector<serialize::BatchOp> ops);
 
-  /// One request/response over the secure channel. Must be called from
-  /// inside the enclave; takes the channel lock to keep sequence numbers
-  /// aligned with delivery order. If the channel is poisoned, first asks
-  /// the transport to recover() and installs any staged fresh key; throws
+  /// One request/response: over the single-store link, or routed by the
+  /// cluster. Must be called from inside the enclave; throws
   /// StoreUnavailableError when the store cannot be reached.
   serialize::Message secure_round_trip(const serialize::Message& request);
-
-  /// Swap in a SecureChannel under a freshly negotiated key, if the
-  /// transport staged one. Caller holds channel_mu_.
-  void install_rekey_locked() REQUIRES(channel_mu_);
 
   /// Like secure_round_trip, but routes through the micro-batcher when
   /// batching is enabled: the op may share a BatchRequest frame with other
@@ -253,24 +248,12 @@ class DedupRuntime {
   void cache_insert(const mle::Tag& tag, const Bytes& result);
 
   sgx::Enclave& enclave_;
-  std::unique_ptr<net::Transport> transport_;
+  /// Single-store mode only; disengaged in cluster mode.
+  std::optional<net::StoreLink> link_;
   std::shared_ptr<net::ClusterTransport> cluster_;
   RuntimeConfig config_;
   sgx::TrustedLibraryRegistry libraries_;
   std::optional<mle::BasicResultCipher> basic_cipher_;
-
-  Mutex channel_mu_{LockRank::kRuntimeChannel};
-  /// Single-link secure channel; disengaged in cluster mode (each cluster
-  /// link owns its own channel).
-  std::optional<net::SecureChannel> channel_ GUARDED_BY(channel_mu_);
-  /// A failed round trip leaves the channel's sequence numbers in an
-  /// unknown state; the key must never wrap another frame.
-  bool channel_poisoned_ GUARDED_BY(channel_mu_) = false;
-  /// Fresh session key staged by the transport's rekey callback, installed
-  /// at the next secure_round_trip (own lock: the callback runs while
-  /// channel_mu_ is already held by this thread).
-  Mutex rekey_mu_{LockRank::kRekeyStaging};
-  std::optional<secret::Buffer> pending_rekey_ GUARDED_BY(rekey_mu_);
 
   /// Lock-free metric cells; execute()'s hot path bumps these instead of
   /// taking a stats mutex.
@@ -288,7 +271,8 @@ class DedupRuntime {
     std::array<telemetry::Histogram,
                static_cast<std::size_t>(telemetry::CallOutcome::kCount)>
         call_ns;
-    /// Secure-channel round trips issued by this runtime (GET + PUT).
+    /// Store round trips issued by this runtime (GET + PUT), timed around
+    /// secure_round_trip in both modes.
     telemetry::Histogram round_trip_ns;
     /// Batch frames shipped by the micro-batcher and their op counts.
     telemetry::Counter batches;

@@ -17,6 +17,28 @@ using serialize::PutRequest;
 using serialize::PutResponse;
 using serialize::PutStatus;
 
+namespace {
+
+/// Recover the per-entry key from a stored entry and prove it decrypts
+/// under the expected tag. Returns the key, or nullopt for a missing,
+/// foreign, or poisoned entry (the GCM ⊥ of Fig. 3).
+std::optional<secret::Buffer> adopt_entry(const mle::ComputationContext& ctx,
+                                          const serialize::Tag& tag,
+                                          const GetResponse& resp) {
+  if (!resp.found || resp.entry.wrapped_key.size() != mle::kResultKeySize) {
+    return std::nullopt;
+  }
+  secret::Buffer key = mle::ResultCipher::recover_key(
+      ctx, resp.entry.challenge, resp.entry.wrapped_key);
+  if (!mle::ResultCipher::decrypt_result(tag, key, resp.entry.result_ct)
+           .has_value()) {
+    return std::nullopt;
+  }
+  return key;
+}
+
+}  // namespace
+
 Bytes StreamHandle::serialize() const {
   serialize::Encoder enc;
   enc.u8(static_cast<std::uint8_t>(kind));
@@ -76,25 +98,6 @@ StreamHandle StreamSession::put_trusted(ByteView data) {
 
   const bool fail_open = rt_.config_.fail_open;
   bool degraded = false;
-
-  // Recover the per-entry key from a stored entry and prove it decrypts
-  // under the expected tag. Returns the key, or nullopt for a missing,
-  // foreign, or poisoned entry (the GCM ⊥ of Fig. 3).
-  const auto adopt_entry =
-      [](const mle::ComputationContext& ctx, const serialize::Tag& tag,
-         const GetResponse& resp) -> std::optional<secret::Buffer> {
-    if (!resp.found) return std::nullopt;
-    if (resp.entry.wrapped_key.size() != mle::kResultKeySize) {
-      return std::nullopt;
-    }
-    secret::Buffer key = mle::ResultCipher::recover_key(
-        ctx, resp.entry.challenge, resp.entry.wrapped_key);
-    if (!mle::ResultCipher::decrypt_result(tag, key, resp.entry.result_ct)
-             .has_value()) {
-      return std::nullopt;
-    }
-    return key;
-  };
 
   // Fast path: some client (maybe us) already stored this exact stream —
   // one GET dedups the whole put.
@@ -360,19 +363,6 @@ StreamHandle StreamSession::put_whole_call(const chunk::ChunkPlan& plan,
     rt_.metrics_.stream_inline_chunks.inc();
   };
 
-  const auto adopt = [&](const GetResponse& resp) -> std::optional<secret::Buffer> {
-    if (!resp.found || resp.entry.wrapped_key.size() != mle::kResultKeySize) {
-      return std::nullopt;
-    }
-    secret::Buffer key = mle::ResultCipher::recover_key(
-        ctx, resp.entry.challenge, resp.entry.wrapped_key);
-    if (!mle::ResultCipher::decrypt_result(tag, key, resp.entry.result_ct)
-             .has_value()) {
-      return std::nullopt;
-    }
-    return key;
-  };
-
   std::vector<BatchReply> replies = rt_.stream_ops({make_get(tag)});
   const auto* get_resp = std::get_if<GetResponse>(&replies.front());
   if (get_resp == nullptr) {
@@ -384,7 +374,7 @@ StreamHandle StreamSession::put_whole_call(const chunk::ChunkPlan& plan,
     return handle;
   }
   if (get_resp->found) {
-    auto key = adopt(*get_resp);
+    auto key = adopt_entry(ctx, tag, *get_resp);
     if (key.has_value()) {
       rt_.metrics_.stream_whole_hits.inc();
       rt_.metrics_.stream_bytes_deduped.inc(plan.total_bytes());
@@ -425,7 +415,7 @@ StreamHandle StreamSession::put_whole_call(const chunk::ChunkPlan& plan,
     std::vector<BatchReply> reget = rt_.stream_ops({make_get(tag)});
     const auto* reget_resp = std::get_if<GetResponse>(&reget.front());
     std::optional<secret::Buffer> key;
-    if (reget_resp != nullptr) key = adopt(*reget_resp);
+    if (reget_resp != nullptr) key = adopt_entry(ctx, tag, *reget_resp);
     if (key.has_value()) {
       handle.key = std::move(*key);
       return handle;

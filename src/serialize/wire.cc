@@ -1,5 +1,7 @@
 #include "serialize/wire.h"
 
+#include <type_traits>
+
 namespace speed::serialize {
 
 namespace {
@@ -408,6 +410,21 @@ Message decode_message(ByteView data) {
   }
   dec.expect_done();
   return out;
+}
+
+BatchReply to_batch_reply(Message&& reply) {
+  return std::visit(
+      [](auto&& m) -> BatchReply {
+        using T = std::decay_t<decltype(m)>;
+        if constexpr (std::is_same_v<T, GetResponse> ||
+                      std::is_same_v<T, PutResponse> ||
+                      std::is_same_v<T, ErrorResponse>) {
+          return std::move(m);
+        } else {
+          return ErrorResponse{ErrorCode::kBadRequest, "unexpected reply type"};
+        }
+      },
+      std::move(reply));
 }
 
 MessageType peek_type(ByteView data) {

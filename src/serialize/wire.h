@@ -211,6 +211,11 @@ using Message =
                  PullResponse, PushRequest, PushResponse, MembershipUpdate,
                  MembershipAck, BatchRequest, BatchResponse, ErrorResponse>;
 
+/// Lift a plain reply into an op's batch slot: GET and PUT responses map to
+/// themselves, an ErrorResponse is the op's refusal, and any other kind
+/// becomes ErrorResponse{kBadRequest, "unexpected reply type"}.
+BatchReply to_batch_reply(Message&& reply);
+
 /// Encode any protocol message with its type byte.
 Bytes encode_message(const Message& msg);
 

@@ -101,9 +101,10 @@ class Registry {
   friend class Handle;
   void remove_collector(std::uint64_t id);
 
-  // Rank 450: acquired under ClusterTransport::Link::mu (ResilientTransport
-  // construction registers its breaker collector) and held across collector
-  // callbacks that take the runtime cache/queue locks — see docs/LOCK_ORDER.md.
+  // Rank 450: acquired under StoreLink::mu_ (a node dial constructs a
+  // ResilientTransport, which registers its breaker collector) and held
+  // across collector callbacks that take the runtime cache/queue locks —
+  // see docs/LOCK_ORDER.md.
   mutable Mutex mu_{LockRank::kTelemetryRegistry};
   std::uint64_t next_id_ GUARDED_BY(mu_) = 1;
   std::map<std::uint64_t, Collector> collectors_ GUARDED_BY(mu_);

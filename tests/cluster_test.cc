@@ -1,8 +1,8 @@
 // Replicated cluster tests: rendezvous routing, sloppy-quorum PUT acks,
-// GET failover + read-repair, health probes, membership epochs, resumable
-// bulk pulls, infra-plane role gating, and hedged GETs
-// (docs/PROTOCOL.md §8). The randomized chaos suite lives in
-// chaos_cluster_test.cc.
+// GET failover + read-repair, health probes, lazy dials of nodes that were
+// down at construction, membership epochs, resumable bulk pulls, and
+// infra-plane role gating (docs/PROTOCOL.md §8). The randomized chaos suite
+// lives in chaos_cluster_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -263,6 +263,27 @@ TEST_F(ClusterTest, HeartbeatProbesDriveHealthStates) {
   EXPECT_EQ(transport_->node_health(1), ClusterTransport::NodeHealth::kUp);
 }
 
+TEST_F(ClusterTest, NodeDownAtConstructionIsDialedWhenItReturns) {
+  build(3, 1);
+  SPEED_SEEDED_RNG(rng, 0xD1A1ull);
+  cluster_->kill(1);
+  const auto client = cluster_->connect(*app_);
+  EXPECT_EQ(client->node_health(1), ClusterTransport::NodeHealth::kDown);
+
+  ASSERT_TRUE(cluster_->restart(1));
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(client->config().probe_interval_ms + 1));
+  Tag tag = random_tag(rng);
+  while (client->preference_order(tag).front() != 1) tag = random_tag(rng);
+  GetRequest req;
+  req.tag = tag;
+  req.requester = app_->measurement();
+  const Message m =
+      app_->ecall([&] { return client->round_trip_message(req); });
+  EXPECT_NE(std::get_if<GetResponse>(&m), nullptr);
+  EXPECT_EQ(client->node_health(1), ClusterTransport::NodeHealth::kUp);
+}
+
 TEST_F(ClusterTest, HeartbeatReportsEntriesAndEpoch) {
   build(3, 1);
   SPEED_SEEDED_RNG(rng, 0xBEA7ull);
@@ -367,68 +388,6 @@ TEST_F(ClusterTest, InfraMessagesRejectedOnApplicationSessions) {
       serialize::encode_message(Message(serialize::PullRequest{}));
   const Message m = serialize::decode_message(store.handle(framed));
   EXPECT_NE(std::get_if<serialize::PullResponse>(&m), nullptr);
-}
-
-/// Transport decorator that delays every round trip (hedging trigger).
-class SlowTransport : public net::Transport {
- public:
-  SlowTransport(std::unique_ptr<net::Transport> inner, std::uint64_t delay_ms)
-      : inner_(std::move(inner)), delay_ms_(delay_ms) {}
-  Bytes round_trip(ByteView request) override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms_));
-    return inner_->round_trip(request);
-  }
-  bool recover() override { return inner_->recover(); }
-  void set_rekey_callback(net::Transport::RekeyCallback cb) override {
-    inner_->set_rekey_callback(std::move(cb));
-  }
-
- private:
-  std::unique_ptr<net::Transport> inner_;
-  std::uint64_t delay_ms_;
-};
-
-TEST_F(ClusterTest, HedgedGetServesFromReplicaWhilePrimaryIsSlow) {
-  net::ClusterConfig nc;
-  nc.hedge_delay_ms = 2;
-  build(3, 1, nc);
-  SPEED_SEEDED_RNG(rng, 0x4ED6Eull);
-  // Store entries first over the fast links.
-  std::vector<Tag> tags;
-  for (int i = 0; i < 12; ++i) {
-    tags.push_back(random_tag(rng));
-    ASSERT_EQ(put(tags.back()), PutStatus::kStored);
-  }
-  // Rebuild the client with node 0 behind a 50ms-slow link; entries whose
-  // primary is node 0 must be served by the replica before the slow leg
-  // finishes.
-  auto dials = cluster_->dial_list(*app_);
-  auto inner = dials[0].dial;
-  dials[0].dial = [inner]() {
-    auto conn = inner();
-    conn.transport =
-        std::make_unique<SlowTransport>(std::move(conn.transport), 50);
-    return conn;
-  };
-  net::ClusterConfig hedged = transport_->config();
-  auto client = std::make_shared<ClusterTransport>(*app_, std::move(dials),
-                                                   hedged);
-  std::size_t primary_on_0 = 0;
-  for (const Tag& t : tags) {
-    if (client->preference_order(t)[0] != 0) continue;
-    ++primary_on_0;
-    GetRequest req;
-    req.tag = t;
-    req.requester = app_->measurement();
-    const Message m = app_->ecall([&] { return client->round_trip_message(req); });
-    const auto* resp = std::get_if<GetResponse>(&m);
-    ASSERT_NE(resp, nullptr);
-    // The replica leg answered; the slow primary leg is joined afterwards
-    // without overwriting the served result.
-    EXPECT_TRUE(resp->found);
-  }
-  ASSERT_GT(primary_on_0, 0u);
-  EXPECT_EQ(client->stats().hedged_gets, primary_on_0);
 }
 
 // Regression for the two-tier metadata refactor (PROTOCOL.md §11): with

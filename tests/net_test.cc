@@ -1,13 +1,16 @@
-// Tests for the transport and the secure channel's framing. The attested
-// key agreement that keys the channel is covered in handshake_test.cc.
+// Tests for the transport, the secure channel's framing, and the StoreLink
+// that seals, ships and re-keys client frames. The attested key agreement
+// that keys the channel is covered in handshake_test.cc.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "crypto/gcm.h"
 #include "net/channel.h"
 #include "net/secure_channel.h"
+#include "net/store_link.h"
 #include "serialize/codec.h"
 
 namespace speed::net {
@@ -160,6 +163,189 @@ TEST_F(SecureChannelTest, LengthOverrunAndTrailingByteRejected) {
 TEST_F(SecureChannelTest, GarbageFrameRejected) {
   EXPECT_FALSE(server_.unwrap(as_bytes("not a frame")).has_value());
   EXPECT_FALSE(server_.unwrap({}).has_value());
+}
+
+// ------------------------------------------------------------- StoreLink
+
+/// Store stand-in for StoreLinkTest: a LoopbackTransport whose handler opens
+/// each request under the current responder's SecureChannel and echoes a
+/// heartbeat. Tests can make the next round trip throw, or flip one byte of
+/// the next reply. recover() moves to a fresh responder under a new key and
+/// stages that key, unless `can_rekey` is off.
+class FakeStore : public Transport {
+ public:
+  struct Responder {
+    explicit Responder(std::uint8_t key_fill)
+        : channel(fixed_key(key_fill), /*is_initiator=*/false) {}
+    SecureChannel channel;
+    std::vector<std::uint64_t> opened_seqs;  ///< requests it opened
+  };
+
+  FakeStore()
+      : loopback_([this](ByteView frame) { return answer(frame); }) {
+    responders.push_back(std::make_unique<Responder>(kFirstKey));
+  }
+
+  Bytes round_trip(ByteView request) override {
+    ++round_trips;
+    if (fail_next) {
+      fail_next = false;
+      throw StoreUnavailableError("injected: connection reset");
+    }
+    Bytes reply = loopback_.round_trip(request);
+    if (tamper_next) {
+      tamper_next = false;
+      reply.back() ^= 0x01;
+    }
+    return reply;
+  }
+
+  bool recover() override {
+    ++recovers;
+    if (!can_rekey) return false;
+    const auto fill = static_cast<std::uint8_t>(kFirstKey + responders.size());
+    responders.push_back(std::make_unique<Responder>(fill));
+    rekey_(secret::Buffer::absorb(fixed_key(fill)));
+    return true;
+  }
+
+  void set_rekey_callback(RekeyCallback cb) override { rekey_ = std::move(cb); }
+
+  static constexpr std::uint8_t kFirstKey = 0x10;
+
+  bool fail_next = false;
+  bool tamper_next = false;
+  bool can_rekey = true;
+  int round_trips = 0;
+  int recovers = 0;
+  std::vector<std::unique_ptr<Responder>> responders;  ///< back() serves
+
+ private:
+  Bytes answer(ByteView frame) {
+    Responder& r = *responders.back();
+    const auto plain = r.channel.unwrap(frame);
+    if (!plain.has_value()) throw ProtocolError("fake store: bad frame");
+    r.opened_seqs.push_back(serialize::Decoder(frame).u64());
+    const auto request = serialize::decode_message(*plain);
+    const auto& beat = std::get<serialize::HeartbeatRequest>(request);
+    return r.channel.wrap(serialize::encode_message(
+        serialize::HeartbeatResponse{beat.nonce}));
+  }
+
+  LoopbackTransport loopback_;
+  RekeyCallback rekey_;
+};
+
+class StoreLinkTest : public ::testing::Test {
+ protected:
+  static sgx::CostModel free_transitions() {
+    sgx::CostModel m;
+    m.ecall_ns = 0;
+    m.ocall_ns = 0;
+    return m;
+  }
+
+  StoreLinkTest()
+      : platform_(free_transitions()),
+        enclave_(platform_.create_enclave("link-app")) {}
+
+  /// A link over a fresh FakeStore keyed with its first responder's key.
+  std::unique_ptr<StoreLink> dialed_link(FakeStore*& store) {
+    auto owned = std::make_unique<FakeStore>();
+    store = owned.get();
+    return std::make_unique<StoreLink>(
+        *enclave_,
+        ResilientTransport::Connection{
+            std::move(owned),
+            secret::Buffer::absorb(fixed_key(FakeStore::kFirstKey))});
+  }
+
+  /// One heartbeat over `link`, from inside the enclave; returns the echo.
+  std::uint64_t beat(StoreLink& link, std::uint64_t nonce) {
+    const serialize::Message reply = enclave_->ecall(
+        [&] { return link.round_trip(serialize::HeartbeatRequest{nonce}); });
+    return std::get<serialize::HeartbeatResponse>(reply).nonce;
+  }
+
+  sgx::Platform platform_;
+  std::unique_ptr<sgx::Enclave> enclave_;
+};
+
+TEST_F(StoreLinkTest, FailedRoundTripPoisonsUntilRekeyed) {
+  FakeStore* store = nullptr;
+  auto link = dialed_link(store);
+  EXPECT_EQ(beat(*link, 1), 1u);
+
+  store->fail_next = true;
+  EXPECT_THROW(beat(*link, 2), StoreUnavailableError);
+  EXPECT_EQ(store->recovers, 0) << "the failed frame is never retried";
+
+  EXPECT_EQ(beat(*link, 3), 3u);
+  EXPECT_EQ(store->recovers, 1);
+  ASSERT_EQ(store->responders.size(), 2u);
+  // The old key wrapped nothing after the failure; the request opened
+  // under the staged key as that channel's first frame.
+  EXPECT_EQ(store->responders[0]->opened_seqs, std::vector<std::uint64_t>{0});
+  EXPECT_EQ(store->responders[1]->opened_seqs, std::vector<std::uint64_t>{0});
+
+  EXPECT_EQ(beat(*link, 4), 4u);
+  EXPECT_EQ(store->recovers, 1);
+}
+
+TEST_F(StoreLinkTest, PoisonedLinkThatCannotRekeyNeverSendsAgain) {
+  FakeStore* store = nullptr;
+  auto link = dialed_link(store);
+  store->can_rekey = false;
+  store->fail_next = true;
+  EXPECT_THROW(beat(*link, 1), StoreUnavailableError);
+  const int sent = store->round_trips;
+
+  for (std::uint64_t nonce = 2; nonce < 5; ++nonce) {
+    EXPECT_THROW(beat(*link, nonce), StoreUnavailableError);
+  }
+  EXPECT_EQ(store->round_trips, sent);
+  EXPECT_EQ(store->recovers, 3) << "one recover() per round trip";
+}
+
+TEST_F(StoreLinkTest, TamperedReplyPoisons) {
+  FakeStore* store = nullptr;
+  auto link = dialed_link(store);
+  store->tamper_next = true;
+  EXPECT_THROW(beat(*link, 1), ProtocolError);
+
+  EXPECT_EQ(beat(*link, 2), 2u);
+  EXPECT_EQ(store->recovers, 1);
+  EXPECT_EQ(store->responders.back()->opened_seqs,
+            std::vector<std::uint64_t>{0});
+}
+
+TEST_F(StoreLinkTest, UndialedLinkDialsOnFirstUse) {
+  int dials = 0;
+  bool refuse = true;
+  StoreLink link(*enclave_, ResilientTransport::Connection{},
+                 [&]() -> ResilientTransport::Connection {
+                   ++dials;
+                   if (refuse) throw StoreUnavailableError("injected: refused");
+                   return {std::make_unique<FakeStore>(),
+                           secret::Buffer::absorb(
+                               fixed_key(FakeStore::kFirstKey))};
+                 });
+  EXPECT_EQ(dials, 0);
+
+  std::uint64_t ocalls = enclave_->ocall_count();
+  EXPECT_THROW(beat(link, 1), StoreUnavailableError);
+  EXPECT_EQ(dials, 1);
+  EXPECT_EQ(enclave_->ocall_count() - ocalls, 1u) << "the dial's OCALL only";
+
+  // The refused dial left the link undialed: the next call dials again.
+  refuse = false;
+  ocalls = enclave_->ocall_count();
+  EXPECT_EQ(beat(link, 2), 2u);
+  EXPECT_EQ(dials, 2);
+  EXPECT_EQ(enclave_->ocall_count() - ocalls, 2u) << "one dial, one round trip";
+
+  EXPECT_EQ(beat(link, 3), 3u);
+  EXPECT_EQ(dials, 2);
 }
 
 }  // namespace
