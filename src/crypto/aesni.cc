@@ -3,15 +3,18 @@
 // This translation unit is compiled with -maes -mpclmul -mssse3; callers must
 // gate on hw::gcm128_available() before invoking the gcm128_* functions.
 //
-// Each call is one stitched pass over the payload. Inputs with at least one
-// full 8-block group precompute H^1..H^8; every group then runs eight CTR
-// blocks through the AES rounds while the carry-less products of eight
-// ciphertext blocks with H^8..H^1 accumulate unreduced, and the sum is
-// reduced once per group (the aggregated reduction of Gueron and Kounavis,
-// "Carry-Less Multiplication and Its Usage for Computing the GCM Mode";
-// gfmul below is that white paper's shift-left-by-1 variant on
-// byte-reflected operands). The tail and the AAD take one block at a time,
-// so a short message pays for no power table.
+// Each call is one stitched pass over the payload. A call whose AAD or
+// payload has at least one full 8-block group computes H^1..H^8 once; every
+// payload group then runs eight CTR blocks through the AES rounds while the
+// carry-less products of eight ciphertext blocks with H^8..H^1 accumulate
+// unreduced, and the sum is reduced once per group (the aggregated reduction
+// of Gueron and Kounavis, "Carry-Less Multiplication and Its Usage for
+// Computing the GCM Mode"; gfmul below is that white paper's
+// shift-left-by-1 variant on byte-reflected operands). The AAD's full groups
+// take the same aggregated GHASH, one reduction per group, so a long AAD
+// (the store's blob MAC: a GMAC with the blob as AAD and no plaintext) costs
+// a fraction of an AES pass. The tails take one block at a time, so a short
+// message pays for no power table.
 //
 // Decryption loads every ciphertext block into a register once and feeds
 // that register to both GHASH and the keystream XOR: a buffer the enclave
@@ -155,6 +158,7 @@ inline __m128i make_j0(const std::uint8_t iv[12]) {
 struct KeyState {
   __m128i rk[11];
   __m128i hpow[kLanes] = {};  ///< hpow[i] = H^(i+1), reflected; [1..] on demand
+  bool have_powers = false;   ///< hpow[1..] computed
   __m128i ej0;                ///< E(J0), the tag mask
   std::uint8_t expected_tag[16] = {};
   std::uint8_t spill[16] = {};  ///< partial-block keystream / data
@@ -184,10 +188,13 @@ struct KeyState {
     return _mm_aesenclast_si128(block, rk[10]);
   }
 
+  /// H^2..H^8, at most once per call (the AAD and the payload share them).
   void compute_powers() {
+    if (have_powers) return;
     for (std::size_t i = 1; i < kLanes; ++i) {
       hpow[i] = gfmul(hpow[i - 1], hpow[0]);
     }
+    have_powers = true;
   }
 };
 
@@ -198,13 +205,22 @@ class Pass {
   Pass(KeyState& ks, const std::uint8_t iv[12])
       : ks_(ks), ctr_(_mm_shuffle_epi8(make_j0(iv), kCounterSwap)) {}
 
-  /// GHASH `aad`, one block at a time with its final block zero-padded.
+  /// GHASH `aad`: full 8-block groups with one reduction each, then the
+  /// rest one block at a time with its final block zero-padded.
   void absorb_aad(ByteView aad) {
-    std::size_t off = 0;
-    for (; off + 16 <= aad.size(); off += 16) absorb(load(aad.data() + off));
+    const std::uint8_t* src = aad.data();
+    const std::size_t groups = aad.size() / kGroupBytes;
+    if (groups > 0) ks_.compute_powers();
+    for (std::size_t g = 0; g < groups; ++g) {
+      __m128i c[kLanes];
+      each_lane([&](auto i) { c[i] = load(src + g * kGroupBytes + 16 * i); });
+      ghash_group(c);
+    }
+    std::size_t off = groups * kGroupBytes;
+    for (; off + 16 <= aad.size(); off += 16) absorb(load(src + off));
     if (off < aad.size()) {
       std::uint8_t padded[16] = {0};
-      std::memcpy(padded, aad.data() + off, aad.size() - off);
+      std::memcpy(padded, src + off, aad.size() - off);
       absorb(load(padded));
     }
   }

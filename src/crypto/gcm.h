@@ -9,9 +9,10 @@
 //   * a hardware path (AES-NI + PCLMULQDQ) for 128-bit keys, matching the
 //     SGX SDK crypto library the paper used. It is one stitched pass per
 //     payload byte: eight CTR blocks per group with their GHASH products
-//     accumulated and reduced once per group (aggregated reduction). A
-//     decrypt fetches each ciphertext block once, and on a tag mismatch it
-//     zeroes the plaintext it wrote (aesni.cc);
+//     accumulated and reduced once per group (aggregated reduction), and a
+//     long AAD is hashed the same way. A decrypt fetches each ciphertext
+//     block once, and on a tag mismatch it zeroes the plaintext it wrote
+//     (aesni.cc);
 //   * a portable scalar path for any key size: the reference, and the
 //     fallback on CPUs without AES-NI/PCLMULQDQ.
 // Both are validated against NIST vectors and against each other in tests.
@@ -51,7 +52,8 @@ class AesGcm {
   Bytes seal(ByteView iv, ByteView aad, ByteView plaintext) const;
 
   /// seal() into `out`, which must hold exactly plaintext.size() + 16
-  /// bytes (ciphertext ‖ tag) and must not overlap `plaintext`.
+  /// bytes (ciphertext ‖ tag) and must not overlap `plaintext`. With an
+  /// empty plaintext `out` is the 16-byte tag alone: a GMAC of `aad`.
   void seal_into(ByteView iv, ByteView aad, ByteView plaintext,
                  std::span<std::uint8_t> out) const;
 

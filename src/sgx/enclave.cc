@@ -138,6 +138,10 @@ std::optional<Bytes> Enclave::unseal(ByteView aad, ByteView sealed) {
   return crypto::gcm_decrypt(seal_key_, aad, sealed);
 }
 
+secret::Buffer Enclave::derive_key(std::string_view label) const {
+  return crypto::derive_key(seal_key_, label, {}, 16);
+}
+
 Report Enclave::create_report(const Measurement& target_measurement,
                               ByteView user_data) const {
   if (user_data.size() > 64) {

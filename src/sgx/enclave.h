@@ -6,7 +6,8 @@
 //
 //   * ECALL/OCALL transition accounting (with simulated latency),
 //   * trusted-memory accounting against the shared EPC,
-//   * sealing (AES-GCM-256 under a measurement-bound key),
+//   * sealing (AES-GCM-256 under a measurement-bound key), and labelled
+//     keys derived under the same policy (EGETKEY),
 //   * local attestation reports (HMAC bound to the target's measurement).
 //
 // The isolation boundary is enforced by API discipline rather than hardware:
@@ -135,6 +136,12 @@ class Enclave {
   /// only an enclave with the same measurement on the same platform unseals.
   Bytes seal(ByteView aad, ByteView plaintext);
   std::optional<Bytes> unseal(ByteView aad, ByteView sealed);
+
+  /// A 16-byte key for `label`, derived from the sealing key (the EGETKEY
+  /// counterpart of seal()). Same policy: every enclave with this
+  /// measurement on this platform derives the same key, and so does one on
+  /// a Platform rebuilt from the same stable_key_seed after a restart.
+  secret::Buffer derive_key(std::string_view label) const;
 
   // ----------------------------------------------------------- Attestation
 

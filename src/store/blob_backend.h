@@ -7,7 +7,7 @@
 //   * a *blob arena* holding the [res] AEAD envelopes, addressed by opaque
 //     BlobRefs. Blobs are ciphertext end to end, so the backend needs no
 //     protection of its own — the trusted dictionary pins each blob with a
-//     digest and the store degrades a mismatch to a miss;
+//     MAC (BlobMac) and the store degrades a mismatch to a miss;
 //   * a *metadata WAL* of records the store enclave has already sealed and
 //     MAC-chained (store/wal_codec.h). The backend never sees plaintext
 //     metadata; it only frames, persists, replays, and truncates opaque
@@ -54,6 +54,12 @@ struct BlobRef {
   friend bool operator==(const BlobRef&, const BlobRef&) = default;
 };
 
+/// The trusted dictionary's integrity pin of one blob: a GMAC tag[16] ‖
+/// its IV[12] ‖ four zero bytes, under a key only the store enclave derives
+/// (ResultStore::make_blob_mac). Kept in spill and WAL records, never given
+/// to the backend.
+using BlobMac = std::array<std::uint8_t, 32>;
+
 /// Cumulative backend-side accounting, exported by the store's telemetry
 /// collector (speed_store_wal_* / speed_store_segments_* families).
 struct BackendStats {
@@ -78,7 +84,7 @@ class BlobBackend {
 
   /// Read a blob back; nullopt when the ref is dangling (deleted, compacted
   /// away, or pointing into a torn segment tail). The caller verifies the
-  /// contents against the trusted digest — the backend only fetches bytes.
+  /// contents against the trusted blob MAC — the backend only fetches bytes.
   virtual std::optional<Bytes> get_blob(const BlobRef& ref) const = 0;
 
   /// Mark a blob dead (eviction, corruption-triggered erase). Space is

@@ -3,7 +3,7 @@
 // PR 10 replaces the pointer-heavy per-entry `std::unordered_map` node with a
 // two-tier layout: a fixed 32-byte open-addressed slot stays resident in EPC
 // (store/meta_index.h) while the full record — tag, owner, challenge r,
-// wrapped key [k], result-blob digest and locator — is sealed and spilled to
+// wrapped key [k], result-blob MAC and locator — is sealed and spilled to
 // the blob backend, to be faulted back in on demand. This codec defines that
 // spilled record's plaintext layout.
 //
@@ -33,15 +33,15 @@
 #include <optional>
 
 #include "common/bytes.h"
-#include "crypto/sha256.h"
 #include "serialize/wire.h"
 #include "store/blob_backend.h"
 
 namespace speed::store {
 
 /// Format version of the plaintext record (first byte). Bump on any layout
-/// change; decode_meta_record rejects unknown versions loudly.
-inline constexpr std::uint8_t kMetaFormatVersion = 1;
+/// or meaning change (v2: blob_digest holds a BlobMac, no longer a SHA-256
+/// digest); decode_meta_record rejects unknown versions loudly.
+inline constexpr std::uint8_t kMetaFormatVersion = 2;
 
 /// Domain label bound into every sealed spill record's AAD (with version).
 inline constexpr std::string_view kMetaDomain = "speed-store-meta";
@@ -59,7 +59,7 @@ struct MetaRecord {
   serialize::AppId owner{};
   Bytes challenge;                     ///< r
   Bytes wrapped_key;                   ///< [k]
-  crypto::Sha256Digest blob_digest{};  ///< integrity pin of [res]
+  BlobMac blob_digest{};               ///< MAC of [res]: GMAC tag ‖ IV ‖ 0[4]
   std::uint64_t blob_bytes = 0;
   BlobRef blob;  ///< where the backend stored [res]
 

@@ -18,7 +18,7 @@
 //   spill_len   2B  sealed spill record length (restores the BlobRef)
 //   hits        2B  saturating popularity counter (LFU + anti-entropy)
 //
-// Everything else (tag, owner id, challenge, wrapped key, digest, result
+// Everything else (tag, owner id, challenge, wrapped key, blob MAC, result
 // BlobRef) lives in the sealed spill record and is faulted in on demand.
 // Fingerprints collide (8 bytes of a 32-byte tag), so every lookup confirms
 // candidates against the full record via a caller-supplied callback; `loc`

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "common/error.h"
@@ -24,7 +25,7 @@ using serialize::Tag;
 namespace {
 
 /// Resident-memory cost model of one *decoded* record held in the cache or
-/// pinned tier: tag + owner + digest + locator + container overhead, plus
+/// pinned tier: tag + owner + blob MAC + locator + container overhead, plus
 /// the variable fields. Deliberately on the generous side — the EPC charge
 /// must never undercount real trusted memory.
 constexpr std::uint64_t kMetaRecordOverheadBytes = 128;
@@ -113,6 +114,7 @@ std::uint64_t ResultStore::QuotaLedger::used(
 ResultStore::ResultStore(sgx::Platform& platform, StoreConfig config)
     : platform_(platform),
       enclave_(platform.create_enclave("speed-result-store")),
+      blob_mac_(enclave_->derive_key("speed-store-blob-mac")),
       config_(std::move(config)),
       backend_(config_.backend ? config_.backend
                                : std::make_shared<MemoryBackend>()),
@@ -641,6 +643,44 @@ void ResultStore::sync_trusted_charge_locked(Shard& shard) {
   shard.meta_pinned_records.set(static_cast<std::int64_t>(shard.pinned.size()));
 }
 
+// ---------------------------------------------------------------- blob MAC
+
+BlobMac ResultStore::make_blob_mac(ByteView blob) {
+  static_assert(sizeof(BlobMac) ==
+                crypto::kGcmTagSize + crypto::kGcmIvSize + 4);
+  BlobMac mac{};
+  const Bytes iv = enclave_->random_bytes(crypto::kGcmIvSize);
+  std::copy(iv.begin(), iv.end(), mac.begin() + crypto::kGcmTagSize);
+  blob_mac_.seal_into(iv, blob, {}, std::span(mac).first(crypto::kGcmTagSize));
+  return mac;
+}
+
+bool ResultStore::verify_blob_mac(ByteView blob, const BlobMac& mac) const {
+  // Recomputed tag ‖ the stored IV ‖ zeros, compared with `mac` in one
+  // constant-time pass: a wrong tag or a nonzero pad both fail.
+  BlobMac expected{};
+  const ByteView iv =
+      ByteView(mac).subspan(crypto::kGcmTagSize, crypto::kGcmIvSize);
+  std::copy(iv.begin(), iv.end(), expected.begin() + crypto::kGcmTagSize);
+  blob_mac_.seal_into(iv, blob, {},
+                      std::span(expected).first(crypto::kGcmTagSize));
+  return ct_equal(ByteView(expected), ByteView(mac));
+}
+
+std::optional<Bytes> ResultStore::read_verified_blob_locked(
+    Shard& shard, const Found& found) {
+  std::optional<Bytes> blob = backend_->get_blob(found.rec.blob);
+  if (blob.has_value() && verify_blob_mac(*blob, found.rec.blob_digest)) {
+    return blob;
+  }
+  // The host deleted or changed the ciphertext (the "authentication MAC"
+  // kept in the dictionary entry caught it, §IV-B): drop the entry, so the
+  // tag degrades to a miss here and is never shipped to a peer.
+  shard.corrupt_blobs.inc();
+  erase_entry_locked(shard, *found.slot, found.rec, /*log_wal=*/true);
+  return std::nullopt;
+}
+
 // ----------------------------------------------------------- request paths
 
 GetResponse ResultStore::get_trusted(const GetRequest& req) {
@@ -657,24 +697,8 @@ GetResponse ResultStore::get_trusted(const GetRequest& req) {
   auto found = find_entry_locked(shard, req.tag);
   if (!found.has_value()) return resp;
 
-  std::optional<Bytes> blob = backend_->get_blob(found->rec.blob);
-  if (!blob.has_value()) {
-    // Host deleted the ciphertext from under us: degrade to a miss and drop
-    // the orphaned metadata.
-    shard.corrupt_blobs.inc();
-    erase_entry_locked(shard, *found->slot, found->rec, /*log_wal=*/true);
-    return resp;
-  }
-  // Verify the untrusted blob against the trusted digest before serving it
-  // (the "authentication MAC" kept in the dictionary entry, §IV-B).
-  const auto digest = crypto::Sha256::digest(*blob);
-  if (!ct_equal(ByteView(digest.data(), digest.size()),
-                ByteView(found->rec.blob_digest.data(),
-                         found->rec.blob_digest.size()))) {
-    shard.corrupt_blobs.inc();
-    erase_entry_locked(shard, *found->slot, found->rec, /*log_wal=*/true);
-    return resp;
-  }
+  std::optional<Bytes> blob = read_verified_blob_locked(shard, *found);
+  if (!blob.has_value()) return resp;
 
   shard.hits.inc();
   if (found->slot->hits < std::numeric_limits<std::uint16_t>::max()) {
@@ -700,10 +724,9 @@ PutStatus ResultStore::insert_trusted(const Tag& tag,
                                       bool enforce_quota) {
   Shard& shard = shard_for(tag);
   const LatencyScope timer(shard.put_ns);
-  // The digest reads only the request, so it is taken before the shard lock:
-  // hashing a large blob must not stall the shard's GETs.
-  const crypto::Sha256Digest blob_digest =
-      crypto::Sha256::digest(entry.result_ct);
+  // The MAC reads only the request, so it is taken before the shard lock:
+  // neither the blob pass nor the DRBG lock may stall the shard's GETs.
+  const BlobMac blob_mac = make_blob_mac(entry.result_ct);
   MutexLock lock(shard.mu);
   sgx::charge_wait(platform_.cost_model(),
                    platform_.cost_model().store_service_ns);
@@ -744,7 +767,7 @@ PutStatus ResultStore::insert_trusted(const Tag& tag,
   rec.owner = owner;
   rec.challenge = entry.challenge;
   rec.wrapped_key = entry.wrapped_key;
-  rec.blob_digest = blob_digest;
+  rec.blob_digest = blob_mac;
   rec.blob_bytes = blob_bytes;
 
   // Result blob first, spill record second, WAL record last: a crash between
@@ -829,7 +852,7 @@ SyncResponse ResultStore::sync_trusted(const SyncRequest& req) {
     MutexLock lock(shard.mu);
     const auto found = find_entry_locked(shard, tag);
     if (!found.has_value()) continue;
-    std::optional<Bytes> blob = backend_->get_blob(found->rec.blob);
+    std::optional<Bytes> blob = read_verified_blob_locked(shard, *found);
     if (!blob.has_value()) continue;
     SyncEntry e;
     e.tag = tag;
@@ -917,7 +940,7 @@ serialize::PullResponse ResultStore::pull_trusted(
     MutexLock lock(shard.mu);
     const auto found = find_entry_locked(shard, tag);
     if (!found.has_value()) continue;  // evicted between phases
-    std::optional<Bytes> blob = backend_->get_blob(found->rec.blob);
+    std::optional<Bytes> blob = read_verified_blob_locked(shard, *found);
     if (!blob.has_value()) continue;
     SyncEntry e;
     e.tag = tag;

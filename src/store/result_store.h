@@ -4,19 +4,21 @@
 //
 //   * a *trusted* metadata dictionary living in the store enclave, keyed by
 //     the computation tag. Each entry is deliberately small — the challenge
-//     message r, the wrapped key [k], an authentication digest of the
+//     message r, the wrapped key [k], an authentication MAC of the
 //     ciphertext, bookkeeping for LRU/quota — and is charged against the
 //     simulated EPC;
 //   * an *untrusted* ciphertext arena holding the actual [res] blobs, which
 //     can grow without pressuring enclave memory. Blobs are AEAD envelopes
-//     the store cannot read; their digest in the trusted entry lets the
-//     store detect host-side corruption on GET and degrade to a miss.
+//     the store cannot read. Each one's MAC in the trusted entry (a GMAC
+//     under a fresh IV, keyed by a key the store enclave derives from its
+//     sealing key) lets the store detect host-side corruption before it
+//     serves the blob to a GET, SYNC or PULL, and degrade to a miss.
 //
 // EPC-scale metadata (PR 10): the dictionary itself is two-tiered. The
 // resident tier is a robin-hood open-addressed MetaIndex of fixed 32-byte
 // slots (store/meta_index.h) — fingerprint, packed spill locator, recency
 // clock, hit counter, quota bookkeeping. The full record (tag, owner,
-// challenge, wrapped key, digest, result locator) is sealed with the store
+// challenge, wrapped key, blob MAC, result locator) is sealed with the store
 // enclave's key (store/meta_codec.h) and written to the blob backend at
 // insert time; a bounded per-shard cache (StoreConfig::resident_meta_bytes)
 // keeps hot records decoded, and cold records are *faulted in* — read back,
@@ -74,7 +76,7 @@
 
 #include "common/annotated_lock.h"
 #include "common/bytes.h"
-#include "crypto/sha256.h"
+#include "crypto/gcm.h"
 #include "serialize/wire.h"
 #include "sgx/enclave.h"
 #include "store/blob_backend.h"
@@ -434,6 +436,23 @@ class ResultStore {
                           const MetaRecord& rec, bool log_wal)
       REQUIRES(shard.mu);
 
+  // ------------------------------------------------------------ blob MAC
+
+  /// The pair that owns the BlobMac format, tag[16] ‖ iv[12] ‖ 0[4]: a
+  /// GMAC (AES-128-GCM with `blob` as AAD and no plaintext) under blob_mac_.
+  /// make_blob_mac draws a fresh IV, which takes the DRBG lock, so PUT calls
+  /// it before the shard lock.
+  BlobMac make_blob_mac(ByteView blob);
+  bool verify_blob_mac(ByteView blob, const BlobMac& mac) const;
+
+  /// Reads `found`'s blob and verifies it against its MAC; GET, SYNC and
+  /// PULL serve only bytes returned from here. A missing or changed blob
+  /// counts corrupt_blobs, erases the entry with its WAL record and returns
+  /// nullopt (the caller answers a miss or skips the entry).
+  std::optional<Bytes> read_verified_blob_locked(Shard& shard,
+                                                 const Found& found)
+      REQUIRES(shard.mu);
+
   /// Evicts the coldest entry (kLru: oldest clock; kLfu: fewest hits, ties
   /// toward oldest clock). False when the shard is empty.
   bool evict_one_locked(Shard& shard) REQUIRES(shard.mu);
@@ -467,6 +486,9 @@ class ResultStore {
 
   sgx::Platform& platform_;
   std::unique_ptr<sgx::Enclave> enclave_;
+  /// Blob MAC key, derived from the store enclave's sealing key, so it
+  /// exists only here and survives a restart on the same platform.
+  const crypto::AesGcm blob_mac_;
   StoreConfig config_;
   std::shared_ptr<BlobBackend> backend_;
   /// Per-shard slices of the global capacity limits.

@@ -3,7 +3,7 @@
 // Two layers, split along the trust boundary:
 //
 //   * the *plaintext record* (this codec): a versioned, canonical encoding
-//     of one dictionary mutation — insert of tag -> (r, [k], digest,
+//     of one dictionary mutation — insert of tag -> (r, [k], blob MAC,
 //     BlobRef, owner, hits) or erase of a tag. Golden byte vectors for this
 //     format are checked in under tests/wal_codec_test.cc, so any format
 //     change fails loudly instead of silently corrupting old logs;
@@ -24,16 +24,18 @@
 
 #include "common/bytes.h"
 #include "crypto/gcm.h"
-#include "crypto/sha256.h"
 #include "serialize/wire.h"
 #include "store/blob_backend.h"
 
 namespace speed::store {
 
 /// Format version of the plaintext record encoding (first byte of every
-/// record). Bump on any layout change; decode_wal_record rejects unknown
-/// versions with a distinct error message.
-inline constexpr std::uint8_t kWalFormatVersion = 1;
+/// record). Bump on any layout or meaning change (v2: blob_digest holds a
+/// BlobMac, no longer a SHA-256 digest); decode_wal_record rejects unknown
+/// versions with a distinct error message. The version is also bound into
+/// chain_aad, so a log of another version fails its chain check at record 0
+/// and recovery drops it as a torn tail.
+inline constexpr std::uint8_t kWalFormatVersion = 2;
 
 /// Domain label sealed into every record's AAD (with the version).
 inline constexpr std::string_view kWalDomain = "speed-store-wal";
@@ -52,7 +54,7 @@ struct WalRecord {
   serialize::AppId owner{};
   Bytes challenge;                     ///< r
   Bytes wrapped_key;                   ///< [k]
-  crypto::Sha256Digest blob_digest{};  ///< integrity pin of [res]
+  BlobMac blob_digest{};               ///< MAC of [res]: GMAC tag ‖ IV ‖ 0[4]
   std::uint64_t blob_bytes = 0;
   BlobRef ref;          ///< where the backend stored [res]
   std::uint64_t hits = 0;

@@ -305,6 +305,9 @@ INSTANTIATE_TEST_SUITE_P(McGrewViega, GcmPortableVectorTest,
 // for the AAD; the ciphertext is pinned by its SHA-256. Generated with the
 // Python `cryptography` package, 48.0.0:
 //   python3 -c "from cryptography.hazmat.primitives.ciphers.aead import AESGCM; import hashlib; p=lambda n,s: bytes((s+31*i)%256 for i in range(n)); o=AESGCM(bytes.fromhex(KEY)).encrypt(bytes.fromhex(IV), p(PT_LEN,0), p(AAD_LEN,0x55)); print(hashlib.sha256(o[:-16]).hexdigest(), o[-16:].hex())"
+// The gmac_* vectors are the same command with PT_LEN = 0: a GMAC of a long
+// AAD, the shape of the store's blob MAC, which takes the hardware path's
+// 8-block AAD groups (the ciphertext digest is then SHA-256 of nothing).
 struct GcmLongVector {
   const char* name;
   const char* key;
@@ -332,6 +335,22 @@ const GcmLongVector kGcmLongVectors[] = {
      "ffeeddccbbaa998877665544", 13, 4101,
      "b9769fba7f3e08cf74d47bd97d9842f2041140f52e1a8330f4e07a3d0e84c9e1",
      "0a4dac785087abc5a2a4d8e7f8bd68e2"},
+    {"gmac_one_group", "00112233445566778899aabbccddeeff",
+     "101112131415161718191a1b", 128, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "22381198842066b6ec795e1de7379388"},
+    {"gmac_two_groups_and_tail", "feffe9928665731c6d6a8f9467308308",
+     "cafebabefacedbaddecaf888", 300, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "63be8439393daed9d59be1d3af061d2f"},
+    {"gmac_four_kib_plus_five", "8f3a61c2d05e4b97a1c3e5f70921b4d6",
+     "0a1b2c3d4e5f60718293a4b5", 4101, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "1c76e86b9182b913f0d1f9deb2d4b367"},
+    {"gmac_sixty_four_kib_plus_three", "2b7e151628aed2a6abf7158809cf4f3c",
+     "f0e1d2c3b4a5968778695a4b", 65539, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "042db55d3a0bb337f07cdc22fbbdedea"},
 };
 
 Bytes counter_pattern(std::size_t n, std::uint8_t start) {
@@ -388,6 +407,20 @@ TEST_P(GcmLongVectorTest, TamperedCiphertextFailsAuth) {
   }
 }
 
+TEST_P(GcmLongVectorTest, TamperedAadFailsAuth) {
+  Bytes changed = aad();
+  if (changed.empty()) {
+    changed.push_back(0);  // a longer AAD is a changed one too
+  } else {
+    changed.back() ^= 0x80;
+  }
+  for (const AesGcm::Impl impl : kGcmImpls) {
+    SCOPED_TRACE(impl == AesGcm::Impl::kAuto ? "auto" : "portable");
+    const Bytes sealed = sealed_known_answer(impl);
+    EXPECT_FALSE(AesGcm(key(), impl).open(iv(), changed, sealed).has_value());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(MultiGroup, GcmLongVectorTest,
                          ::testing::ValuesIn(kGcmLongVectors),
                          [](const auto& info) { return info.param.name; });
@@ -395,15 +428,7 @@ INSTANTIATE_TEST_SUITE_P(MultiGroup, GcmLongVectorTest,
 TEST(GcmTest, HwAndScalarPathsAgree) {
   if (!hw::gcm128_available()) GTEST_SKIP() << "no AES-NI on this machine";
   Drbg rng(to_bytes("gcm-crosscheck"));
-  // Lengths straddle the 16-byte block and the hardware path's 128-byte
-  // group; AAD lengths rotate through block edges up to 200 bytes.
-  constexpr std::size_t kAadLens[] = {0,  1,  12, 13,  15,  16,  17,
-                                      31, 32, 33, 100, 128, 129, 200};
-  std::size_t round = 0;
-  for (std::size_t len :
-       {0u, 1u, 15u, 16u, 17u, 63u, 64u, 100u, 127u, 128u, 129u, 255u, 256u,
-        257u, 1000u, 1023u, 1025u, 4111u, 65536u, (1u << 20) + 3u}) {
-    const std::size_t aad_len = kAadLens[round++ % std::size(kAadLens)];
+  const auto check = [&rng](std::size_t len, std::size_t aad_len) {
     SCOPED_TRACE(testing::Message() << "len " << len << " aad " << aad_len);
     const Bytes key = rng.bytes(16);
     const Bytes iv = rng.bytes(12);
@@ -430,6 +455,21 @@ TEST(GcmTest, HwAndScalarPathsAgree) {
     const auto opened = portable.open(iv, aad, sealed);
     ASSERT_TRUE(opened.has_value());
     EXPECT_EQ(*opened, pt);
+  };
+  // Lengths straddle the 16-byte block and the hardware path's 128-byte
+  // group; AAD lengths rotate through block edges up to 200 bytes.
+  constexpr std::size_t kAadLens[] = {0,  1,  12, 13,  15,  16,  17,
+                                      31, 32, 33, 100, 128, 129, 200};
+  std::size_t round = 0;
+  for (std::size_t len :
+       {0u, 1u, 15u, 16u, 17u, 63u, 64u, 100u, 127u, 128u, 129u, 255u, 256u,
+        257u, 1000u, 1023u, 1025u, 4111u, 65536u, (1u << 20) + 3u}) {
+    check(len, kAadLens[round++ % std::size(kAadLens)]);
+  }
+  // AADs of three 8-block groups, exact and plus a tail, alone (a GMAC) and
+  // before a multi-group plaintext, so AAD and payload share one power table.
+  for (std::size_t aad_len : {3 * 128u, 3 * 128u + 9u}) {
+    for (std::size_t len : {0u, 1025u}) check(len, aad_len);
   }
 }
 

@@ -60,12 +60,12 @@ MetaRecord golden_record() {
   return rec;
 }
 
-// Golden vector for spill format version 1. Regenerate ONLY on an
+// Golden vector for spill format version 2. Regenerate ONLY on an
 // intentional, version-bumped format change: the failure output prints the
 // new actual hex. Note the u16 (not u32) length prefixes — that cap is the
 // decoder's alloc-bomb guard.
 constexpr const char* kGoldenRecordHex =
-    "01"                                                                // ver
+    "02"                                                                // ver
     "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"  // tag
     "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"  // own
     "0400"      // challenge_len
@@ -82,7 +82,7 @@ constexpr const char* kGoldenRecordHex =
 constexpr const char* kGoldenAadHex =
     "10000000"                          // var-bytes length (16)
     "73706565642d73746f72652d6d657461"  // "speed-store-meta"
-    "01";                               // format version
+    "02";                               // format version
 
 TEST(MetaCodecTest, GoldenRecordVector) {
   const Bytes encoded = encode_meta_record(golden_record());

@@ -2,6 +2,7 @@
 // accounting, sealing, local attestation, and the trusted-library registry.
 #include <gtest/gtest.h>
 
+#include "crypto/gcm.h"
 #include "sgx/enclave.h"
 #include "sgx/trusted_library.h"
 
@@ -130,6 +131,37 @@ TEST(SealTest, TamperedSealedBlobRejected) {
   Bytes sealed = enclave->seal({}, to_bytes("data"));
   sealed[sealed.size() - 1] ^= 1;
   EXPECT_FALSE(enclave->unseal({}, sealed).has_value());
+}
+
+/// Stands in for a derived key without revealing it: the GMAC tag the key
+/// produces over fixed data under a fixed IV.
+Bytes derived_key_tag(const Enclave& enclave, std::string_view label) {
+  const crypto::AesGcm gcm(enclave.derive_key(label));
+  return gcm.seal(Bytes(crypto::kGcmIvSize, 0), as_bytes("fixed data"), {});
+}
+
+TEST(SealTest, DerivedKeyFollowsTheSealPolicy) {
+  const Bytes seed = to_bytes("machine-7");
+  Platform platform(fast_model(), seed);
+  auto store = platform.create_enclave("store");
+  const Bytes tag = derived_key_tag(*store, "blob-mac");
+
+  // Same label: one key for every enclave of the identity on the platform,
+  // and again after a restart (a Platform rebuilt from the same seed).
+  EXPECT_EQ(derived_key_tag(*platform.create_enclave("store"), "blob-mac"),
+            tag);
+  Platform restarted(fast_model(), seed);
+  EXPECT_EQ(derived_key_tag(*restarted.create_enclave("store"), "blob-mac"),
+            tag);
+
+  // A different label, identity or platform seed gives a different key.
+  EXPECT_NE(derived_key_tag(*store, "other-label"), tag);
+  EXPECT_NE(derived_key_tag(*platform.create_enclave("other"), "blob-mac"),
+            tag);
+  Platform other_machine(fast_model(), to_bytes("machine-8"));
+  EXPECT_NE(
+      derived_key_tag(*other_machine.create_enclave("store"), "blob-mac"),
+      tag);
 }
 
 TEST(ReportTest, TargetVerifiesGenuineReport) {

@@ -255,13 +255,11 @@ TEST_F(StoreTest, TrustedMemoryTracksDictionaryNotBlobs) {
 
 TEST_F(StoreTest, HostTamperedBlobDegradesToMiss) {
   // Simulate the host flipping bits in the untrusted arena: the store's
-  // trusted digest check must catch it and drop the entry.
+  // trusted MAC check must catch it and drop the entry.
   ASSERT_EQ(store_.put(make_put(5, 128)).status, PutStatus::kStored);
 
-  // Reach into the untrusted arena the way a malicious OS would: re-PUT is
-  // not possible (first write wins), so corrupt via the snapshot... instead
-  // we model corruption by sealing, restoring into a fresh store, and then
-  // using the public API only. Direct corruption needs a test hook:
+  // Reach into the untrusted arena the way a malicious OS would. A re-PUT
+  // cannot change the blob (first write wins), so a test hook flips a bit:
   store_.corrupt_blob_for_testing(make_tag(5));
 
   GetRequest get;
@@ -270,6 +268,51 @@ TEST_F(StoreTest, HostTamperedBlobDegradesToMiss) {
   EXPECT_EQ(store_.stats().corrupt_blobs, 1u);
   // The poisoned entry is gone; a fresh PUT re-populates it.
   EXPECT_EQ(store_.put(make_put(5, 128)).status, PutStatus::kStored);
+}
+
+/// Stores tags 1..3 and flips a bit of tag 2's blob in the arena.
+void store_three_and_tamper_with_tag_2(ResultStore& store) {
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    ASSERT_EQ(store.put(make_put(i)).status, PutStatus::kStored);
+  }
+  ASSERT_TRUE(store.corrupt_blob_for_testing(make_tag(2)));
+}
+
+/// A SYNC or PULL reply must carry only the untouched entries: the tampered
+/// blob is verified like a GET's, counted, erased, and never shipped to a
+/// peer (which would pin the changed bytes as valid for the tag).
+void expect_tampered_entry_skipped_and_erased(
+    ResultStore& store, const std::vector<serialize::SyncEntry>& served) {
+  ASSERT_EQ(served.size(), 2u);
+  for (const serialize::SyncEntry& e : served) {
+    EXPECT_NE(e.tag, make_tag(2)) << "tampered blob shipped to a peer";
+    EXPECT_EQ(e.entry, make_put(e.tag[0]).entry);
+  }
+  EXPECT_EQ(store.stats().corrupt_blobs, 1u);
+  GetRequest get;
+  get.tag = make_tag(2);
+  EXPECT_FALSE(store.get(get).found);
+}
+
+TEST_F(StoreTest, SyncSkipsAndErasesATamperedBlob) {
+  ASSERT_NO_FATAL_FAILURE(store_three_and_tamper_with_tag_2(store_));
+  const Bytes reply =
+      store_.handle(serialize::encode_message(serialize::SyncRequest{3}));
+  expect_tampered_entry_skipped_and_erased(
+      store_,
+      std::get<serialize::SyncResponse>(serialize::decode_message(reply))
+          .entries);
+}
+
+TEST_F(StoreTest, PullSkipsAndErasesATamperedBlob) {
+  ASSERT_NO_FATAL_FAILURE(store_three_and_tamper_with_tag_2(store_));
+  serialize::PullRequest first_page;
+  first_page.max_entries = 3;
+  const Bytes reply = store_.handle(serialize::encode_message(first_page));
+  expect_tampered_entry_skipped_and_erased(
+      store_,
+      std::get<serialize::PullResponse>(serialize::decode_message(reply))
+          .entries);
 }
 
 // ------------------------------------------------------------- sessions

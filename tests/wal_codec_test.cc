@@ -61,11 +61,11 @@ WalRecord golden_erase() {
   return rec;
 }
 
-// Golden vectors for on-disk format version 1. Regenerate ONLY on an
+// Golden vectors for on-disk format version 2. Regenerate ONLY on an
 // intentional, version-bumped format change: the test failure output prints
 // the new actual hex.
 constexpr const char* kGoldenInsertHex =
-    "0101000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
+    "0201000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
     "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"
     "040000000102030403000000050607"
     "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb"
@@ -75,10 +75,10 @@ constexpr const char* kGoldenInsertHex =
     "0002000000000000"
     "0300000000000000";
 constexpr const char* kGoldenEraseHex =
-    "0102fffefdfcfbfaf9f8f7f6f5f4f3f2f1f0efeeedecebeae9e8e7e6e5e4e3e2e1e0";
+    "0202fffefdfcfbfaf9f8f7f6f5f4f3f2f1f0efeeedecebeae9e8e7e6e5e4e3e2e1e0";
 constexpr const char* kGoldenChainAadHex =
     "0f00000073706565642d73746f72652d77616c"  // var "speed-store-wal"
-    "01"                                       // format version
+    "02"                                       // format version
     "2a00000000000000"                         // seq = 42
     "101112131415161718191a1b1c1d1e1f";        // prev GCM tag
 
