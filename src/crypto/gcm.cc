@@ -154,6 +154,14 @@ void scalar_gcm(ByteView key, ByteView iv, ByteView aad, ByteView data,
   secure_zero(ctr, sizeof(ctr));
 }
 
+/// True when the two ranges share at least one byte.
+bool overlaps(ByteView a, std::span<const std::uint8_t> b) {
+  if (a.empty() || b.empty()) return false;
+  const auto a0 = reinterpret_cast<std::uintptr_t>(a.data());
+  const auto b0 = reinterpret_cast<std::uintptr_t>(b.data());
+  return a0 < b0 + b.size() && b0 < a0 + a.size();
+}
+
 }  // namespace
 
 AesGcm::AesGcm(ByteView key, Impl impl) : key_(secret::Buffer::copy_of(key)) {
@@ -178,6 +186,9 @@ void AesGcm::seal_into(ByteView iv, ByteView aad, ByteView plaintext,
   if (out.size() != plaintext.size() + kGcmTagSize) {
     throw CryptoError("AesGcm: output must hold ciphertext and tag");
   }
+  if (out.data() != plaintext.data() && overlaps(plaintext, out)) {
+    throw CryptoError("AesGcm: output overlaps plaintext other than in place");
+  }
   const ByteView key = key_.reveal_for(secret::Purpose::of("aes_key_schedule"));
   std::uint8_t* tag = out.data() + plaintext.size();
   if (use_hw_) {
@@ -188,29 +199,42 @@ void AesGcm::seal_into(ByteView iv, ByteView aad, ByteView plaintext,
   }
 }
 
+bool AesGcm::open_into(ByteView iv, ByteView aad, ByteView ciphertext_and_tag,
+                       std::span<std::uint8_t> out) const {
+  if (ciphertext_and_tag.size() < kGcmTagSize) {
+    secure_zero(out.data(), out.size());
+    return false;
+  }
+  const ByteView ct = ciphertext_and_tag.first(ciphertext_and_tag.size() - kGcmTagSize);
+  const ByteView tag = ciphertext_and_tag.last(kGcmTagSize);
+  if (out.size() != ct.size()) {
+    throw CryptoError("AesGcm: output must hold exactly the ciphertext");
+  }
+  if (overlaps(ciphertext_and_tag, out)) {
+    throw CryptoError("AesGcm: output overlaps ciphertext");
+  }
+
+  const ByteView key = key_.reveal_for(secret::Purpose::of("aes_key_schedule"));
+  if (use_hw_) {
+    if (iv.size() != kGcmIvSize) throw CryptoError("AesGcm: IV must be 12 bytes");
+    // A failed decrypt has already zeroed `out`.
+    return hw::gcm128_decrypt(key.data(), iv.data(), aad, ct, tag.data(),
+                              out.data());
+  }
+  std::uint8_t expected_tag[16];
+  scalar_gcm(key, iv, aad, ct, /*encrypting=*/false, out.data(), expected_tag);
+  if (!ct_equal(ByteView(expected_tag, 16), tag)) {
+    secure_zero(out.data(), out.size());
+    return false;
+  }
+  return true;
+}
+
 std::optional<Bytes> AesGcm::open(ByteView iv, ByteView aad,
                                   ByteView ciphertext_and_tag) const {
   if (ciphertext_and_tag.size() < kGcmTagSize) return std::nullopt;
-  const ByteView ct = ciphertext_and_tag.first(ciphertext_and_tag.size() - kGcmTagSize);
-  const ByteView tag = ciphertext_and_tag.last(kGcmTagSize);
-
-  const ByteView key = key_.reveal_for(secret::Purpose::of("aes_key_schedule"));
-  Bytes pt(ct.size());
-  if (use_hw_) {
-    if (iv.size() != kGcmIvSize) throw CryptoError("AesGcm: IV must be 12 bytes");
-    // A failed decrypt has already zeroed `pt`.
-    if (!hw::gcm128_decrypt(key.data(), iv.data(), aad, ct, tag.data(),
-                            pt.data())) {
-      return std::nullopt;
-    }
-    return pt;
-  }
-  std::uint8_t expected_tag[16];
-  scalar_gcm(key, iv, aad, ct, /*encrypting=*/false, pt.data(), expected_tag);
-  if (!ct_equal(ByteView(expected_tag, 16), tag)) {
-    secure_zero(pt.data(), pt.size());
-    return std::nullopt;
-  }
+  Bytes pt(ciphertext_and_tag.size() - kGcmTagSize);
+  if (!open_into(iv, aad, ciphertext_and_tag, pt)) return std::nullopt;
   return pt;
 }
 

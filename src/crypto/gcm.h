@@ -17,7 +17,12 @@
 //     fallback on CPUs without AES-NI/PCLMULQDQ.
 // Both are validated against NIST vectors and against each other in tests.
 // seal_into and the envelope helpers write into the caller's final buffer,
-// so sealing a payload costs one allocation and no copy.
+// so sealing a payload costs one allocation and no copy. seal_into may also
+// seal in place (the output starts exactly at the plaintext): both
+// implementations read each block before they write it, so a frame can be
+// encoded after its header and sealed where it lies, with no second buffer.
+// open_into decrypts into a caller's buffer; decryption is never in place,
+// because the scalar path hashes the ciphertext after it has decrypted it.
 #pragma once
 
 #include <optional>
@@ -52,13 +57,21 @@ class AesGcm {
   Bytes seal(ByteView iv, ByteView aad, ByteView plaintext) const;
 
   /// seal() into `out`, which must hold exactly plaintext.size() + 16
-  /// bytes (ciphertext ‖ tag) and must not overlap `plaintext`. With an
-  /// empty plaintext `out` is the 16-byte tag alone: a GMAC of `aad`.
+  /// bytes (ciphertext ‖ tag). `out` either starts exactly at `plaintext`
+  /// (an in-place seal: out.data() == plaintext.data()) or does not overlap
+  /// it; any other overlap throws CryptoError. With an empty plaintext `out`
+  /// is the 16-byte tag alone: a GMAC of `aad`.
   void seal_into(ByteView iv, ByteView aad, ByteView plaintext,
                  std::span<std::uint8_t> out) const;
 
-  /// Verify + decrypt `ciphertext ‖ tag`. Returns nullopt on authentication
-  /// failure (the ⊥ of the paper's verification protocol).
+  /// Verify + decrypt `ciphertext ‖ tag` into `out`, which must hold
+  /// exactly the ciphertext's size and must not overlap the input. Returns
+  /// false on authentication failure (the ⊥ of the paper's verification
+  /// protocol), with `out` zeroed.
+  bool open_into(ByteView iv, ByteView aad, ByteView ciphertext_and_tag,
+                 std::span<std::uint8_t> out) const;
+
+  /// open_into() a fresh buffer; nullopt on authentication failure.
   std::optional<Bytes> open(ByteView iv, ByteView aad,
                             ByteView ciphertext_and_tag) const;
 

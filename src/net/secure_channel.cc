@@ -54,16 +54,33 @@ ChannelMetrics& channel_metrics() {
   return *m;
 }
 
+/// Size of the frame that carries `plaintext_len` bytes.
+std::size_t frame_size(std::size_t plaintext_len) {
+  return SecureChannel::kFrameHeaderSize + plaintext_len + crypto::kGcmTagSize;
+}
+
+/// Write the low `n` bytes of `v` at `p`, little-endian (the codec's order).
+void store_le(std::uint8_t* p, std::uint64_t v, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
 /// Deterministic 12-byte nonce: 4-byte direction ‖ 8-byte sequence number.
 /// Unique per key because each direction owns its own counter.
 std::array<std::uint8_t, crypto::kGcmIvSize> make_nonce(
     bool initiator_to_responder, std::uint64_t seq) {
   std::array<std::uint8_t, crypto::kGcmIvSize> nonce{};
   nonce[0] = initiator_to_responder ? 0x01 : 0x02;
-  for (int i = 0; i < 8; ++i) {
-    nonce[4 + i] = static_cast<std::uint8_t>(seq >> (8 * i));
-  }
+  store_le(nonce.data() + 4, seq, 8);
   return nonce;
+}
+
+/// AAD of a frame: its direction byte (1 initiator, 2 responder) ‖ u64 seq.
+std::array<std::uint8_t, 9> make_aad(bool initiator_to_responder,
+                                     std::uint64_t seq) {
+  std::array<std::uint8_t, 9> aad{};
+  aad[0] = initiator_to_responder ? 1 : 2;
+  store_le(aad.data() + 1, seq, 8);
+  return aad;
 }
 
 // Register the collector during static initialization, before any thread
@@ -85,34 +102,49 @@ SecureChannel::SecureChannel(Bytes session_key, bool is_initiator)
     : SecureChannel(secret::Buffer::absorb(std::move(session_key)),
                     is_initiator) {}
 
-Bytes SecureChannel::wrap(ByteView plaintext) {
+void SecureChannel::seal(ByteView plaintext, std::span<std::uint8_t> frame) {
   const std::uint64_t seq = send_seq_++;
   const auto nonce = make_nonce(is_initiator_, seq);
+  const auto aad = make_aad(is_initiator_, seq);
   const crypto::AesGcm gcm(key_);
-
-  serialize::Encoder aad;
-  aad.u8(is_initiator_ ? 1 : 2);
-  aad.u64(seq);
-
-  // Frame: u64 seq ‖ var_bytes(ct ‖ tag). The header goes first and the
-  // payload is sealed straight into the frame's tail.
-  const std::size_t sealed_len = plaintext.size() + crypto::kGcmTagSize;
-  serialize::Encoder header;
-  header.reserve(sizeof(std::uint64_t) + sizeof(std::uint32_t) + sealed_len);
-  header.u64(seq);
-  header.u32(static_cast<std::uint32_t>(sealed_len));
-  Bytes frame = header.take();
-  const std::size_t header_len = frame.size();
-  frame.resize(header_len + sealed_len);
-  gcm.seal_into(nonce, aad.view(), plaintext,
-                std::span(frame).subspan(header_len));
+  // Header first: it sits before the plaintext, so an in-place seal
+  // overwrites nothing it still has to read.
+  store_le(frame.data(), seq, 8);
+  store_le(frame.data() + 8, plaintext.size() + crypto::kGcmTagSize, 4);
+  gcm.seal_into(nonce, aad, plaintext, frame.subspan(kFrameHeaderSize));
   ChannelMetrics& cm = channel_metrics();
   cm.frames_sent.inc();
   cm.bytes_sealed.inc(plaintext.size());
+}
+
+Bytes SecureChannel::wrap(ByteView plaintext) {
+  Bytes frame;
+  seal_frame_to(plaintext, frame);
   return frame;
 }
 
+void SecureChannel::seal_frame(Bytes& frame) {
+  if (frame.size() < kFrameHeaderSize) {
+    throw CryptoError("SecureChannel: frame lacks its header");
+  }
+  const std::size_t plaintext_len = frame.size() - kFrameHeaderSize;
+  frame.resize(frame_size(plaintext_len));
+  seal(ByteView(frame).subspan(kFrameHeaderSize, plaintext_len), frame);
+}
+
+void SecureChannel::seal_frame_to(ByteView plaintext, Bytes& out) {
+  const std::size_t at = out.size();
+  out.resize(at + frame_size(plaintext.size()));
+  seal(plaintext, std::span(out).subspan(at));
+}
+
 std::optional<Bytes> SecureChannel::unwrap(ByteView frame) {
+  Bytes plain;
+  if (!open_frame(frame, plain).has_value()) return std::nullopt;
+  return plain;
+}
+
+std::optional<ByteView> SecureChannel::open_frame(ByteView frame, Bytes& plain) {
   std::uint64_t seq;
   ByteView sealed;
   ChannelMetrics& cm = channel_metrics();
@@ -126,25 +158,29 @@ std::optional<Bytes> SecureChannel::unwrap(ByteView frame) {
     return std::nullopt;
   }
   // Strict ordering: the peer's next frame must carry exactly recv_seq_.
-  if (seq != recv_seq_) {
+  // A sealed part shorter than a tag cannot authenticate.
+  if (seq != recv_seq_ || sealed.size() < crypto::kGcmTagSize) {
     cm.unwrap_failures.inc();
     return std::nullopt;
   }
 
+  const std::size_t plaintext_len = sealed.size() - crypto::kGcmTagSize;
+  if (plain.size() < plaintext_len) {
+    plain.reserve(plaintext_len);  // exactly: no doubling past the frame
+    plain.resize(plaintext_len);
+  }
+  const std::span<std::uint8_t> out = std::span(plain).first(plaintext_len);
   const auto nonce = make_nonce(!is_initiator_, seq);
-  serialize::Encoder aad;
-  aad.u8(is_initiator_ ? 2 : 1);
-  aad.u64(seq);
+  const auto aad = make_aad(!is_initiator_, seq);
   const crypto::AesGcm gcm(key_);
-  auto plain = gcm.open(nonce, aad.view(), sealed);
-  if (!plain.has_value()) {
+  if (!gcm.open_into(nonce, aad, sealed, out)) {
     cm.unwrap_failures.inc();
     return std::nullopt;
   }
   ++recv_seq_;
   cm.frames_received.inc();
-  cm.bytes_opened.inc(plain->size());
-  return plain;
+  cm.bytes_opened.inc(plaintext_len);
+  return ByteView(out);
 }
 
 }  // namespace speed::net

@@ -63,9 +63,15 @@ Message StoreLink::round_trip(const Message& request) {
           "StoreLink: secure channel poisoned and transport cannot rekey");
     }
   }
-  // Wrap inside the enclave, cross to the host to hit the transport (the
-  // prototype's customized OCALL carrying the request), unwrap back inside.
-  const Bytes frame = channel_->wrap(serialize::encode_message(request));
+  // Encode straight after the frame header and seal in place inside the
+  // enclave, cross to the host to hit the transport (the prototype's
+  // customized OCALL carrying the request), open the reply back inside.
+  frame_.resize(SecureChannel::kFrameHeaderSize);
+  serialize::Encoder enc(std::move(frame_));
+  serialize::encode_message_into(enc, request);
+  frame_ = enc.take();
+  channel_->seal_frame(frame_);
+  const ByteView frame = frame_;
   Bytes response_frame;
   try {
     response_frame =
@@ -76,7 +82,7 @@ Message StoreLink::round_trip(const Message& request) {
     poisoned_ = true;
     throw;
   }
-  const auto plain = channel_->unwrap(response_frame);
+  const auto plain = channel_->open_frame(response_frame, plain_);
   if (!plain.has_value()) {
     // Tampered/garbled response (or a response under a stale server
     // session). Either way the channel state is no longer trustworthy.

@@ -8,6 +8,13 @@
 // frame. DedupRuntime holds one for a single store; ClusterTransport holds
 // one per node.
 //
+// Buffers. The link keeps one frame buffer and one plaintext buffer under
+// the strand. A request is encoded straight after the frame header and
+// sealed in place; the reply is opened into the plaintext buffer and decoded
+// from a view of it. Both live inside the enclave and grow to the largest
+// frame the link has carried, so a round trip allocates only the reply the
+// transport receives and what the decoded message owns.
+//
 // Failure rule. A transport error, or a reply that fails the channel check,
 // poisons the link: the client cannot know which sequence numbers the store
 // consumed, so the key never wraps another frame. The next round_trip()
@@ -65,6 +72,8 @@ class StoreLink {
   std::unique_ptr<Transport> transport_ GUARDED_BY(mu_);  ///< null until dialed
   std::optional<SecureChannel> channel_ GUARDED_BY(mu_);
   bool poisoned_ GUARDED_BY(mu_) = false;
+  Bytes frame_ GUARDED_BY(mu_);  ///< header ‖ request, sealed in place
+  Bytes plain_ GUARDED_BY(mu_);  ///< the last reply's plaintext (a prefix)
 
   /// Key staged by the transport's rekey callback. Own lock: the callback
   /// fires inside recover(), while this thread already holds mu_.

@@ -6,8 +6,10 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -18,6 +20,12 @@ namespace speed::net {
 namespace {
 
 constexpr std::size_t kMaxFrame = 256u * 1024 * 1024;
+
+/// Most a frame's buffer is given before any of its bytes arrive: the store
+/// server's default max_frame_bytes. A longer announced frame grows its
+/// buffer only as its bytes come in, so whoever writes the 4-byte length
+/// cannot make the reader hold 256 MiB with it.
+constexpr std::size_t kMaxUpFrontFrame = 4u * 1024 * 1024;
 
 using OptDeadline = std::optional<FramedSocket::TimePoint>;
 
@@ -45,17 +53,33 @@ void wait_ready(int fd, short events, const OptDeadline& deadline,
   }
 }
 
-void write_all(int fd, const std::uint8_t* data, std::size_t len,
+/// Send `header` then `payload`, gathered into one sendmsg per wakeup, so a
+/// frame's length prefix never leaves as a segment of its own and a small
+/// frame reaches the peer in one read.
+void write_all(int fd, ByteView header, ByteView payload,
                const OptDeadline& deadline) {
-  while (len > 0) {
+  std::size_t sent = 0;
+  while (sent < header.size() + payload.size()) {
     if (deadline.has_value()) wait_ready(fd, POLLOUT, deadline, "send");
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
+    // The unsent rest of header ‖ payload, in at most two pieces.
+    iovec iov[2];
+    msghdr msg{};
+    msg.msg_iov = iov;
+    if (sent < header.size()) {
+      iov[msg.msg_iovlen++] = {const_cast<std::uint8_t*>(header.data()) + sent,
+                               header.size() - sent};
+    }
+    const std::size_t done = sent > header.size() ? sent - header.size() : 0;
+    if (done < payload.size()) {
+      iov[msg.msg_iovlen++] = {const_cast<std::uint8_t*>(payload.data()) + done,
+                               payload.size() - done};
+    }
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw TcpError(std::string("send: ") + std::strerror(errno));
     }
-    data += n;
-    len -= static_cast<std::size_t>(n);
+    sent += static_cast<std::size_t>(n);
   }
 }
 
@@ -113,8 +137,7 @@ void FramedSocket::send_frame_impl(ByteView payload,
   std::uint8_t header[4];
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
   for (int i = 0; i < 4; ++i) header[i] = static_cast<std::uint8_t>(len >> (8 * i));
-  write_all(fd_, header, 4, deadline);
-  write_all(fd_, payload.data(), payload.size(), deadline);
+  write_all(fd_, ByteView(header, 4), payload, deadline);
 }
 
 std::optional<Bytes> FramedSocket::try_recv_frame() {
@@ -133,9 +156,19 @@ std::optional<Bytes> FramedSocket::try_recv_frame_impl(
   std::uint32_t len = 0;
   for (int i = 3; i >= 0; --i) len = (len << 8) | header[i];
   if (len > kMaxFrame) throw TcpError("recv_frame: oversized frame");
-  Bytes payload(len);
-  if (len > 0 && read_all(fd_, payload.data(), len, deadline) == 0) {
-    throw TcpError("recv_frame: connection closed mid-frame");
+  // Frames up to kMaxUpFrontFrame keep their single allocation; a longer
+  // one doubles its buffer each time the bytes so far fill it.
+  Bytes payload(std::min<std::size_t>(len, kMaxUpFrontFrame));
+  std::size_t got = 0;
+  while (got < len) {
+    if (got == payload.size()) {
+      payload.resize(std::min<std::size_t>(len, 2 * got));
+    }
+    if (read_all(fd_, payload.data() + got, payload.size() - got, deadline) ==
+        0) {
+      throw TcpError("recv_frame: connection closed mid-frame");
+    }
+    got = payload.size();
   }
   return payload;
 }

@@ -277,16 +277,20 @@ std::vector<serialize::BatchReply> DedupRuntime::batch_execute(
     std::optional<Message> response;
     bool transport_failed = false;
     std::string failure = "store unreachable";
+    // The ops are moved into the frame's message: no slot reads its op
+    // again, only its reply.
     try {
       if (shipping.size() == 1) {
         response = std::visit(
-            [this](const auto& o) { return secure_round_trip(Message(o)); },
+            [this](auto& o) { return secure_round_trip(Message(std::move(o))); },
             shipping.front()->op);
       } else {
         serialize::BatchRequest batch;
         batch.ops.reserve(shipping.size());
-        for (const PendingOp* slot : shipping) batch.ops.push_back(slot->op);
-        response = secure_round_trip(batch);
+        for (PendingOp* slot : shipping) {
+          batch.ops.push_back(std::move(slot->op));
+        }
+        response = secure_round_trip(Message(std::move(batch)));
       }
     } catch (const Error& e) {
       transport_failed = true;
@@ -520,17 +524,18 @@ void DedupRuntime::enqueue_put(PutRequest put) {
     queue_cv_.notify_one();
   } else if (config_.fail_open) {
     try {
-      send_put(put);
+      send_put(std::move(put));
     } catch (const Error&) {
       metrics_.puts_rejected.inc();
     }
   } else {
-    send_put(put);
+    send_put(std::move(put));
   }
 }
 
-void DedupRuntime::send_put(const PutRequest& put) {
-  const Message response = secure_round_trip(put);
+void DedupRuntime::send_put(PutRequest put) {
+  // Moved into the message that ships it: the entry is never copied.
+  const Message response = secure_round_trip(Message(std::move(put)));
   const auto* put_resp = std::get_if<PutResponse>(&response);
   if (put_resp == nullptr) {
     throw ProtocolError("DedupRuntime: expected PUT_RESPONSE");
@@ -542,16 +547,16 @@ void DedupRuntime::send_put(const PutRequest& put) {
   }
 }
 
-void DedupRuntime::send_put_batch(const std::vector<PutRequest>& puts) {
+void DedupRuntime::send_put_batch(std::vector<PutRequest> puts) {
   if (!config_.batching.enabled || puts.size() == 1) {
-    for (const auto& put : puts) send_put(put);
+    for (auto& put : puts) send_put(std::move(put));
     return;
   }
   // The whole drained run rides the micro-batcher, where it may coalesce
   // further with concurrent GETs into one frame.
   std::vector<serialize::BatchOp> ops;
   ops.reserve(puts.size());
-  for (const auto& put : puts) ops.emplace_back(put);
+  for (auto& put : puts) ops.emplace_back(std::move(put));
   const std::vector<serialize::BatchReply> replies =
       batch_execute(std::move(ops));
   for (const auto& reply : replies) {
@@ -597,14 +602,15 @@ void DedupRuntime::put_worker() {
     }
     // The worker enters the enclave for the channel crypto, like any other
     // trusted-thread ECALL.
+    const std::size_t taken = puts.size();
     try {
-      enclave_.ecall([&] { send_put_batch(puts); });
+      enclave_.ecall([&] { send_put_batch(std::move(puts)); });
     } catch (const Error&) {
       metrics_.puts_rejected.inc();
     }
     {
       MutexLock lock(queue_mu_);
-      puts_in_flight_ -= puts.size();
+      puts_in_flight_ -= taken;
     }
     drained_cv_.notify_all();
   }
@@ -701,10 +707,10 @@ std::vector<serialize::BatchReply> DedupRuntime::stream_ops(
   // identical on both paths.
   std::vector<serialize::BatchReply> replies;
   replies.reserve(ops.size());
-  for (const serialize::BatchOp& op : ops) {
+  for (serialize::BatchOp& op : ops) {
     try {
       replies.push_back(serialize::to_batch_reply(std::visit(
-          [this](const auto& o) { return secure_round_trip(Message(o)); },
+          [this](auto& o) { return secure_round_trip(Message(std::move(o))); },
           op)));
     } catch (const Error& e) {
       replies.emplace_back(serialize::ErrorResponse{

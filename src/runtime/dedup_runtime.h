@@ -236,10 +236,10 @@ class DedupRuntime {
 
   void enqueue_put(serialize::PutRequest put);
   void put_worker();
-  void send_put(const serialize::PutRequest& put);
+  void send_put(serialize::PutRequest put);
   /// Ship a drained run of queued PUTs — one BatchRequest frame when
   /// batching is on (and there is more than one), per-op messages otherwise.
-  void send_put_batch(const std::vector<serialize::PutRequest>& puts);
+  void send_put_batch(std::vector<serialize::PutRequest> puts);
 
   /// Hot-result cache (guarded by cache_mu_; only touched inside ECALLs).
   /// Lookup copies the plaintext out and refreshes recency; insert evicts

@@ -19,6 +19,13 @@ namespace speed::serialize {
 
 class Encoder {
  public:
+  Encoder() = default;
+  /// Append to `buffer`, whose bytes and capacity the encoder takes over;
+  /// take() hands it back. A caller that keeps one buffer across messages
+  /// (clearing it, or leaving a reserved header in it) encodes with no
+  /// allocation once the buffer has grown to its largest message.
+  explicit Encoder(Bytes buffer) : out_(std::move(buffer)) {}
+
   void u8(std::uint8_t v) { out_.push_back(v); }
 
   void u16(std::uint16_t v) {

@@ -190,6 +190,11 @@ std::vector<BatchReply> take_batch_replies(Decoder& dec) {
 
 Bytes encode_message(const Message& msg) {
   Encoder enc;
+  encode_message_into(enc, msg);
+  return enc.take();
+}
+
+void encode_message_into(Encoder& enc, const Message& msg) {
   std::visit(
       [&enc](const auto& m) {
         using T = std::decay_t<decltype(m)>;
@@ -264,7 +269,6 @@ Bytes encode_message(const Message& msg) {
         }
       },
       msg);
-  return enc.take();
 }
 
 Message decode_message(ByteView data) {
@@ -276,14 +280,14 @@ Message decode_message(ByteView data) {
       GetRequest m;
       m.tag = take_array32(dec);
       m.requester = take_array32(dec);
-      out = m;
+      out = std::move(m);
       break;
     }
     case MessageType::kGetResponse: {
       GetResponse m;
       m.found = dec.boolean();
       if (m.found) m.entry = take_entry(dec);
-      out = m;
+      out = std::move(m);
       break;
     }
     case MessageType::kPutRequest: {
@@ -291,7 +295,7 @@ Message decode_message(ByteView data) {
       m.tag = take_array32(dec);
       m.requester = take_array32(dec);
       m.entry = take_entry(dec);
-      out = m;
+      out = std::move(m);
       break;
     }
     case MessageType::kPutResponse: {
@@ -301,13 +305,13 @@ Message decode_message(ByteView data) {
         throw SerializationError("decode_message: invalid PutStatus");
       }
       m.status = static_cast<PutStatus>(status);
-      out = m;
+      out = std::move(m);
       break;
     }
     case MessageType::kSyncRequest: {
       SyncRequest m;
       m.max_entries = dec.u32();
-      out = m;
+      out = std::move(m);
       break;
     }
     case MessageType::kSyncResponse: {
@@ -319,7 +323,7 @@ Message decode_message(ByteView data) {
     case MessageType::kHeartbeatRequest: {
       HeartbeatRequest m;
       m.nonce = dec.u64();
-      out = m;
+      out = std::move(m);
       break;
     }
     case MessageType::kHeartbeatResponse: {
@@ -328,7 +332,7 @@ Message decode_message(ByteView data) {
       m.entries = dec.u64();
       m.cluster_epoch = dec.u64();
       m.degraded = dec.boolean();
-      out = m;
+      out = std::move(m);
       break;
     }
     case MessageType::kPullRequest: {
@@ -336,7 +340,7 @@ Message decode_message(ByteView data) {
       m.after = take_array32(dec);
       m.max_entries = dec.u32();
       m.resume = dec.boolean();
-      out = m;
+      out = std::move(m);
       break;
     }
     case MessageType::kPullResponse: {
@@ -356,7 +360,7 @@ Message decode_message(ByteView data) {
     case MessageType::kPushResponse: {
       PushResponse m;
       m.accepted = dec.u32();
-      out = m;
+      out = std::move(m);
       break;
     }
     case MessageType::kMembershipUpdate: {
@@ -386,7 +390,7 @@ Message decode_message(ByteView data) {
       MembershipAck m;
       m.epoch = dec.u64();
       m.applied = dec.boolean();
-      out = m;
+      out = std::move(m);
       break;
     }
     case MessageType::kBatchRequest: {

@@ -219,7 +219,11 @@ BatchReply to_batch_reply(Message&& reply);
 /// Encode any protocol message with its type byte.
 Bytes encode_message(const Message& msg);
 
-/// Decode a message; throws SerializationError on malformed input.
+/// encode_message() appended to `enc`'s buffer (the one encoding body).
+void encode_message_into(Encoder& enc, const Message& msg);
+
+/// Decode a message; throws SerializationError on malformed input. The
+/// result owns its bytes: it never points into `data`.
 Message decode_message(ByteView data);
 
 /// Type of an encoded message without full decoding.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.h"
@@ -283,7 +284,7 @@ Message ResultStore::dispatch_trusted(const Message& request, Peer peer) {
     return heartbeat_trusted(*hb_req);
   }
   if (const auto* batch_req = std::get_if<serialize::BatchRequest>(&request)) {
-    return batch_trusted(*batch_req, peer);
+    return batch_trusted(*batch_req);
   }
   if (peer == Peer::kApp) {
     // Applications never speak the infra plane: PUSH/PULL merges are
@@ -309,25 +310,26 @@ Message ResultStore::dispatch_trusted(const Message& request, Peer peer) {
 }
 
 serialize::BatchResponse ResultStore::batch_trusted(
-    const serialize::BatchRequest& req, Peer peer) {
+    const serialize::BatchRequest& req) {
   serialize::BatchResponse resp;
   resp.replies.reserve(req.ops.size());
   batch_ops_.record(req.ops.size());
   for (const serialize::BatchOp& op : req.ops) {
     // Per-entry containment: a failed sub-request answers with an
-    // ErrorResponse in its slot and never disturbs its neighbors.
+    // ErrorResponse in its slot and never disturbs its neighbors. Sub-ops
+    // are GETs and PUTs only, dispatched by reference as dispatch_trusted
+    // would for any peer.
     try {
-      const Message sub = std::visit(
-          [](const auto& o) { return Message(o); }, op);
-      Message reply = dispatch_trusted(sub, peer);
-      if (auto* get_resp = std::get_if<GetResponse>(&reply)) {
-        resp.replies.emplace_back(std::move(*get_resp));
-      } else if (const auto* put_resp = std::get_if<PutResponse>(&reply)) {
-        resp.replies.emplace_back(*put_resp);
-      } else {
-        resp.replies.emplace_back(serialize::ErrorResponse{
-            serialize::ErrorCode::kBadRequest, "unexpected reply type"});
-      }
+      resp.replies.push_back(std::visit(
+          [this](const auto& o) -> serialize::BatchReply {
+            if constexpr (std::is_same_v<std::decay_t<decltype(o)>,
+                                         GetRequest>) {
+              return get_trusted(o);
+            } else {
+              return put_trusted(o);
+            }
+          },
+          op));
     } catch (const Error& e) {
       resp.replies.emplace_back(serialize::ErrorResponse{
           serialize::ErrorCode::kBadRequest, e.what()});

@@ -512,8 +512,7 @@ class ResultStore {
 
   /// Batched dispatch (docs/PROTOCOL.md §9): one BatchRequest executed per
   /// entry against the shards, replies index-aligned with the ops.
-  serialize::BatchResponse batch_trusted(const serialize::BatchRequest& req,
-                                         Peer peer);
+  serialize::BatchResponse batch_trusted(const serialize::BatchRequest& req);
 
   std::atomic<bool> degraded_{false};
   RecoveryInfo recovery_info_;

@@ -10,6 +10,13 @@
 // The session is established by the attested handshake: it is constructed
 // from the client's HandshakeMessage, verifies the report, derives the
 // X25519 session key, and exposes server_hello() for the client.
+//
+// Buffers. The session keeps one plaintext buffer under its strand, inside
+// the store enclave. A request is opened into it and decoded; the reply is
+// encoded into it too and sealed from there straight into the output buffer
+// the caller passes (for StoreTcpServer, the connection's write buffer).
+// Plaintext never reaches a host-side buffer, and a frame allocates only
+// what the decoded request and the store's reply own.
 #pragma once
 
 #include <memory>
@@ -53,29 +60,50 @@ class StoreSession {
   /// ErrorResponse instead of service. 0 = unlimited.
   void set_max_batch_entries(std::size_t n) { max_batch_entries_ = n; }
 
-  /// Wrap a top-level error produced outside normal dispatch — e.g. the host
-  /// refused a frame by its length prefix (over max_frame_bytes) without ever
-  /// buffering it. Advances the send sequence like any response; the caller
-  /// is expected to close the connection once it is flushed.
-  // lockdiscipline-allow: LD004 send sequence must advance atomically
-  Bytes wrap_error(serialize::ErrorCode code, const std::string& detail) {
+  /// The host's cap on one frame. The plaintext buffer keeps at most twice
+  /// this between frames: a reply that grew it further (a batch of large
+  /// GETs can outgrow any frame the host admits) is released once sealed.
+  /// 0 = keep whatever the buffer grew to.
+  void set_max_frame_bytes(std::size_t n) { max_frame_bytes_ = n; }
+
+  /// Bytes the session keeps between frames: its plaintext buffer.
+  std::size_t kept_bytes() const {
     MutexLock lock(mu_);
-    const serialize::Message err = serialize::ErrorResponse{code, detail};
-    const Bytes plain = serialize::encode_message(err);
-    return store_.enclave().ecall([&] {
+    return plain_.capacity();
+  }
+
+  /// Seal a top-level error produced outside normal dispatch — e.g. the
+  /// host refused a frame by its length prefix (over max_frame_bytes)
+  /// without ever buffering it — as one frame appended to `out`. Advances
+  /// the send sequence like any response; the caller is expected to close
+  /// the connection once it is flushed.
+  // lockdiscipline-allow: LD004 send sequence must advance atomically
+  void wrap_error(serialize::ErrorCode code, const std::string& detail,
+                  Bytes& out) {
+    MutexLock lock(mu_);
+    store_.enclave().ecall([&] {
       mu_.assert_held();
-      return channel_.wrap(plain);
+      seal_reply_locked(serialize::ErrorResponse{code, detail}, out);
     });
   }
 
-  /// Handle one secure frame; throws ProtocolError on channel violations
-  /// (tampering/replay), which a real server would treat as a dead peer.
+  /// Handle one secure frame and append the sealed reply frame to `out`.
+  /// Throws ProtocolError on channel violations (tampering/replay), which a
+  /// real server would treat as a dead peer; `out` is then untouched.
   // mu_ is held across the ECALL: the session is a strand — channel
   // sequence numbers require frames to be served in order.
   // lockdiscipline-allow: LD004 session strand orders channel sequence numbers
-  Bytes handle_frame(ByteView frame) {
+  void handle_frame_into(ByteView frame, Bytes& out) {
     MutexLock lock(mu_);
-    return store_.enclave().ecall([&] { return handle_frame_trusted(frame); });
+    store_.enclave().ecall([&] { handle_frame_trusted(frame, out); });
+  }
+
+  /// handle_frame_into() a fresh buffer: the reply frame alone, for the
+  /// in-process transports (LoopbackTransport, InprocCluster).
+  Bytes handle_frame(ByteView frame) {
+    Bytes out;
+    handle_frame_into(frame, out);
+    return out;
   }
 
   /// Transport a client can hand to its DedupRuntime; optional one-way
@@ -86,12 +114,12 @@ class StoreSession {
   }
 
  private:
-  /// Body of one frame; runs under handle_frame's ECALL with mu_ held —
-  /// asserted (not REQUIRES) because the analysis cannot see through the
+  /// Body of one frame; runs under handle_frame_into's ECALL with mu_ held
+  /// — asserted (not REQUIRES) because the analysis cannot see through the
   /// ECALL lambda.
-  Bytes handle_frame_trusted(ByteView frame) {
+  void handle_frame_trusted(ByteView frame, Bytes& out) {
     mu_.assert_held();
-    const auto request_plain = channel_.unwrap(frame);
+    const auto request_plain = channel_.open_frame(frame, plain_);
     if (!request_plain.has_value()) {
       throw ProtocolError("StoreSession: bad frame (tamper/replay)");
     }
@@ -101,23 +129,42 @@ class StoreSession {
     if (const auto* batch = std::get_if<serialize::BatchRequest>(&request);
         batch != nullptr && max_batch_entries_ > 0 &&
         batch->ops.size() > max_batch_entries_) {
-      const serialize::Message err = serialize::ErrorResponse{
-          serialize::ErrorCode::kBatchTooLarge,
-          "batch exceeds server max_batch_entries"};
-      return channel_.wrap(serialize::encode_message(err));
+      seal_reply_locked(
+          serialize::ErrorResponse{serialize::ErrorCode::kBatchTooLarge,
+                                   "batch exceeds server max_batch_entries"},
+          out);
+      return;
     }
     // Application role: GET/PUT/heartbeat/batch only. Infra-plane messages
     // (sync, push/pull, membership) are rejected inside dispatch.
-    const auto response = store_.dispatch_trusted(request, Peer::kApp);
-    return channel_.wrap(serialize::encode_message(response));
+    seal_reply_locked(store_.dispatch_trusted(request, Peer::kApp), out);
+  }
+
+  /// Encode `reply` into plain_, after whatever the last open left there,
+  /// and seal it from there as one frame appended to `out`. Cutting plain_
+  /// back afterwards keeps its size at the largest request it has opened,
+  /// so opening the next one writes into it without zero-filling it first.
+  void seal_reply_locked(const serialize::Message& reply, Bytes& out)
+      REQUIRES(mu_) {
+    const std::size_t kept = plain_.size();
+    serialize::Encoder enc(std::move(plain_));
+    serialize::encode_message_into(enc, reply);
+    plain_ = enc.take();
+    channel_.seal_frame_to(ByteView(plain_).subspan(kept), out);
+    plain_.resize(kept);
+    if (max_frame_bytes_ > 0 && plain_.capacity() > 2 * max_frame_bytes_) {
+      plain_ = Bytes();
+    }
   }
 
   ResultStore& store_;
   net::ChannelKeyExchange key_exchange_;
   net::HandshakeMessage client_hello_;
   net::SecureChannel channel_ GUARDED_BY(mu_);
+  Bytes plain_ GUARDED_BY(mu_);  ///< the current request, then its reply
   std::uint8_t peer_version_ = net::kProtocolVersionLegacy;
   std::size_t max_batch_entries_ = 0;
+  std::size_t max_frame_bytes_ = 0;
   // 560: held across the dispatch into the store (shard 600+), which nests
   // above it.
   mutable Mutex mu_{LockRank::kSession};

@@ -43,16 +43,6 @@ std::uint32_t le32(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-/// Append a u32-length-prefixed frame to `out` (same framing FramedSocket
-/// speaks on the client side).
-void append_frame(Bytes& out, ByteView payload) {
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-  }
-  out.insert(out.end(), payload.begin(), payload.end());
-}
-
 /// Request bytes read from one socket; [head, tail) are not yet served.
 struct InputBuffer {
   Bytes data;  ///< kept at its full size; recv writes into [tail, size())
@@ -80,7 +70,7 @@ struct Conn {
   explicit Conn(int fd) : fd(fd) {}
   const int fd;
   InputBuffer in;
-  Bytes out;                ///< encoded replies awaiting the socket
+  Bytes out;                ///< sealed replies awaiting the socket
   std::size_t out_off = 0;  ///< send cursor into out
   std::optional<StoreSession> session;  ///< set by the handshake
   std::uint32_t interest = 0;  ///< epoll mask currently registered
@@ -125,7 +115,13 @@ class StoreTcpServer::Loop {
   void serve(Conn& c);
   void serve_frame(Conn& c, ByteView frame);
   void refuse_oversized(Conn& c);
-  void reply(Conn& c, ByteView payload);
+  /// Append one reply to c.out as a u32-length-prefixed frame (the framing
+  /// FramedSocket speaks on the client side) whose payload is whatever
+  /// `write` appends, then flush. If `write` throws, c.out is left as it
+  /// was. After a send failure `write` still runs, so the frame is served
+  /// and its effects land, but its reply is dropped.
+  template <typename Write>
+  void reply(Conn& c, Write&& write);
   void flush(Conn& c);
   void update_interest(Conn& c);
   /// Count how a connection died, once: a rejection before the handshake,
@@ -372,6 +368,27 @@ void StoreTcpServer::Loop::serve(Conn& c) {
   if (c.in.size() == 0) c.in.head = c.in.tail = 0;
 }
 
+template <typename Write>
+void StoreTcpServer::Loop::reply(Conn& c, Write&& write) {
+  const std::size_t at = c.out.size();
+  c.out.resize(at + 4);  // the length prefix, filled in below
+  try {
+    write(c.out);
+  } catch (...) {
+    c.out.resize(at);
+    throw;
+  }
+  if (c.peer_gone) {
+    c.out.resize(at);
+    return;
+  }
+  const std::size_t len = c.out.size() - at - 4;
+  for (int i = 0; i < 4; ++i) {
+    c.out[at + i] = static_cast<std::uint8_t>(len >> (8 * i));
+  }
+  flush(c);
+}
+
 void StoreTcpServer::Loop::serve_frame(Conn& c, ByteView frame) {
   if (!c.session.has_value()) {
     // Steps 1-2: the attested handshake.
@@ -383,21 +400,21 @@ void StoreTcpServer::Loop::serve_frame(Conn& c, ByteView frame) {
       return;
     }
     c.session->set_max_batch_entries(server_.config_.max_batch_entries);
+    c.session->set_max_frame_bytes(max_frame_);
     ++server_.accepted_;
-    reply(c, net::encode_handshake(c.session->server_hello()));
+    const Bytes hello = net::encode_handshake(c.session->server_hello());
+    reply(c, [&](Bytes& out) { append(out, hello); });
     return;
   }
-  Bytes response;
   try {
-    response = c.session->handle_frame(frame);
+    // The session seals the reply straight into the write buffer.
+    reply(c, [&](Bytes& out) { c.session->handle_frame_into(frame, out); });
   } catch (const Error&) {
     // Channel violation (tamper/replay) or a poisoned session: drop the
     // connection, costing only itself.
     count_death(c);
     c.done = c.read_closed = true;
-    return;
   }
-  reply(c, response);
 }
 
 void StoreTcpServer::Loop::refuse_oversized(Conn& c) {
@@ -408,18 +425,14 @@ void StoreTcpServer::Loop::refuse_oversized(Conn& c) {
     return;
   }
   try {
-    reply(c, c.session->wrap_error(serialize::ErrorCode::kFrameTooLarge,
-                                   "frame exceeds server max_frame_bytes"));
+    reply(c, [&](Bytes& out) {
+      c.session->wrap_error(serialize::ErrorCode::kFrameTooLarge,
+                            "frame exceeds server max_frame_bytes", out);
+    });
   } catch (const Error&) {
     count_death(c);
   }
   c.counted = true;  // refused, not torn: the header stays unserved
-}
-
-void StoreTcpServer::Loop::reply(Conn& c, ByteView payload) {
-  if (c.peer_gone) return;
-  append_frame(c.out, payload);
-  flush(c);
 }
 
 void StoreTcpServer::Loop::flush(Conn& c) {

@@ -12,10 +12,13 @@
 // each new socket to the loop with the fewest live connections, by writing
 // the fd number into that loop's wake pipe. A loop owns its sockets outright
 // and runs every frame to completion on its own thread: the handshake (or
-// StoreSession::handle_frame, on a view of the read buffer), then the reply
-// is appended and flushed. No frame crosses a thread or takes a server lock,
-// and replies leave in arrival order, as the secure channel's sequence
-// numbers require.
+// StoreSession::handle_frame_into, on a view of the read buffer, sealing
+// the reply straight into the connection's write buffer), then the flush.
+// No frame crosses a thread or takes a server lock, and replies leave in
+// arrival order, as the secure channel's sequence numbers require. A
+// connection's memory is its read buffer, its write buffer and its
+// session's plaintext buffer, all kept across frames (docs/PROTOCOL.md §9
+// gives their bounds).
 //
 // Backpressure: while a connection's unsent replies exceed max_frame_bytes,
 // its loop neither reads nor serves it, so a client that never reads cannot

@@ -254,9 +254,9 @@ TEST(BatchChaosTest, MidFrameDisconnectCostsOnlyThatConnection) {
 }
 
 TEST(BatchChaosTest, ServerSurvivesConnectionChurn) {
-  // Connections come and go while the worker pool serves their frames; a
-  // departed session's queued frames must complete (or fail cleanly)
-  // without wedging the pool for the survivors.
+  // Connections come and go while the event loops serve their frames; a
+  // departed session's buffered frames must complete (or fail cleanly)
+  // without wedging its loop for the survivors.
   sgx::Platform platform(fast_model());
   store::ResultStore result_store(platform);
   store::StoreTcpServer server(result_store, 0);

@@ -2,9 +2,11 @@
 // cross-checks between the hardware and scalar GCM paths, and DRBG sanity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <iterator>
 #include <ostream>
+#include <span>
 
 #include "common/bytes.h"
 #include "common/error.h"
@@ -491,6 +493,67 @@ TEST(GcmTest, HwDecryptZeroesPlaintextOnTagMismatch) {
     EXPECT_FALSE(
         hw::gcm128_decrypt(key.data(), iv.data(), aad, ct, tag, out.data()));
     EXPECT_EQ(out, Bytes(len, 0)) << "a failed decrypt must release nothing";
+  }
+}
+
+TEST(GcmTest, InPlaceSealMatchesOutOfPlace) {
+  Drbg rng(to_bytes("gcm-in-place"));
+  for (const AesGcm::Impl impl : kGcmImpls) {
+    for (std::size_t len :
+         {0u, 1u, 15u, 16u, 127u, 128u, 129u, (1u << 20) + 3u}) {
+      for (std::size_t aad_len : {0u, 13u, 200u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "portable " << (impl == AesGcm::Impl::kPortable)
+                     << " len " << len << " aad " << aad_len);
+        const Bytes key = rng.bytes(16);
+        const Bytes iv = rng.bytes(12);
+        const Bytes aad = rng.bytes(aad_len);
+        const Bytes pt = rng.bytes(len);
+        const AesGcm gcm(key, impl);
+        const Bytes expected = gcm.seal(iv, aad, pt);
+
+        Bytes buffer = pt;
+        buffer.resize(len + kGcmTagSize);
+        gcm.seal_into(iv, aad, ByteView(buffer).first(len), buffer);
+        EXPECT_EQ(buffer, expected);
+      }
+    }
+  }
+}
+
+TEST(GcmTest, SealIntoRejectsPartialOverlap) {
+  Drbg rng(to_bytes("gcm-overlap"));
+  const AesGcm gcm(rng.bytes(16));
+  const Bytes iv = rng.bytes(12);
+  Bytes buffer = rng.bytes(64 + 1 + kGcmTagSize);
+  const ByteView pt = ByteView(buffer).first(64);
+  EXPECT_THROW(gcm.seal_into(iv, {}, pt,
+                             std::span(buffer).subspan(1, 64 + kGcmTagSize)),
+               CryptoError);
+}
+
+TEST(GcmTest, OpenIntoZeroesOutputOnTagMismatch) {
+  Drbg rng(to_bytes("gcm-open-into"));
+  for (const AesGcm::Impl impl : kGcmImpls) {
+    for (std::size_t len : {100u, 65536u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "portable " << (impl == AesGcm::Impl::kPortable)
+                   << " len " << len);
+      const AesGcm gcm(rng.bytes(16), impl);
+      const Bytes iv = rng.bytes(12);
+      const Bytes aad = rng.bytes(13);
+      const Bytes pt = rng.bytes(len);
+      Bytes sealed = gcm.seal(iv, aad, pt);
+
+      Bytes out(len, 0xA5);
+      ASSERT_TRUE(gcm.open_into(iv, aad, sealed, out));
+      EXPECT_EQ(out, pt);
+
+      sealed[len + 7] ^= 0x10;  // a tag byte
+      std::fill(out.begin(), out.end(), 0xA5);
+      EXPECT_FALSE(gcm.open_into(iv, aad, sealed, out));
+      EXPECT_EQ(out, Bytes(len, 0)) << "a failed open must release nothing";
+    }
   }
 }
 

@@ -119,45 +119,129 @@ TEST_F(SecureChannelTest, ForeignKeyRejected) {
   EXPECT_FALSE(eavesdropper.unwrap(frame).has_value());
 }
 
+/// The two ways to seal and open a frame: the fresh-buffer wrappers, and the
+/// bodies a StoreLink or StoreSession calls with the buffers it keeps.
+enum class FrameApi { kWrap, kBuffers };
+constexpr FrameApi kFrameApis[] = {FrameApi::kWrap, FrameApi::kBuffers};
+
+const char* api_name(FrameApi api) {
+  return api == FrameApi::kWrap ? "wrap/unwrap" : "seal_frame/open_frame";
+}
+
+Bytes seal_with(SecureChannel& channel, ByteView plaintext, FrameApi api) {
+  if (api == FrameApi::kWrap) return channel.wrap(plaintext);
+  // The reserved header holds junk: sealing must overwrite all of it.
+  Bytes frame(SecureChannel::kFrameHeaderSize, 0xEE);
+  append(frame, plaintext);
+  channel.seal_frame(frame);
+  return frame;
+}
+
+/// Opens into `kept`, a buffer the caller reuses across frames.
+std::optional<Bytes> open_with(SecureChannel& channel, ByteView frame,
+                               FrameApi api, Bytes& kept) {
+  if (api == FrameApi::kWrap) return channel.unwrap(frame);
+  const auto plain = channel.open_frame(frame, kept);
+  if (!plain.has_value()) return std::nullopt;
+  return Bytes(plain->begin(), plain->end());
+}
+
 // The wire layout is u64 seq ‖ var_bytes(ct ‖ tag), sealed under the nonce
 // direction ‖ 0³ ‖ seq (little-endian) with AAD direction ‖ seq, where the
 // initiator's direction byte is 1 and the responder's 2.
 TEST_F(SecureChannelTest, FrameLayoutIsSeqThenSealedBytes) {
   const Bytes payload = to_bytes("pinned layout payload, longer than a block");
-  client_.wrap(as_bytes("seq 0"));
-  const Bytes frame = client_.wrap(payload);
+  for (const FrameApi api : kFrameApis) {
+    SCOPED_TRACE(api_name(api));
+    SecureChannel client(fixed_key(), /*is_initiator=*/true);
+    seal_with(client, as_bytes("seq 0"), api);
+    const Bytes frame = seal_with(client, payload, api);
 
-  serialize::Decoder dec(frame);
-  const std::uint64_t seq = dec.u64();
-  const Bytes sealed = dec.var_bytes();
-  dec.expect_done();
-  EXPECT_EQ(seq, 1u);
-  ASSERT_EQ(sealed.size(), payload.size() + crypto::kGcmTagSize);
+    serialize::Decoder dec(frame);
+    const std::uint64_t seq = dec.u64();
+    const Bytes sealed = dec.var_bytes();
+    dec.expect_done();
+    EXPECT_EQ(seq, 1u);
+    ASSERT_EQ(sealed.size(), payload.size() + crypto::kGcmTagSize);
 
-  Bytes nonce(crypto::kGcmIvSize, 0);
-  nonce[0] = 0x01;
-  nonce[4] = static_cast<std::uint8_t>(seq);
-  serialize::Encoder aad;
-  aad.u8(0x01);
-  aad.u64(seq);
-  const auto opened = crypto::AesGcm(fixed_key()).open(nonce, aad.view(), sealed);
-  ASSERT_TRUE(opened.has_value());
-  EXPECT_EQ(*opened, payload);
+    Bytes nonce(crypto::kGcmIvSize, 0);
+    nonce[0] = 0x01;
+    nonce[4] = static_cast<std::uint8_t>(seq);
+    serialize::Encoder aad;
+    aad.u8(0x01);
+    aad.u64(seq);
+    const auto opened =
+        crypto::AesGcm(fixed_key()).open(nonce, aad.view(), sealed);
+    ASSERT_TRUE(opened.has_value());
+    EXPECT_EQ(*opened, payload);
+  }
 }
 
 TEST_F(SecureChannelTest, LengthOverrunAndTrailingByteRejected) {
-  const Bytes frame = client_.wrap(as_bytes("payload"));
+  for (const FrameApi api : kFrameApis) {
+    SCOPED_TRACE(api_name(api));
+    SecureChannel client(fixed_key(), /*is_initiator=*/true);
+    SecureChannel server(fixed_key(), /*is_initiator=*/false);
+    Bytes kept;
+    const Bytes frame = seal_with(client, as_bytes("payload"), api);
 
-  Bytes overrun = frame;
-  overrun[8] = static_cast<std::uint8_t>(overrun[8] + 1);  // u32 length, LSB
-  EXPECT_FALSE(server_.unwrap(overrun).has_value());
+    Bytes overrun = frame;
+    overrun[8] = static_cast<std::uint8_t>(overrun[8] + 1);  // u32 length, LSB
+    EXPECT_FALSE(open_with(server, overrun, api, kept).has_value());
 
-  Bytes trailing = frame;
-  trailing.push_back(0);
-  EXPECT_FALSE(server_.unwrap(trailing).has_value());
+    Bytes trailing = frame;
+    trailing.push_back(0);
+    EXPECT_FALSE(open_with(server, trailing, api, kept).has_value());
 
-  // Neither rejection consumed the sequence number.
-  EXPECT_TRUE(server_.unwrap(frame).has_value());
+    // Neither rejection consumed the sequence number.
+    EXPECT_TRUE(open_with(server, frame, api, kept).has_value());
+  }
+}
+
+TEST_F(SecureChannelTest, BufferSealsMatchWrapByteForByte) {
+  SecureChannel wrapper(fixed_key(), /*is_initiator=*/true);
+  SecureChannel in_place(fixed_key(), /*is_initiator=*/true);
+  SecureChannel appender(fixed_key(), /*is_initiator=*/true);
+  Bytes out = to_bytes("earlier bytes stay");
+  for (std::size_t len : {0u, 1u, 100u, 70000u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "len " << len);
+    const Bytes payload(len, static_cast<std::uint8_t>(len));
+    const Bytes expected = wrapper.wrap(payload);
+    EXPECT_EQ(seal_with(in_place, payload, FrameApi::kBuffers), expected);
+
+    const std::size_t at = out.size();
+    appender.seal_frame_to(payload, out);
+    EXPECT_EQ(Bytes(out.begin() + static_cast<std::ptrdiff_t>(at), out.end()),
+              expected);
+  }
+  EXPECT_EQ(Bytes(out.begin(), out.begin() + 18), to_bytes("earlier bytes stay"));
+}
+
+TEST_F(SecureChannelTest, BufferOpenAcceptsExactlyWhatUnwrapAccepts) {
+  // The same sequence of frames, good and bad, goes to two receivers.
+  std::vector<Bytes> frames;
+  const Bytes big(70000, 0x5A);
+  frames.push_back(client_.wrap(big));
+  frames.push_back(client_.wrap(as_bytes("short")));
+  Bytes tampered = client_.wrap(as_bytes("tampered"));
+  tampered[tampered.size() - 1] ^= 1;
+  frames.push_back(tampered);
+  frames.push_back(frames[1]);  // replay
+  frames.push_back(Bytes(frames[0].begin(), frames[0].begin() + 20));
+  frames.push_back(client_.wrap({}));
+  frames.push_back(to_bytes("not a frame"));
+
+  SecureChannel unwrapper(fixed_key(), /*is_initiator=*/false);
+  SecureChannel opener(fixed_key(), /*is_initiator=*/false);
+  Bytes kept;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "frame " << i);
+    const auto expected = unwrapper.unwrap(frames[i]);
+    const auto got = open_with(opener, frames[i], FrameApi::kBuffers, kept);
+    EXPECT_EQ(got, expected);
+  }
+  EXPECT_EQ(opener.received(), unwrapper.received());
+  EXPECT_GE(kept.size(), big.size()) << "the kept buffer never shrinks";
 }
 
 TEST_F(SecureChannelTest, GarbageFrameRejected) {

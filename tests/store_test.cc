@@ -347,6 +347,41 @@ TEST_F(StoreTest, SecureSessionRejectsTamperedFrames) {
   EXPECT_THROW(conn.session->handle_frame(frame), ProtocolError);
 }
 
+TEST_F(StoreTest, SessionKeepsItsBufferWithinTwiceMaxFrame) {
+  // A reply can outgrow any frame the host admits (a batch of large GETs);
+  // the session's kept plaintext buffer must not hold on to it.
+  constexpr std::size_t kMaxFrame = 64 * 1024;
+  constexpr std::size_t kEntry = 48 * 1024;
+  ASSERT_EQ(store_.put(make_put(21, kEntry)).status, PutStatus::kStored);
+  auto app = platform_.create_enclave("client-app");
+  AppConnection conn = connect_app(store_, *app);
+  conn.session->set_max_frame_bytes(kMaxFrame);
+  net::SecureChannel client(std::move(conn.session_key), true);
+  const auto ask = [&](const serialize::Message& request) {
+    const auto reply = client.unwrap(conn.transport->round_trip(
+        client.wrap(serialize::encode_message(request))));
+    EXPECT_TRUE(reply.has_value());
+    return serialize::decode_message(reply.value_or(Bytes{}));
+  };
+  GetRequest get;
+  get.tag = make_tag(21);
+
+  EXPECT_TRUE(std::get<GetResponse>(ask(get)).found);
+  EXPECT_GE(conn.session->kept_bytes(), kEntry) << "a frame-sized reply stays";
+
+  serialize::BatchRequest batch;
+  batch.ops.assign(4, get);
+  const auto replies = std::get<serialize::BatchResponse>(ask(batch)).replies;
+  ASSERT_EQ(replies.size(), 4u);
+  for (const auto& reply : replies) {
+    EXPECT_EQ(std::get<GetResponse>(reply).entry.result_ct.size(), kEntry);
+  }
+  EXPECT_EQ(conn.session->kept_bytes(), 0u) << "a 192 KiB reply is released";
+
+  EXPECT_TRUE(std::get<GetResponse>(ask(get)).found);
+  EXPECT_GE(conn.session->kept_bytes(), kEntry);
+}
+
 // ------------------------------------------------------------ master sync
 
 /// Node 0 = `from`, node 1 = `to`, over the host-side infra plane. With two

@@ -126,6 +126,47 @@ TEST(TcpStoreTest, TwoClientsShareResults) {
   EXPECT_EQ(server.connections_accepted(), 2u);
 }
 
+TEST(TcpStoreTest, LinkCarriesLargeThenSmallFramesExactly) {
+  // One StoreLink-StoreSession pair carries frames of 1 MiB, then 100 B, then
+  // 256 KiB, each way. The link, the session and the connection keep their
+  // buffers across frames; bytes a larger frame left in one must never
+  // reach a smaller later one.
+  sgx::Platform platform(fast_model());
+  store::ResultStore result_store(platform);
+  store::StoreTcpServer server(result_store, 0);
+  auto app = platform.create_enclave("link-sizes");
+  auto conn = store::connect_tcp_app(
+      *app, result_store.enclave().measurement(), "127.0.0.1", server.port());
+  net::StoreLink link(*app, net::ResilientTransport::Connection{
+                                std::move(conn.transport),
+                                std::move(conn.session_key)});
+
+  crypto::Drbg rng(to_bytes("link-sizes"));
+  for (std::size_t size : {std::size_t{1} << 20, std::size_t{100},
+                           std::size_t{256} << 10}) {
+    SCOPED_TRACE(testing::Message() << "entry of " << size << " bytes");
+    serialize::PutRequest put;
+    const Bytes tag = rng.bytes(32);
+    std::copy(tag.begin(), tag.end(), put.tag.begin());
+    put.requester = app->measurement();
+    put.entry = {rng.bytes(16), rng.bytes(16), rng.bytes(size)};
+    const serialize::Message put_reply =
+        app->ecall([&] { return link.round_trip(put); });
+    ASSERT_TRUE(std::holds_alternative<serialize::PutResponse>(put_reply));
+    EXPECT_EQ(std::get<serialize::PutResponse>(put_reply).status,
+              serialize::PutStatus::kStored);
+
+    const serialize::Message get_reply = app->ecall([&] {
+      return link.round_trip(serialize::GetRequest{put.tag, put.requester});
+    });
+    ASSERT_TRUE(std::holds_alternative<serialize::GetResponse>(get_reply));
+    const auto& got = std::get<serialize::GetResponse>(get_reply);
+    ASSERT_TRUE(got.found);
+    EXPECT_EQ(got.entry, put.entry);
+  }
+  EXPECT_EQ(server.session_errors(), 0u);
+}
+
 TEST(TcpStoreTest, ImpostorStoreRejectedByClient) {
   sgx::Platform platform(fast_model());
   store::ResultStore result_store(platform);
