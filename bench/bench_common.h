@@ -31,7 +31,8 @@ namespace speed::bench {
 /// The host block every recorded BENCH_*.json carries, so a number is never
 /// read without the machine and build it came from: core count, CMake build
 /// type (SPEED_BUILD_TYPE, set by speed_add_bench), run-time lock-rank
-/// checking, and whether the hardware SHA-256 and AES-GCM paths ran.
+/// checking, whether the hardware SHA-256 path ran, and the AES-GCM kernel
+/// AesGcm's kAuto ran ("vaes512", "aesni" or "portable").
 inline std::string host_json() {
   std::string out = "{\"cores\": ";
   out += std::to_string(std::thread::hardware_concurrency());
@@ -40,8 +41,8 @@ inline std::string host_json() {
          (lock_rank_check_enabled() ? "true" : "false");
   out += std::string(", \"sha_ni\": ") +
          (crypto::hw::sha256_available() ? "true" : "false");
-  out += std::string(", \"aes_ni\": ") +
-         (crypto::hw::gcm128_available() ? "true" : "false");
+  out += std::string(", \"gcm\": \"") +
+         crypto::hw::gcm_width_name(crypto::hw::gcm_width()) + "\"";
   return out + "}";
 }
 

@@ -164,12 +164,23 @@ bool overlaps(ByteView a, std::span<const std::uint8_t> b) {
 
 }  // namespace
 
+const char* hw::gcm_width_name(GcmWidth width) {
+  switch (width) {
+    case GcmWidth::kVaes512:
+      return "vaes512";
+    case GcmWidth::kAesni:
+      return "aesni";
+    case GcmWidth::kPortable:
+      break;
+  }
+  return "portable";
+}
+
 AesGcm::AesGcm(ByteView key, Impl impl) : key_(secret::Buffer::copy_of(key)) {
   if (key.size() != kAes128KeySize && key.size() != kAes256KeySize) {
     throw CryptoError("AesGcm: key must be 16 or 32 bytes");
   }
-  use_hw_ = impl == Impl::kAuto && key.size() == kAes128KeySize &&
-            hw::gcm128_available();
+  width_ = impl == Impl::kAuto ? hw::gcm_width() : hw::GcmWidth::kPortable;
 }
 
 AesGcm::AesGcm(const secret::Buffer& key, Impl impl)
@@ -191,9 +202,9 @@ void AesGcm::seal_into(ByteView iv, ByteView aad, ByteView plaintext,
   }
   const ByteView key = key_.reveal_for(secret::Purpose::of("aes_key_schedule"));
   std::uint8_t* tag = out.data() + plaintext.size();
-  if (use_hw_) {
+  if (width_ != hw::GcmWidth::kPortable) {
     if (iv.size() != kGcmIvSize) throw CryptoError("AesGcm: IV must be 12 bytes");
-    hw::gcm128_encrypt(key.data(), iv.data(), aad, plaintext, out.data(), tag);
+    hw::gcm_encrypt(width_, key, iv.data(), aad, plaintext, out.data(), tag);
   } else {
     scalar_gcm(key, iv, aad, plaintext, /*encrypting=*/true, out.data(), tag);
   }
@@ -215,11 +226,11 @@ bool AesGcm::open_into(ByteView iv, ByteView aad, ByteView ciphertext_and_tag,
   }
 
   const ByteView key = key_.reveal_for(secret::Purpose::of("aes_key_schedule"));
-  if (use_hw_) {
+  if (width_ != hw::GcmWidth::kPortable) {
     if (iv.size() != kGcmIvSize) throw CryptoError("AesGcm: IV must be 12 bytes");
     // A failed decrypt has already zeroed `out`.
-    return hw::gcm128_decrypt(key.data(), iv.data(), aad, ct, tag.data(),
-                              out.data());
+    return hw::gcm_decrypt(width_, key, iv.data(), aad, ct, tag.data(),
+                           out.data());
   }
   std::uint8_t expected_tag[16];
   scalar_gcm(key, iv, aad, ct, /*encrypting=*/false, out.data(), expected_tag);
@@ -242,13 +253,22 @@ namespace {
 
 // One body for each pair of envelope overloads (plain and secret keys).
 template <typename Key>
+void seal_after_iv(const Key& key, ByteView aad, ByteView plaintext,
+                   std::span<std::uint8_t> envelope) {
+  if (envelope.size() != gcm_envelope_size(plaintext.size())) {
+    throw CryptoError("gcm envelope: size must be IV + plaintext + tag");
+  }
+  const AesGcm gcm(key);
+  gcm.seal_into(envelope.first(kGcmIvSize), aad, plaintext,
+                envelope.subspan(kGcmIvSize));
+}
+
+template <typename Key>
 Bytes seal_envelope(const Key& key, ByteView aad, ByteView plaintext,
                     Drbg& drbg) {
-  const AesGcm gcm(key);
   Bytes envelope(gcm_envelope_size(plaintext.size()));
-  const std::span<std::uint8_t> iv(envelope.data(), kGcmIvSize);
-  drbg.fill(iv);
-  gcm.seal_into(iv, aad, plaintext, std::span(envelope).subspan(kGcmIvSize));
+  drbg.fill(std::span(envelope).first(kGcmIvSize));
+  seal_after_iv(key, aad, plaintext, envelope);
   return envelope;
 }
 
@@ -279,6 +299,11 @@ Bytes gcm_encrypt(const secret::Buffer& key, ByteView aad, ByteView plaintext,
 std::optional<Bytes> gcm_decrypt(const secret::Buffer& key, ByteView aad,
                                  ByteView envelope) {
   return open_envelope(key, aad, envelope);
+}
+
+void gcm_encrypt_into(const secret::Buffer& key, ByteView aad,
+                      ByteView plaintext, std::span<std::uint8_t> envelope) {
+  seal_after_iv(key, aad, plaintext, envelope);
 }
 
 }  // namespace speed::crypto

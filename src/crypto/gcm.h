@@ -3,17 +3,21 @@
 // SPEED protects every result ciphertext [res] with AES-GCM-128 (§II-D): the
 // GCM tag is what makes the Fig. 3 verification protocol work — decrypting
 // with a wrongly recovered key fails authentication (⊥) instead of yielding
-// garbage. AES-GCM-256 is used by the SGX simulator's sealing facility.
+// garbage. AES-GCM-256 is used by the SGX simulator's sealing facility
+// (metadata spills, fault-ins and WAL records).
 //
 // Two implementations are provided and selected at runtime:
-//   * a hardware path (AES-NI + PCLMULQDQ) for 128-bit keys, matching the
-//     SGX SDK crypto library the paper used. It is one stitched pass per
-//     payload byte: eight CTR blocks per group with their GHASH products
-//     accumulated and reduced once per group (aggregated reduction), and a
-//     long AAD is hashed the same way. A decrypt fetches each ciphertext
-//     block once, and on a tag mismatch it zeroes the plaintext it wrote
-//     (aesni.cc);
-//   * a portable scalar path for any key size: the reference, and the
+//   * a hardware path for 128- and 256-bit keys alike, matching the SGX SDK
+//     crypto library the paper used. It is one stitched pass per payload
+//     byte (aesni.cc): on CPUs with VAES, VPCLMULQDQ and AVX-512, whole
+//     256-byte groups run sixteen CTR blocks at a time in zmm registers;
+//     the rest, and everything on CPUs with only AES-NI and PCLMULQDQ, runs
+//     eight blocks per group in xmm registers. Each group's GHASH products
+//     are accumulated and reduced once per group (aggregated reduction),
+//     and a long AAD is hashed the same way. A decrypt fetches each
+//     ciphertext block once, and on a tag mismatch it zeroes the plaintext
+//     it wrote;
+//   * a portable scalar path for either key size: the reference, and the
 //     fallback on CPUs without AES-NI/PCLMULQDQ.
 // Both are validated against NIST vectors and against each other in tests.
 // seal_into and the envelope helpers write into the caller's final buffer,
@@ -39,11 +43,22 @@ inline constexpr std::size_t kGcmTagSize = 16;
 inline constexpr std::size_t kAes128KeySize = 16;
 inline constexpr std::size_t kAes256KeySize = 32;
 
+namespace hw {
+/// The AES-GCM kernels, narrowest first: the portable scalar path; AES-NI +
+/// PCLMULQDQ in 8-block groups; and VAES + VPCLMULQDQ on zmm registers in
+/// 16-block groups, with the 8-block and 1-block loops for what is left.
+enum class GcmWidth { kPortable, kAesni, kVaes512 };
+/// The widest kernel this CPU runs (checked once); AesGcm's kAuto takes it.
+GcmWidth gcm_width();
+/// "portable", "aesni" or "vaes512".
+const char* gcm_width_name(GcmWidth width);
+}  // namespace hw
+
 class AesGcm {
  public:
-  /// Implementation selection. kAuto picks the hardware path when the CPU
-  /// supports it; kPortable forces the scalar path (used by the cross-check
-  /// tests and on machines without AES-NI).
+  /// Implementation selection. kAuto picks the widest hardware path the CPU
+  /// supports, for either key size; kPortable forces the scalar path (used
+  /// by the cross-check tests and on machines without AES-NI).
   enum class Impl { kAuto, kPortable };
 
   /// `key` must be 16 or 32 bytes.
@@ -75,9 +90,13 @@ class AesGcm {
   std::optional<Bytes> open(ByteView iv, ByteView aad,
                             ByteView ciphertext_and_tag) const;
 
+  /// The kernel seal and open run on: hw::gcm_width() under kAuto,
+  /// kPortable under kPortable.
+  hw::GcmWidth width() const { return width_; }
+
  private:
   secret::Buffer key_;
-  bool use_hw_;
+  hw::GcmWidth width_;
 };
 
 /// Envelope helpers used throughout SPEED: encrypt with a fresh random IV and
@@ -90,6 +109,13 @@ Bytes gcm_encrypt(const secret::Buffer& key, ByteView aad, ByteView plaintext,
 std::optional<Bytes> gcm_decrypt(ByteView key, ByteView aad, ByteView envelope);
 std::optional<Bytes> gcm_decrypt(const secret::Buffer& key, ByteView aad,
                                  ByteView envelope);
+/// gcm_encrypt for a caller that draws the IV itself, such as an enclave
+/// that draws it under its DRBG lock and seals outside the lock: `envelope`
+/// holds gcm_envelope_size(plaintext.size()) bytes (anything else throws
+/// CryptoError) and starts with a fresh random IV; the ciphertext and tag
+/// are written after it.
+void gcm_encrypt_into(const secret::Buffer& key, ByteView aad,
+                      ByteView plaintext, std::span<std::uint8_t> envelope);
 
 /// Size of gcm_encrypt's envelope for a given plaintext length.
 inline constexpr std::size_t gcm_envelope_size(std::size_t plaintext_len) {
@@ -97,17 +123,17 @@ inline constexpr std::size_t gcm_envelope_size(std::size_t plaintext_len) {
 }
 
 namespace hw {
-/// True when AES-NI + PCLMULQDQ are usable on this CPU.
-bool gcm128_available();
-/// One-shot hardware GCM-128. `ct` must hold pt.size() bytes.
-void gcm128_encrypt(const std::uint8_t key[16], const std::uint8_t iv[12],
-                    ByteView aad, ByteView pt, std::uint8_t* ct,
-                    std::uint8_t tag[16]);
+/// One-shot hardware GCM with a 16- or 32-byte key (anything else throws
+/// CryptoError) on `width`, which must be kAesni or kVaes512 and no wider
+/// than gcm_width(). `ct` must hold pt.size() bytes and may equal `pt`.
+void gcm_encrypt(GcmWidth width, ByteView key, const std::uint8_t iv[12],
+                 ByteView aad, ByteView pt, std::uint8_t* ct,
+                 std::uint8_t tag[16]);
 /// Returns false on tag mismatch, with `pt` zeroed; `pt` holds ct.size()
 /// bytes on success. Each ciphertext byte is read once.
-bool gcm128_decrypt(const std::uint8_t key[16], const std::uint8_t iv[12],
-                    ByteView aad, ByteView ct, const std::uint8_t tag[16],
-                    std::uint8_t* pt);
+bool gcm_decrypt(GcmWidth width, ByteView key, const std::uint8_t iv[12],
+                 ByteView aad, ByteView ct, const std::uint8_t tag[16],
+                 std::uint8_t* pt);
 }  // namespace hw
 
 }  // namespace speed::crypto

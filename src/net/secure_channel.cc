@@ -128,6 +128,9 @@ void SecureChannel::seal_frame(Bytes& frame) {
     throw CryptoError("SecureChannel: frame lacks its header");
   }
   const std::size_t plaintext_len = frame.size() - kFrameHeaderSize;
+  // Exactly: an encoder leaves a large request at its exact capacity, and
+  // growing it by the tag alone would double the buffer its caller keeps.
+  frame.reserve(frame_size(plaintext_len));
   frame.resize(frame_size(plaintext_len));
   seal(ByteView(frame).subspan(kFrameHeaderSize, plaintext_len), frame);
 }

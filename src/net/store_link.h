@@ -56,6 +56,13 @@ class StoreLink {
   /// StoreUnavailableError when the link is poisoned and cannot rekey.
   serialize::Message round_trip(const serialize::Message& request);
 
+  /// Bytes the link keeps between round trips: its request frame and reply
+  /// plaintext buffers.
+  std::size_t kept_bytes() const {
+    MutexLock lock(mu_);
+    return frame_.capacity() + plain_.capacity();
+  }
+
  private:
   /// Adopt a dialed connection: its transport, a fresh channel under its
   /// session key, and the rekey callback that stages later keys.
@@ -68,7 +75,7 @@ class StoreLink {
 
   /// The strand: held across wrap -> OCALL -> unwrap, and across the
   /// recover() or dial OCALL that precedes them.
-  Mutex mu_{LockRank::kRuntimeChannel};
+  mutable Mutex mu_{LockRank::kRuntimeChannel};
   std::unique_ptr<Transport> transport_ GUARDED_BY(mu_);  ///< null until dialed
   std::optional<SecureChannel> channel_ GUARDED_BY(mu_);
   bool poisoned_ GUARDED_BY(mu_) = false;

@@ -130,8 +130,15 @@ void Enclave::end_ocall() {
 }
 
 Bytes Enclave::seal(ByteView aad, ByteView plaintext) {
-  MutexLock lock(drbg_mu_);
-  return crypto::gcm_encrypt(seal_key_, aad, plaintext, drbg_);
+  // Only the IV needs the DRBG; every random_bytes() caller shares its
+  // lock, so the seal itself runs outside it.
+  Bytes envelope(crypto::gcm_envelope_size(plaintext.size()));
+  {
+    MutexLock lock(drbg_mu_);
+    drbg_.fill(std::span(envelope).first(crypto::kGcmIvSize));
+  }
+  crypto::gcm_encrypt_into(seal_key_, aad, plaintext, envelope);
+  return envelope;
 }
 
 std::optional<Bytes> Enclave::unseal(ByteView aad, ByteView sealed) {

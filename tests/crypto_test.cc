@@ -1,5 +1,6 @@
 // Crypto substrate tests: NIST/RFC vectors for SHA-256, HMAC, AES, AES-GCM,
-// cross-checks between the hardware and scalar GCM paths, and DRBG sanity.
+// cross-checks between each hardware GCM width and the scalar path, and DRBG
+// sanity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +8,7 @@
 #include <iterator>
 #include <ostream>
 #include <span>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/error.h"
@@ -281,8 +283,8 @@ INSTANTIATE_TEST_SUITE_P(McGrewViega, GcmVectorTest,
                          ::testing::ValuesIn(kGcmVectors),
                          [](const auto& info) { return info.param.name; });
 
-// The same vectors on the portable reference, which kAuto bypasses for
-// AES-128 wherever the CPU has AES-NI.
+// The same vectors on the portable reference, which kAuto bypasses for both
+// key sizes wherever the CPU has AES-NI.
 class GcmPortableVectorTest : public ::testing::TestWithParam<GcmVector> {};
 
 TEST_P(GcmPortableVectorTest, SealMatchesVector) {
@@ -301,15 +303,16 @@ INSTANTIATE_TEST_SUITE_P(McGrewViega, GcmPortableVectorTest,
                          ::testing::ValuesIn(kGcmVectors),
                          [](const auto& info) { return info.param.name; });
 
-// AES-128 vectors long enough to reach the hardware path's 8-block groups
-// (the ones above stop at 64 bytes). Plaintext and AAD are counters,
-// p(n, s)[i] = (s + 31 i) mod 256, with s = 0 for the plaintext and 0x55
-// for the AAD; the ciphertext is pinned by its SHA-256. Generated with the
-// Python `cryptography` package, 48.0.0:
+// Vectors long enough to reach the hardware path's 8-block and 16-block
+// groups (the ones above stop at 64 bytes), for both key sizes, with the
+// *_wide_group_* lengths on either side of a 256-byte group. Plaintext and
+// AAD are counters, p(n, s)[i] = (s + 31 i) mod 256, with s = 0 for the
+// plaintext and 0x55 for the AAD; the ciphertext is pinned by its SHA-256.
+// Generated with the Python `cryptography` package, 48.0.0:
 //   python3 -c "from cryptography.hazmat.primitives.ciphers.aead import AESGCM; import hashlib; p=lambda n,s: bytes((s+31*i)%256 for i in range(n)); o=AESGCM(bytes.fromhex(KEY)).encrypt(bytes.fromhex(IV), p(PT_LEN,0), p(AAD_LEN,0x55)); print(hashlib.sha256(o[:-16]).hexdigest(), o[-16:].hex())"
 // The gmac_* vectors are the same command with PT_LEN = 0: a GMAC of a long
 // AAD, the shape of the store's blob MAC, which takes the hardware path's
-// 8-block AAD groups (the ciphertext digest is then SHA-256 of nothing).
+// AAD groups (the ciphertext digest is then SHA-256 of nothing).
 struct GcmLongVector {
   const char* name;
   const char* key;
@@ -353,6 +356,63 @@ const GcmLongVector kGcmLongVectors[] = {
      "f0e1d2c3b4a5968778695a4b", 65539, 0,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "042db55d3a0bb337f07cdc22fbbdedea"},
+    {"wide_group_minus_one", "000102030405060708090a0b0c0d0e0f",
+     "101112131415161718191a1b", 0, 255,
+     "c6986c320308021c05034ad1e8a45565cd89b15bcb8f38b80d0eee958ba20f4e",
+     "1ab38e456e2c19a08cc60c32d1b31906"},
+    {"wide_group_exact", "feffe9928665731c6d6a8f9467308308",
+     "cafebabefacedbaddecaf888", 256, 256,
+     "4adc9a0c5d934bfa15fb4d9420071c6efcd12c6f8b1a10b7decf607334d1cb36",
+     "5e041f829cd9a73cf8d6177eedbc40ee"},
+    {"wide_group_plus_one", "2b7e151628aed2a6abf7158809cf4f3c",
+     "f0e1d2c3b4a5968778695a4b", 20, 257,
+     "da2383f0422475b9efd5bf1b5ae9c3b2d63c1129ac1c44812ea9ee5fe62c7785",
+     "6401dbe9e898bfb4e2ec9658efa98eed"},
+    {"three_wide_groups_and_a_group", "8f3a61c2d05e4b97a1c3e5f70921b4d6",
+     "ffeeddccbbaa998877665544", 257, 913,
+     "f204cb72e9bc8dea38afacb2e07777ed0446a00b4987a742f6c82fff22794215",
+     "a433a87a0effada4119faccdc241647c"},
+    {"gmac_wide_group_minus_one", "000102030405060708090a0b0c0d0e0f",
+     "101112131415161718191a1b", 255, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "011b8d1a5530817f186ba9fd1e92c9de"},
+    {"gmac_wide_group_exact", "feffe9928665731c6d6a8f9467308308",
+     "cafebabefacedbaddecaf888", 256, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "061af092877475f75d71257d39f2fe25"},
+    {"gmac_wide_group_plus_one", "2b7e151628aed2a6abf7158809cf4f3c",
+     "f0e1d2c3b4a5968778695a4b", 257, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "16092983d4eddcc7e342fa2a3dfae23a"},
+    {"gmac_three_wide_groups_and_a_group", "8f3a61c2d05e4b97a1c3e5f70921b4d6",
+     "ffeeddccbbaa998877665544", 913, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "ba871b39b57c13725ad06486a3fa6aeb"},
+    {"aes256_one_group",
+     "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+     "cafebabefacedbaddecaf888", 0, 128,
+     "e34a96d490f26604e3e6f5d50c0cb07569911c77e79fab6ac58271a7e4b9821b",
+     "07e36114325490491f292bb10787d6c1"},
+    {"aes256_wide_groups_and_tail",
+     "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+     "0a1b2c3d4e5f60718293a4b5", 13, 4101,
+     "a8d0169f54847335bcebbb68018ec1aef440443cb2b6c9c6d6f49c7fb801fd12",
+     "e48de175a619b50a5f706e00c84804f1"},
+    {"aes256_wide_group_plus_one",
+     "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308",
+     "cafebabefacedbaddecaf888", 255, 257,
+     "ef8751054d7717171c59b02e3263d3ee8c5a4d21033a50f6c038f9c4dbb0faeb",
+     "013e7aedcdd28a412dd0627c385942f8"},
+    {"gmac_aes256_one_group",
+     "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+     "101112131415161718191a1b", 128, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "291ac4657123b88d16a4acf5844fdcf6"},
+    {"gmac_aes256_wide_groups_and_tail",
+     "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+     "0a1b2c3d4e5f60718293a4b5", 4101, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "6a88de13a7ab2dcb25e12f17e80c6ef9"},
 };
 
 Bytes counter_pattern(std::size_t n, std::uint8_t start) {
@@ -427,72 +487,149 @@ INSTANTIATE_TEST_SUITE_P(MultiGroup, GcmLongVectorTest,
                          ::testing::ValuesIn(kGcmLongVectors),
                          [](const auto& info) { return info.param.name; });
 
+/// The widest GCM kernel this CPU can run, asked of the CPU directly rather
+/// than through hw::gcm_width(), the gate under test.
+hw::GcmWidth cpu_widest() {
+  hw::GcmWidth widest = hw::GcmWidth::kPortable;
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("aes") && __builtin_cpu_supports("pclmul") &&
+      __builtin_cpu_supports("ssse3")) {
+    widest = hw::GcmWidth::kAesni;
+    if (__builtin_cpu_supports("vaes") &&
+        __builtin_cpu_supports("vpclmulqdq") &&
+        __builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512bw")) {
+      widest = hw::GcmWidth::kVaes512;
+    }
+  }
+#endif
+  return widest;
+}
+
+/// The hardware kernels this CPU runs: AES-NI alone, and, where the CPU has
+/// VAES and AVX-512, 16-block groups followed by the AES-NI loops' tail.
+std::vector<hw::GcmWidth> hw_widths() {
+  std::vector<hw::GcmWidth> widths;
+  if (cpu_widest() >= hw::GcmWidth::kAesni) {
+    widths.push_back(hw::GcmWidth::kAesni);
+  }
+  if (cpu_widest() >= hw::GcmWidth::kVaes512) {
+    widths.push_back(hw::GcmWidth::kVaes512);
+  }
+  return widths;
+}
+
+constexpr std::size_t kGcmKeySizes[] = {kAes128KeySize, kAes256KeySize};
+
 TEST(GcmTest, HwAndScalarPathsAgree) {
-  if (!hw::gcm128_available()) GTEST_SKIP() << "no AES-NI on this machine";
+  const std::vector<hw::GcmWidth> widths = hw_widths();
+  if (widths.empty()) GTEST_SKIP() << "no AES-NI on this machine";
   Drbg rng(to_bytes("gcm-crosscheck"));
-  const auto check = [&rng](std::size_t len, std::size_t aad_len) {
-    SCOPED_TRACE(testing::Message() << "len " << len << " aad " << aad_len);
-    const Bytes key = rng.bytes(16);
-    const Bytes iv = rng.bytes(12);
-    const Bytes aad = rng.bytes(aad_len);
-    const Bytes pt = rng.bytes(len);
+  const auto check = [&](std::size_t len, std::size_t aad_len) {
+    for (const std::size_t key_len : kGcmKeySizes) {
+      SCOPED_TRACE(testing::Message() << "AES-" << key_len * 8 << " len "
+                                      << len << " aad " << aad_len);
+      const Bytes key = rng.bytes(key_len);
+      const Bytes iv = rng.bytes(12);
+      const Bytes aad = rng.bytes(aad_len);
+      const Bytes pt = rng.bytes(len);
 
-    std::uint8_t hw_tag[16];
-    Bytes hw_ct(len);
-    hw::gcm128_encrypt(key.data(), iv.data(), aad, pt, hw_ct.data(), hw_tag);
+      // The portable implementation is the reference.
+      const AesGcm portable(key, AesGcm::Impl::kPortable);
+      const Bytes sealed = portable.seal(iv, aad, pt);
+      ASSERT_EQ(sealed.size(), len + 16);
+      const Bytes want_ct(sealed.begin(),
+                          sealed.begin() + static_cast<long>(len));
+      const ByteView want_tag = ByteView(sealed).last(16);
 
-    // The portable implementation must produce byte-identical output.
-    const AesGcm portable(key, AesGcm::Impl::kPortable);
-    Bytes sealed = portable.seal(iv, aad, pt);
-    ASSERT_EQ(sealed.size(), len + 16);
-    EXPECT_EQ(Bytes(sealed.begin(), sealed.begin() + static_cast<long>(len)),
-              hw_ct);
-    EXPECT_TRUE(ct_equal(ByteView(sealed).last(16), ByteView(hw_tag, 16)));
+      for (const hw::GcmWidth width : widths) {
+        SCOPED_TRACE(hw::gcm_width_name(width));
+        std::uint8_t hw_tag[16];
+        Bytes hw_ct(len);
+        hw::gcm_encrypt(width, key, iv.data(), aad, pt, hw_ct.data(), hw_tag);
+        EXPECT_EQ(hw_ct, want_ct);
+        EXPECT_TRUE(ct_equal(want_tag, ByteView(hw_tag, 16)));
 
-    // And each side must decrypt the other's ciphertext.
-    Bytes recovered(len);
-    ASSERT_TRUE(hw::gcm128_decrypt(key.data(), iv.data(), aad, hw_ct, hw_tag,
-                                   recovered.data()));
-    EXPECT_EQ(recovered, pt);
-    const auto opened = portable.open(iv, aad, sealed);
-    ASSERT_TRUE(opened.has_value());
-    EXPECT_EQ(*opened, pt);
+        // In place: the ciphertext overwrites the plaintext it came from.
+        Bytes buffer = pt;
+        std::uint8_t in_place_tag[16];
+        hw::gcm_encrypt(width, key, iv.data(), aad, buffer, buffer.data(),
+                        in_place_tag);
+        EXPECT_EQ(buffer, want_ct);
+        EXPECT_TRUE(ct_equal(want_tag, ByteView(in_place_tag, 16)));
+
+        // And each side must decrypt the other's ciphertext.
+        Bytes recovered(len);
+        ASSERT_TRUE(hw::gcm_decrypt(width, key, iv.data(), aad, want_ct,
+                                    want_tag.data(), recovered.data()));
+        EXPECT_EQ(recovered, pt);
+        Bytes hw_sealed = hw_ct;
+        hw_sealed.insert(hw_sealed.end(), hw_tag, hw_tag + 16);
+        const auto opened = portable.open(iv, aad, hw_sealed);
+        ASSERT_TRUE(opened.has_value());
+        EXPECT_EQ(*opened, pt);
+      }
+    }
   };
-  // Lengths straddle the 16-byte block and the hardware path's 128-byte
-  // group; AAD lengths rotate through block edges up to 200 bytes.
-  constexpr std::size_t kAadLens[] = {0,  1,  12, 13,  15,  16,  17,
-                                      31, 32, 33, 100, 128, 129, 200};
+  // Lengths straddle the 16-byte block, the 128-byte group and the 256-byte
+  // wide group; AAD lengths rotate through block edges up to 257 bytes.
+  constexpr std::size_t kAadLens[] = {0,  1,  12, 13,  15,  16,  17,  31,
+                                      32, 33, 100, 128, 129, 200, 255, 257};
   std::size_t round = 0;
   for (std::size_t len :
        {0u, 1u, 15u, 16u, 17u, 63u, 64u, 100u, 127u, 128u, 129u, 255u, 256u,
-        257u, 1000u, 1023u, 1025u, 4111u, 65536u, (1u << 20) + 3u}) {
+        257u, 383u, 384u, 385u, 511u, 512u, 513u, 1000u, 1023u, 1025u, 4111u,
+        65536u, (1u << 20) + 3u}) {
     check(len, kAadLens[round++ % std::size(kAadLens)]);
   }
-  // AADs of three 8-block groups, exact and plus a tail, alone (a GMAC) and
-  // before a multi-group plaintext, so AAD and payload share one power table.
-  for (std::size_t aad_len : {3 * 128u, 3 * 128u + 9u}) {
+  // AADs of 8-block groups and of 256·k±1 bytes, alone (a GMAC) and before
+  // a multi-group plaintext, so AAD and payload share one power table.
+  for (std::size_t aad_len :
+       {3 * 128u, 3 * 128u + 9u, 255u, 257u, 3 * 256u - 1u, 3 * 256u + 1u}) {
     for (std::size_t len : {0u, 1025u}) check(len, aad_len);
   }
 }
 
 TEST(GcmTest, HwDecryptZeroesPlaintextOnTagMismatch) {
-  if (!hw::gcm128_available()) GTEST_SKIP() << "no AES-NI on this machine";
+  const std::vector<hw::GcmWidth> widths = hw_widths();
+  if (widths.empty()) GTEST_SKIP() << "no AES-NI on this machine";
   Drbg rng(to_bytes("gcm-wipe-on-failure"));
-  for (std::size_t len : {100u, 65536u}) {
-    SCOPED_TRACE(testing::Message() << "len " << len);
-    const Bytes key = rng.bytes(16);
-    const Bytes iv = rng.bytes(12);
-    const Bytes aad = rng.bytes(13);
-    const Bytes pt = rng.bytes(len);
-    Bytes ct(len);
-    std::uint8_t tag[16];
-    hw::gcm128_encrypt(key.data(), iv.data(), aad, pt, ct.data(), tag);
-    tag[7] ^= 0x10;
+  for (const hw::GcmWidth width : widths) {
+    for (const std::size_t key_len : kGcmKeySizes) {
+      for (std::size_t len : {100u, 300u, 65536u}) {
+        SCOPED_TRACE(testing::Message() << hw::gcm_width_name(width) << " AES-"
+                                        << key_len * 8 << " len " << len);
+        const Bytes key = rng.bytes(key_len);
+        const Bytes iv = rng.bytes(12);
+        const Bytes aad = rng.bytes(13);
+        const Bytes pt = rng.bytes(len);
+        Bytes ct(len);
+        std::uint8_t tag[16];
+        hw::gcm_encrypt(width, key, iv.data(), aad, pt, ct.data(), tag);
+        tag[7] ^= 0x10;
 
-    Bytes out(len, 0xA5);
-    EXPECT_FALSE(
-        hw::gcm128_decrypt(key.data(), iv.data(), aad, ct, tag, out.data()));
-    EXPECT_EQ(out, Bytes(len, 0)) << "a failed decrypt must release nothing";
+        Bytes out(len, 0xA5);
+        EXPECT_FALSE(hw::gcm_decrypt(width, key, iv.data(), aad, ct, tag,
+                                     out.data()));
+        EXPECT_EQ(out, Bytes(len, 0)) << "a failed decrypt must release nothing";
+      }
+    }
+  }
+}
+
+// A gate that fell back silently would pass every kAuto vector above on
+// the narrower loop. So wherever the CPU reports the wide loop's features,
+// kAuto must take it, for both key sizes.
+TEST(GcmTest, AutoTakesTheWidestKernelTheCpuReports) {
+  const hw::GcmWidth want = cpu_widest();
+  EXPECT_STREQ(hw::gcm_width_name(hw::gcm_width()), hw::gcm_width_name(want));
+  Drbg rng(to_bytes("gcm-dispatch"));
+  for (const std::size_t key_len : kGcmKeySizes) {
+    SCOPED_TRACE(testing::Message() << "AES-" << key_len * 8);
+    EXPECT_STREQ(hw::gcm_width_name(AesGcm(rng.bytes(key_len)).width()),
+                 hw::gcm_width_name(want));
+    EXPECT_EQ(AesGcm(rng.bytes(key_len), AesGcm::Impl::kPortable).width(),
+              hw::GcmWidth::kPortable);
   }
 }
 
@@ -535,24 +672,26 @@ TEST(GcmTest, SealIntoRejectsPartialOverlap) {
 TEST(GcmTest, OpenIntoZeroesOutputOnTagMismatch) {
   Drbg rng(to_bytes("gcm-open-into"));
   for (const AesGcm::Impl impl : kGcmImpls) {
-    for (std::size_t len : {100u, 65536u}) {
-      SCOPED_TRACE(testing::Message()
-                   << "portable " << (impl == AesGcm::Impl::kPortable)
-                   << " len " << len);
-      const AesGcm gcm(rng.bytes(16), impl);
-      const Bytes iv = rng.bytes(12);
-      const Bytes aad = rng.bytes(13);
-      const Bytes pt = rng.bytes(len);
-      Bytes sealed = gcm.seal(iv, aad, pt);
+    for (const std::size_t key_len : kGcmKeySizes) {
+      for (std::size_t len : {100u, 300u, 65536u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "portable " << (impl == AesGcm::Impl::kPortable)
+                     << " AES-" << key_len * 8 << " len " << len);
+        const AesGcm gcm(rng.bytes(key_len), impl);
+        const Bytes iv = rng.bytes(12);
+        const Bytes aad = rng.bytes(13);
+        const Bytes pt = rng.bytes(len);
+        Bytes sealed = gcm.seal(iv, aad, pt);
 
-      Bytes out(len, 0xA5);
-      ASSERT_TRUE(gcm.open_into(iv, aad, sealed, out));
-      EXPECT_EQ(out, pt);
+        Bytes out(len, 0xA5);
+        ASSERT_TRUE(gcm.open_into(iv, aad, sealed, out));
+        EXPECT_EQ(out, pt);
 
-      sealed[len + 7] ^= 0x10;  // a tag byte
-      std::fill(out.begin(), out.end(), 0xA5);
-      EXPECT_FALSE(gcm.open_into(iv, aad, sealed, out));
-      EXPECT_EQ(out, Bytes(len, 0)) << "a failed open must release nothing";
+        sealed[len + 7] ^= 0x10;  // a tag byte
+        std::fill(out.begin(), out.end(), 0xA5);
+        EXPECT_FALSE(gcm.open_into(iv, aad, sealed, out));
+        EXPECT_EQ(out, Bytes(len, 0)) << "a failed open must release nothing";
+      }
     }
   }
 }

@@ -167,6 +167,37 @@ TEST(TcpStoreTest, LinkCarriesLargeThenSmallFramesExactly) {
   EXPECT_EQ(server.session_errors(), 0u);
 }
 
+TEST(TcpStoreTest, LinkKeepsOneFrameAfterLargePut) {
+  // Encoding leaves a 1 MiB request at its exact capacity; growing it by
+  // the tag alone would double the buffer the link keeps.
+  sgx::Platform platform(fast_model());
+  store::ResultStore result_store(platform);
+  store::StoreTcpServer server(result_store, 0);
+  auto app = platform.create_enclave("link-kept");
+  auto conn = store::connect_tcp_app(
+      *app, result_store.enclave().measurement(), "127.0.0.1", server.port());
+  net::StoreLink link(*app, net::ResilientTransport::Connection{
+                                std::move(conn.transport),
+                                std::move(conn.session_key)});
+
+  crypto::Drbg rng(to_bytes("link-kept"));
+  serialize::PutRequest put;
+  const Bytes tag = rng.bytes(32);
+  std::copy(tag.begin(), tag.end(), put.tag.begin());
+  put.requester = app->measurement();
+  put.entry = {rng.bytes(16), rng.bytes(16), rng.bytes(std::size_t{1} << 20)};
+  const serialize::Message reply =
+      app->ecall([&] { return link.round_trip(put); });
+  ASSERT_TRUE(std::holds_alternative<serialize::PutResponse>(reply));
+
+  // The sealed request frame, plus the reply's plaintext.
+  const std::size_t frame = net::SecureChannel::kFrameHeaderSize +
+                            serialize::encode_message(put).size() +
+                            crypto::kGcmTagSize;
+  const std::size_t reply_plain = serialize::encode_message(reply).size();
+  EXPECT_LE(link.kept_bytes(), frame + reply_plain);
+}
+
 TEST(TcpStoreTest, ImpostorStoreRejectedByClient) {
   sgx::Platform platform(fast_model());
   store::ResultStore result_store(platform);
