@@ -15,10 +15,13 @@
 // per path, and the stream/whole-call improvement factor. The acceptance
 // bar is >= 5x improvement on this workload (the bench exits 2 below it).
 //
-// Also measured: put/get throughput (MB/s) per path, and the single-chunk
-// regression guard — inputs below the minimum chunk size must ride the
-// exact whole-call wire path, so a StreamSession put of a small input must
-// cost within 5% of a plain per-call execute.
+// Also measured: put/get throughput (MB/s) per path; the per-byte cost of
+// the put's work before its first round trip — Chunker::split and the whole
+// ChunkPlan::build (split, then every chunk and stream context) over a
+// 1 MiB corpus blob, median of 31 runs; and the single-chunk regression
+// guard — inputs below the minimum chunk size must ride the exact
+// whole-call wire path, so a StreamSession put of a small input must cost
+// within 5% of a plain per-call execute.
 //
 // Usage: bench_stream RESULTS.json [--smoke]
 //   --smoke (or SPEED_BENCH_SMOKE=1) runs a reduced ~2 s variant for CI.
@@ -168,6 +171,47 @@ PathResult run_stream(const std::vector<Bytes>& blobs, double* get_seconds,
   return r;
 }
 
+/// The put's pre-round-trip kernels at 1 MiB, in ns per input byte.
+struct KernelResult {
+  std::size_t bytes = 0;
+  std::size_t runs = 31;
+  std::size_t chunks = 0;
+  double split_ns_per_byte = 0;
+  double build_ns_per_byte = 0;
+};
+
+KernelResult run_kernels() {
+  KernelResult r;
+  workload::StreamCorpusConfig config;
+  config.blob_bytes = 1 << 20;
+  const Bytes blob = workload::synth_stream_blob(config, kSeed);
+  r.bytes = blob.size();
+  mle::FunctionIdentity fn;
+  fn.descriptor = {"bench-stream", "1.0", "bytes put_stream(bytes)"};
+  const chunk::Chunker chunker;
+  r.chunks = chunker.split(blob).size();
+  const auto median_ns_per_byte = [&](const auto& op) {
+    std::vector<double> ns(r.runs);
+    for (double& t : ns) {
+      Stopwatch sw;
+      op();
+      t = static_cast<double>(sw.elapsed_ns()) / static_cast<double>(r.bytes);
+    }
+    std::nth_element(ns.begin(), ns.begin() + ns.size() / 2, ns.end());
+    return ns[ns.size() / 2];
+  };
+  std::size_t sink = 0;  // keeps the timed calls observable
+  r.split_ns_per_byte =
+      median_ns_per_byte([&] { sink += chunker.split(blob).size(); });
+  r.build_ns_per_byte = median_ns_per_byte(
+      [&] { sink += chunk::ChunkPlan::build(fn, blob, chunker).chunk_count(); });
+  if (sink != 2 * r.runs * r.chunks) {
+    std::fprintf(stderr, "bench_stream: FATAL kernel chunk count drifted\n");
+    std::exit(1);
+  }
+  return r;
+}
+
 /// Single-chunk guard: sub-minimum inputs must degrade to the whole-call
 /// wire path, so their put cost through a StreamSession should match a
 /// plain execute. Both sides run synchronous PUTs (async_put off) so the
@@ -257,6 +301,7 @@ int main(int argc, char** argv) {
   double get_seconds = 0, get_mb_per_s = 0;
   const PathResult stream = run_stream(blobs, &get_seconds, &get_mb_per_s);
   const SingleChunkResult sc = run_single_chunk(smoke);
+  const KernelResult kernels = run_kernels();
 
   std::printf("%-11s %9s %9s %11s %10s\n", "path", "uploaded", "ratio",
               "put MB/s", "chunk hits");
@@ -269,12 +314,18 @@ int main(int argc, char** argv) {
   std::printf("dedup-ratio improvement (stream vs whole-call): %.2fx\n",
               improvement);
   std::printf("stream get: %.2f MB/s\n", get_mb_per_s);
+  std::printf(
+      "put kernels at %zu KiB (median of %zu): Chunker::split %.3f ns/B, "
+      "ChunkPlan::build %.3f ns/B\n",
+      kernels.bytes / 1024, kernels.runs, kernels.split_ns_per_byte,
+      kernels.build_ns_per_byte);
   std::printf("single-chunk put: call %.3f ms, stream %.3f ms (%+.1f%%)\n",
               sc.call_ms, sc.stream_ms, sc.overhead_pct);
 
   std::string json = "{\n  \"bench\": \"stream\",\n";
+  json += "  \"host\": " + bench::host_json() + ",\n";
   json += "  \"smoke\": " + std::string(smoke ? "true" : "false") + ",\n";
-  char buf[512];
+  char buf[1024];
   std::snprintf(buf, sizeof(buf),
                 "  \"workload\": {\"blobs\": %zu, \"total_bytes\": %llu, "
                 "\"edits_per_version\": 1, \"edit_bytes\": 64},\n",
@@ -285,10 +336,15 @@ int main(int argc, char** argv) {
   std::snprintf(buf, sizeof(buf),
                 "  \"dedup_ratio_improvement\": %.3f,\n"
                 "  \"stream_get\": {\"seconds\": %.3f, \"mb_per_s\": %.2f},\n"
+                "  \"put_kernels\": {\"bytes\": %zu, \"runs\": %zu, "
+                "\"chunks\": %zu, \"split_ns_per_byte\": %.3f, "
+                "\"build_ns_per_byte\": %.3f},\n"
                 "  \"single_chunk\": {\"trials\": %zu, \"bytes\": %zu, "
                 "\"call_ms\": %.4f, \"stream_ms\": %.4f, "
                 "\"overhead_pct\": %.2f}\n",
-                improvement, get_seconds, get_mb_per_s, sc.trials, sc.bytes,
+                improvement, get_seconds, get_mb_per_s, kernels.bytes,
+                kernels.runs, kernels.chunks, kernels.split_ns_per_byte,
+                kernels.build_ns_per_byte, sc.trials, sc.bytes,
                 sc.call_ms, sc.stream_ms, sc.overhead_pct);
   json += buf;
   json += "}\n";

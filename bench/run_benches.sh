@@ -76,7 +76,9 @@ echo "telemetry: $repo_root/BENCH_batch.telemetry.json"
 # Streaming chunked dedup: dedup ratio + throughput of StreamSession vs
 # whole-call dedup on an edited/shifted version-chain workload (acceptance
 # bar: >= 5x dedup-ratio improvement, single-chunk puts within 5% of the
-# per-call path; the bench exits 2 below the bar). Honors --smoke /
+# per-call path; the bench exits 2 below the bar), plus the put's work
+# before its first round trip (Chunker::split and ChunkPlan::build in ns/B
+# at 1 MiB, median of 31) and the host block. Honors --smoke /
 # SPEED_BENCH_SMOKE=1 for the reduced CI variant.
 stream_bench="$build_dir/bench/bench_stream"
 if [ ! -x "$stream_bench" ]; then

@@ -23,10 +23,9 @@ ChunkPlan ChunkPlan::build(const mle::FunctionIdentity& fn, ByteView input,
   plan.contexts_.reserve(plan.chunks_.size());
   plan.tags_.reserve(plan.chunks_.size());
   for (const ChunkRef& c : plan.chunks_) {
-    const ByteView bytes = input.subspan(c.offset, c.size);
-    plan.contexts_.push_back(tagger.context(bytes));
+    plan.contexts_.push_back(
+        tagger.context(input.subspan(c.offset, c.size), stream));
     plan.tags_.push_back(plan.contexts_.back().tag());
-    stream.update(bytes);
   }
   plan.stream_.emplace(std::move(stream).finish());
   plan.stream_tag_ = plan.stream_->tag();

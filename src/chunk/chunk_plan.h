@@ -1,15 +1,17 @@
 // ChunkPlan — the tag-per-chunk refactoring of the dedup API.
 //
 // The whole-call path derives one (tag, context) pair per call. A ChunkPlan
-// derives one per content-defined chunk plus one for the whole stream, all
-// in a single pass over the input:
+// derives one per content-defined chunk plus one for the whole stream, in
+// two passes over the input: the chunker finds every cut point first, then
+// one hashing pass derives every context:
 //
 //   * each chunk's context forks a shared (domain, func) midstate
 //     (mle::ChunkTagger), so the function identity is hashed once, not once
 //     per chunk;
-//   * the whole-stream context accumulates the same walk incrementally
-//     (mle::ContextBuilder) — the input is hashed exactly twice total
-//     (once chunk-wise, once stream-wise) regardless of chunk count;
+//   * the whole-stream context (mle::ContextBuilder) absorbs each chunk in
+//     the same pass as the chunk's own context: one two-lane SHA-256 walk
+//     (crypto::Sha256::update_pair) feeds every byte to both, so the input
+//     is read once for hashing regardless of chunk count;
 //   * chunk tags live in Domain::kChunk and the stream tag in
 //     Domain::kStream, both disjoint from whole-call tags, so a chunk can
 //     never alias a whole input's call entry in the store.
@@ -33,7 +35,7 @@ namespace speed::chunk {
 
 class ChunkPlan {
  public:
-  /// Chunk `input` and derive every context in one pass. The plan borrows
+  /// Chunk `input` and derive every context. The plan borrows
   /// `input` (chunk byte windows point into it); the caller keeps the
   /// buffer alive for the plan's lifetime.
   static ChunkPlan build(const mle::FunctionIdentity& fn, ByteView input,

@@ -17,6 +17,15 @@
 // fixed-size window for free. The gear table is derived deterministically,
 // so chunk boundaries — and thus chunk tags — are stable across processes
 // and platforms.
+//
+// Because the hash forgets every byte more than 64 steps back, split() does
+// not walk a chunk from its first byte: no cut is taken before min_size, so
+// it starts hashing at min_size − 64 (at 0 when min_size ≤ 64) and reaches
+// the first tested position with the very hash a walk from the chunk start
+// would hold there. Every cut point is unchanged; the bytes below
+// min_size − 64 are never read. The walk then tests two positions per step
+// (h₁ = 2h + G[b₀], h₂ = 4h + (G ≪ 1)[b₀] + G[b₁]), so the loop-carried
+// dependency is one shift-add per two bytes.
 #pragma once
 
 #include <cstddef>
@@ -63,6 +72,11 @@ class Chunker {
   const ChunkerConfig& config() const { return config_; }
 
  private:
+  /// Size of the chunk starting at `p` with `limit` bytes available
+  /// (limit ≤ max_size): the first position from min_size on whose hash
+  /// passes the cut mask, else `limit`.
+  std::size_t cut_point(const std::uint8_t* p, std::size_t limit) const;
+
   ChunkerConfig config_;
   std::uint64_t cut_mask_;
 };

@@ -306,4 +306,14 @@ void gcm_encrypt_into(const secret::Buffer& key, ByteView aad,
   seal_after_iv(key, aad, plaintext, envelope);
 }
 
+bool gcm_decrypt_into(const secret::Buffer& key, ByteView aad,
+                      ByteView envelope, std::span<std::uint8_t> plaintext) {
+  if (envelope.size() != gcm_envelope_size(plaintext.size())) {
+    throw CryptoError("gcm envelope: size must be IV + plaintext + tag");
+  }
+  const AesGcm gcm(key);
+  return gcm.open_into(envelope.first(kGcmIvSize), aad,
+                       envelope.subspan(kGcmIvSize), plaintext);
+}
+
 }  // namespace speed::crypto

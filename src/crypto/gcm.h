@@ -117,6 +117,13 @@ std::optional<Bytes> gcm_decrypt(const secret::Buffer& key, ByteView aad,
 void gcm_encrypt_into(const secret::Buffer& key, ByteView aad,
                       ByteView plaintext, std::span<std::uint8_t> envelope);
 
+/// gcm_decrypt into `plaintext`, which must hold exactly the envelope's
+/// plaintext: envelope.size() == gcm_envelope_size(plaintext.size()), or
+/// CryptoError. Returns false on authentication failure, with `plaintext`
+/// zeroed. Must not overlap the envelope.
+bool gcm_decrypt_into(const secret::Buffer& key, ByteView aad,
+                      ByteView envelope, std::span<std::uint8_t> plaintext);
+
 /// Size of gcm_encrypt's envelope for a given plaintext length.
 inline constexpr std::size_t gcm_envelope_size(std::size_t plaintext_len) {
   return kGcmIvSize + plaintext_len + kGcmTagSize;

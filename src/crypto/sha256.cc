@@ -1,5 +1,6 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -126,42 +127,101 @@ SPEED_SHA_NI_INLINE void all_rounds(__m128i& abef, __m128i& cdgh,
   (quad_round<I>(abef, cdgh, w), ...);
 }
 
-#undef SPEED_SHA_NI_INLINE
+/// The 64 rounds of two independent blocks, quad-round by quad-round: each
+/// lane's sha256rnds2 chain waits on its own previous result, so issuing the
+/// other lane's quad in between keeps the SHA unit busy.
+template <int... I>
+SPEED_SHA_NI_INLINE void all_rounds_x2(__m128i& abef_a, __m128i& cdgh_a,
+                                       __m128i (&wa)[4], __m128i& abef_b,
+                                       __m128i& cdgh_b, __m128i (&wb)[4],
+                                       std::integer_sequence<int, I...>) {
+  ((quad_round<I>(abef_a, cdgh_a, wa), quad_round<I>(abef_b, cdgh_b, wb)),
+   ...);
+}
 
-__attribute__((target("sha,sse4.1"))) void compress_sha_ni(
-    std::uint32_t state[8], const std::uint8_t* blocks, std::size_t n) {
-  // Message words are big-endian; pshufb swaps the bytes of each lane.
-  const __m128i bswap32 =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
-  // sha256rnds2 keeps the working variables as {A,B,E,F} and {C,D,G,H}
-  // (lanes listed high to low); regroup the state's {A..D}, {E..H} words.
+/// Message words are big-endian; pshufb swaps the bytes of each lane.
+SPEED_SHA_NI_INLINE __m128i bswap32_mask() {
+  return _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+}
+
+/// The block's sixteen message words, four per register. Written out
+/// rather than looped: GCC keeps a looped fill in a stack array.
+SPEED_SHA_NI_INLINE void load_block(const std::uint8_t* block, __m128i bswap32,
+                                    __m128i (&w)[4]) {
+  const auto* in = reinterpret_cast<const __m128i*>(block);
+  w[0] = _mm_shuffle_epi8(_mm_loadu_si128(in), bswap32);
+  w[1] = _mm_shuffle_epi8(_mm_loadu_si128(in + 1), bswap32);
+  w[2] = _mm_shuffle_epi8(_mm_loadu_si128(in + 2), bswap32);
+  w[3] = _mm_shuffle_epi8(_mm_loadu_si128(in + 3), bswap32);
+}
+
+/// sha256rnds2 keeps the working variables as {A,B,E,F} and {C,D,G,H}
+/// (lanes listed high to low); regroup the state's {A..D}, {E..H} words.
+SPEED_SHA_NI_INLINE void load_state(const std::uint32_t state[8],
+                                    __m128i& abef, __m128i& cdgh) {
   const __m128i cdab = _mm_shuffle_epi32(
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
   const __m128i efgh = _mm_shuffle_epi32(
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
-  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
-  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  abef = _mm_alignr_epi8(cdab, efgh, 8);
+  cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+}
 
-  for (; n > 0; --n, blocks += 64) {
-    const __m128i abef_in = abef;
-    const __m128i cdgh_in = cdgh;
-    __m128i w[4];
-    for (int i = 0; i < 4; ++i) {
-      w[i] = _mm_shuffle_epi8(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
-          bswap32);
-    }
-    all_rounds(abef, cdgh, w, std::make_integer_sequence<int, 16>{});
-    abef = _mm_add_epi32(abef, abef_in);
-    cdgh = _mm_add_epi32(cdgh, cdgh_in);
-  }
-
+SPEED_SHA_NI_INLINE void store_state(std::uint32_t state[8], __m128i abef,
+                                     __m128i cdgh) {
   const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
   const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
   _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
                    _mm_blend_epi16(feba, dchg, 0xF0));
   _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
                    _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#undef SPEED_SHA_NI_INLINE
+
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni(
+    std::uint32_t state[8], const std::uint8_t* blocks, std::size_t n) {
+  const __m128i bswap32 = bswap32_mask();
+  __m128i abef, cdgh;
+  load_state(state, abef, cdgh);
+  for (; n > 0; --n, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+    load_block(blocks, bswap32, w);
+    all_rounds(abef, cdgh, w, std::make_integer_sequence<int, 16>{});
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+  store_state(state, abef, cdgh);
+}
+
+/// compress_sha_ni over two states at once: `n` blocks from `a` into
+/// `state_a` and `n` blocks from `b` into `state_b`.
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni_x2(
+    std::uint32_t state_a[8], const std::uint8_t* a, std::uint32_t state_b[8],
+    const std::uint8_t* b, std::size_t n) {
+  const __m128i bswap32 = bswap32_mask();
+  __m128i abef_a, cdgh_a, abef_b, cdgh_b;
+  load_state(state_a, abef_a, cdgh_a);
+  load_state(state_b, abef_b, cdgh_b);
+  for (; n > 0; --n, a += 64, b += 64) {
+    const __m128i abef_a_in = abef_a;
+    const __m128i cdgh_a_in = cdgh_a;
+    const __m128i abef_b_in = abef_b;
+    const __m128i cdgh_b_in = cdgh_b;
+    __m128i wa[4], wb[4];
+    load_block(a, bswap32, wa);
+    load_block(b, bswap32, wb);
+    all_rounds_x2(abef_a, cdgh_a, wa, abef_b, cdgh_b, wb,
+                  std::make_integer_sequence<int, 16>{});
+    abef_a = _mm_add_epi32(abef_a, abef_a_in);
+    cdgh_a = _mm_add_epi32(cdgh_a, cdgh_a_in);
+    abef_b = _mm_add_epi32(abef_b, abef_b_in);
+    cdgh_b = _mm_add_epi32(cdgh_b, cdgh_b_in);
+  }
+  store_state(state_a, abef_a, cdgh_a);
+  store_state(state_b, abef_b, cdgh_b);
 }
 
 #endif  // SPEED_SHA256_X86
@@ -212,31 +272,57 @@ void Sha256::compress(const std::uint8_t* blocks, std::size_t n) {
   compress_portable(state_, blocks, n);
 }
 
+std::size_t Sha256::top_up(ByteView data) {
+  if (buffer_len_ == 0) return 0;
+  const std::size_t take = std::min(data.size(), 64 - buffer_len_);
+  std::memcpy(buffer_ + buffer_len_, data.data(), take);
+  buffer_len_ += take;
+  if (buffer_len_ == 64) {
+    compress(buffer_, 1);
+    buffer_len_ = 0;
+  }
+  return take;
+}
+
+void Sha256::absorb_blocks(ByteView data) {
+  // Every whole block in one call, so the kernel keeps the state in
+  // registers across blocks.
+  const std::size_t blocks = data.size() / 64;
+  if (blocks > 0) compress(data.data(), blocks);
+  const ByteView tail = data.subspan(64 * blocks);
+  if (!tail.empty()) {
+    std::memcpy(buffer_, tail.data(), tail.size());
+    buffer_len_ = tail.size();
+  }
+}
+
 void Sha256::update(ByteView data) {
   if (data.empty()) return;  // an empty span may carry a null data()
   bit_count_ += static_cast<std::uint64_t>(data.size()) * 8;
-  std::size_t off = 0;
-  if (buffer_len_ > 0) {
-    const std::size_t take = std::min(data.size(), 64 - buffer_len_);
-    std::memcpy(buffer_ + buffer_len_, data.data(), take);
-    buffer_len_ += take;
-    off = take;
-    if (buffer_len_ == 64) {
-      compress(buffer_, 1);
-      buffer_len_ = 0;
-    }
+  absorb_blocks(data.subspan(top_up(data)));
+}
+
+void Sha256::update_pair(Sha256& a, Sha256& b, ByteView data) {
+#ifdef SPEED_SHA256_X86
+  // Under two blocks a lane may have no whole block left after its top-up.
+  if (a.use_hw_ && b.use_hw_ && &a != &b && data.size() >= 128) {
+    const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
+    a.bit_count_ += bits;
+    b.bit_count_ += bits;
+    // The lanes sit at different offsets mod 64, so each tops up its own
+    // partial block and then walks its own block grid over `data`.
+    const ByteView rest_a = data.subspan(a.top_up(data));
+    const ByteView rest_b = data.subspan(b.top_up(data));
+    const std::size_t both = std::min(rest_a.size(), rest_b.size()) / 64;
+    compress_sha_ni_x2(a.state_, rest_a.data(), b.state_, rest_b.data(), both);
+    // The longer lane may have one more whole block; both keep their tails.
+    a.absorb_blocks(rest_a.subspan(64 * both));
+    b.absorb_blocks(rest_b.subspan(64 * both));
+    return;
   }
-  // Every whole block in one call, so the kernel keeps the state in
-  // registers across blocks.
-  const std::size_t blocks = (data.size() - off) / 64;
-  if (blocks > 0) {
-    compress(data.data() + off, blocks);
-    off += 64 * blocks;
-  }
-  if (off < data.size()) {
-    std::memcpy(buffer_, data.data() + off, data.size() - off);
-    buffer_len_ = data.size() - off;
-  }
+#endif
+  a.update(data);
+  b.update(data);
 }
 
 Sha256Digest Sha256::finish() {

@@ -13,6 +13,11 @@
 //   * a portable scalar path, which is the reference the hardware path is
 //     tested against and the only path on other CPUs.
 // Both produce identical digests; the choice changes speed only.
+//
+// update_pair feeds the same bytes to two states in one pass. On the
+// hardware path it runs both states' rounds interleaved, block by block, so
+// the two dependency chains share the SHA unit: a one-lane pass waits on the
+// latency of each round, and the second lane fills those waits.
 #pragma once
 
 #include <array>
@@ -45,6 +50,13 @@ class Sha256 {
   /// Absorb more input.
   void update(ByteView data);
 
+  /// Same result as `a.update(data); b.update(data)`. When both states take
+  /// the hardware path and `data` spans at least two blocks, the two
+  /// compressions run interleaved in one pass over `data`; otherwise this
+  /// is exactly the two update calls. The states may hold different
+  /// amounts of buffered input.
+  static void update_pair(Sha256& a, Sha256& b, ByteView data);
+
   /// Finalize and return the digest. The object must be reset() before reuse.
   Sha256Digest finish();
 
@@ -59,6 +71,12 @@ class Sha256 {
  private:
   /// Runs the compression function over `n` consecutive 64-byte blocks.
   void compress(const std::uint8_t* blocks, std::size_t n);
+  /// Fills a partial block from `data` (compressing it once whole); returns
+  /// the bytes taken, 0 when no block was partial.
+  std::size_t top_up(ByteView data);
+  /// With no partial block buffered: compresses the whole blocks of `data`
+  /// and buffers the rest. Does not count bits.
+  void absorb_blocks(ByteView data);
 
   std::uint32_t state_[8];
   std::uint64_t bit_count_;

@@ -94,6 +94,13 @@ std::optional<secret::Buffer> ResultCipher::decrypt_result(
   return secret::Buffer::absorb(std::move(*pt));
 }
 
+bool ResultCipher::decrypt_result_into(const Tag& tag,
+                                       const secret::Buffer& key,
+                                       ByteView result_ct,
+                                       std::span<std::uint8_t> out) {
+  return crypto::gcm_decrypt_into(key, tag_aad(tag), result_ct, out);
+}
+
 serialize::EntryPayload ResultCipher::protect(const FunctionIdentity& fn,
                                               ByteView input, ByteView result,
                                               crypto::Drbg& drbg) {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "common/bytes.h"
 #include "common/secret.h"
@@ -88,6 +89,13 @@ class ResultCipher {
   static std::optional<secret::Buffer> decrypt_result(const Tag& tag,
                                                       const secret::Buffer& key,
                                                       ByteView result_ct);
+  /// decrypt_result into a caller's buffer, which must hold exactly the
+  /// plaintext (result_ct.size() == crypto::gcm_envelope_size(out.size()),
+  /// else CryptoError): no allocation per result. False on authentication
+  /// failure, with `out` zeroed.
+  static bool decrypt_result_into(const Tag& tag, const secret::Buffer& key,
+                                  ByteView result_ct,
+                                  std::span<std::uint8_t> out);
 };
 
 /// §III-B basic design: every application shares `system_key`.

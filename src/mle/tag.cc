@@ -53,9 +53,11 @@ ChunkTagger::ChunkTagger(const FunctionIdentity& fn, Domain domain) {
   absorb_part(prefix_, fn.unique_value());
 }
 
-ComputationContext ChunkTagger::context(ByteView chunk) const {
+ComputationContext ChunkTagger::context(ByteView chunk,
+                                        ContextBuilder& stream) const {
   crypto::Sha256 h = prefix_;  // fork; the member prefix stays reusable
-  absorb_part(h, chunk);
+  absorb_len(h, static_cast<std::uint32_t>(chunk.size()));
+  crypto::Sha256::update_pair(h, stream.claim(chunk.size()), chunk);
   return ComputationContext(ComputationContext::FromMidstate{}, h);
 }
 
@@ -67,16 +69,17 @@ ContextBuilder::ContextBuilder(const FunctionIdentity& fn,
   }
   midstate_.update(domain_label(domain));
   absorb_part(midstate_, fn.unique_value());
-  // Commit the input's length prefix now; update() streams the raw bytes.
+  // Commit the input's length prefix now; ChunkTagger::context streams
+  // the raw bytes.
   absorb_len(midstate_, static_cast<std::uint32_t>(total_bytes));
 }
 
-void ContextBuilder::update(ByteView part) {
-  if (part.size() > remaining_) {
+crypto::Sha256& ContextBuilder::claim(std::size_t n) {
+  if (n > remaining_) {
     throw CryptoError("ContextBuilder: more bytes than declared");
   }
-  midstate_.update(part);
-  remaining_ -= part.size();
+  remaining_ -= n;
+  return midstate_;
 }
 
 ComputationContext ContextBuilder::finish() && {

@@ -90,6 +90,32 @@ class ComputationContext {
   crypto::Sha256 midstate_;  ///< absorbed: label ‖ len(uv) ‖ uv ‖ len(m) ‖ m
 };
 
+/// Builds a ComputationContext over an input that arrives in parts, without
+/// concatenating it: the streaming data path walks the chunked input once,
+/// and ChunkTagger::context feeds each chunk both to its own per-chunk
+/// context and to the whole-stream context accumulating here. The finished
+/// context is byte-for-byte the one ComputationContext(fn, whole_input,
+/// domain) would produce, so stream tags are independent of how the walk
+/// was split.
+class ContextBuilder {
+ public:
+  ContextBuilder(const FunctionIdentity& fn, std::uint64_t total_bytes,
+                 Domain domain);
+
+  /// Consumes the builder. Throws if the absorbed bytes don't sum to the
+  /// declared total (the length prefix was already committed to the hash).
+  ComputationContext finish() &&;
+
+ private:
+  friend class ChunkTagger;
+  /// Counts `n` more bytes against the declared total (throws past it) and
+  /// returns the midstate they must be absorbed into.
+  crypto::Sha256& claim(std::size_t n);
+
+  crypto::Sha256 midstate_;
+  std::uint64_t remaining_;
+};
+
 /// Derives many same-function contexts cheaply: the (domain-label, func)
 /// prefix is absorbed once at construction, then each chunk forks that
 /// midstate and absorbs only its own bytes. For a plan of N chunks this
@@ -100,35 +126,15 @@ class ChunkTagger {
   explicit ChunkTagger(const FunctionIdentity& fn,
                        Domain domain = Domain::kChunk);
 
-  /// Context for one chunk: fork the (label, func) midstate, absorb the
-  /// chunk bytes. Equivalent to ComputationContext(fn, chunk, domain) but
-  /// without re-hashing the function identity.
-  ComputationContext context(ByteView chunk) const;
+  /// Context for one chunk of a stream: fork the (label, func) midstate,
+  /// absorb the chunk, and absorb the same bytes into `stream` in the same
+  /// pass (crypto::Sha256::update_pair). The result equals
+  /// ComputationContext(fn, chunk, domain) without re-hashing the function
+  /// identity, and `stream` has absorbed `chunk` as its next part.
+  ComputationContext context(ByteView chunk, ContextBuilder& stream) const;
 
  private:
   crypto::Sha256 prefix_;  ///< absorbed: label ‖ len(uv) ‖ uv
-};
-
-/// Builds a ComputationContext over an input that arrives in parts, without
-/// concatenating it: the streaming data path walks the chunked input once,
-/// feeding each chunk both to its own per-chunk context (via ChunkTagger)
-/// and to the whole-stream context accumulating here. The finished context
-/// is byte-for-byte the one ComputationContext(fn, whole_input, domain)
-/// would produce, so stream tags are independent of how the walk was split.
-class ContextBuilder {
- public:
-  ContextBuilder(const FunctionIdentity& fn, std::uint64_t total_bytes,
-                 Domain domain);
-
-  void update(ByteView part);
-
-  /// Consumes the builder. Throws if the absorbed bytes don't sum to the
-  /// declared total (the length prefix was already committed to the hash).
-  ComputationContext finish() &&;
-
- private:
-  crypto::Sha256 midstate_;
-  std::uint64_t remaining_;
 };
 
 /// t <- Hash(func, m). Algorithm 1/2, line 1.

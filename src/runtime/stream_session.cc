@@ -1,10 +1,12 @@
 #include "runtime/stream_session.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
+#include "crypto/gcm.h"
 #include "serialize/codec.h"
 
 namespace speed::runtime {
@@ -21,17 +23,24 @@ namespace {
 
 /// Recover the per-entry key from a stored entry and prove it decrypts
 /// under the expected tag. Returns the key, or nullopt for a missing,
-/// foreign, or poisoned entry (the GCM ⊥ of Fig. 3).
+/// foreign, or poisoned entry (the GCM ⊥ of Fig. 3). The proof opens the
+/// entry into `opened`, which the caller keeps for a whole put: it grows to
+/// the largest entry opened and wipes itself when the put returns.
 std::optional<secret::Buffer> adopt_entry(const mle::ComputationContext& ctx,
                                           const serialize::Tag& tag,
-                                          const GetResponse& resp) {
-  if (!resp.found || resp.entry.wrapped_key.size() != mle::kResultKeySize) {
+                                          const GetResponse& resp,
+                                          secret::Buffer& opened) {
+  const ByteView ct = resp.entry.result_ct;
+  if (!resp.found || resp.entry.wrapped_key.size() != mle::kResultKeySize ||
+      ct.size() < crypto::gcm_envelope_size(0)) {
     return std::nullopt;
   }
+  const std::size_t size = ct.size() - crypto::gcm_envelope_size(0);
+  if (opened.size() < size) opened = secret::Buffer(size);
   secret::Buffer key = mle::ResultCipher::recover_key(
       ctx, resp.entry.challenge, resp.entry.wrapped_key);
-  if (!mle::ResultCipher::decrypt_result(tag, key, resp.entry.result_ct)
-           .has_value()) {
+  if (!mle::ResultCipher::decrypt_result_into(tag, key, ct,
+                                              opened.writable().first(size))) {
     return std::nullopt;
   }
   return key;
@@ -93,8 +102,9 @@ Bytes StreamSession::get(const StreamHandle& handle) {
 StreamHandle StreamSession::put_trusted(ByteView data) {
   rt_.metrics_.stream_puts.inc();
   crypto::Drbg drbg(rt_.enclave().random_bytes(32));
+  secret::Buffer opened;  // every adopted entry is opened here
   const chunk::ChunkPlan plan = chunk::ChunkPlan::build(fn_, data, chunker_);
-  if (plan.whole_call()) return put_whole_call(plan, drbg);
+  if (plan.whole_call()) return put_whole_call(plan, drbg, opened);
 
   const bool fail_open = rt_.config_.fail_open;
   bool degraded = false;
@@ -107,8 +117,8 @@ StreamHandle StreamSession::put_trusted(ByteView data) {
         rt_.stream_ops({make_get(plan.stream_tag())});
     if (const auto* get_resp = std::get_if<GetResponse>(&replies.front())) {
       if (get_resp->found) {
-        auto key =
-            adopt_entry(plan.stream_context(), plan.stream_tag(), *get_resp);
+        auto key = adopt_entry(plan.stream_context(), plan.stream_tag(),
+                               *get_resp, opened);
         if (key.has_value()) {
           rt_.metrics_.stream_whole_hits.inc();
           rt_.metrics_.stream_bytes_deduped.inc(data.size());
@@ -175,8 +185,8 @@ StreamHandle StreamSession::put_trusted(ByteView data) {
         continue;
       }
       if (get_resp->found) {
-        auto key =
-            adopt_entry(plan.chunk_context(i), plan.chunk_tag(i), *get_resp);
+        auto key = adopt_entry(plan.chunk_context(i), plan.chunk_tag(i),
+                               *get_resp, opened);
         if (key.has_value()) {
           rt_.metrics_.stream_chunk_hits.inc();
           rt_.metrics_.stream_bytes_deduped.inc(plan.chunk(i).size);
@@ -253,7 +263,8 @@ StreamHandle StreamSession::put_trusted(ByteView data) {
       const auto* get_resp = std::get_if<GetResponse>(&reget_replies[j]);
       std::optional<secret::Buffer> key;
       if (get_resp != nullptr) {
-        key = adopt_entry(plan.chunk_context(i), plan.chunk_tag(i), *get_resp);
+        key = adopt_entry(plan.chunk_context(i), plan.chunk_tag(i), *get_resp,
+                          opened);
       }
       if (key.has_value()) {
         rt_.metrics_.stream_chunk_hits.inc();
@@ -314,7 +325,8 @@ StreamHandle StreamSession::put_trusted(ByteView data) {
       const auto* get_resp = std::get_if<GetResponse>(&reget.front());
       std::optional<secret::Buffer> key;
       if (get_resp != nullptr) {
-        key = adopt_entry(plan.stream_context(), plan.stream_tag(), *get_resp);
+        key = adopt_entry(plan.stream_context(), plan.stream_tag(), *get_resp,
+                          opened);
       }
       if (key.has_value()) {
         handle.key = std::move(*key);
@@ -334,7 +346,8 @@ StreamHandle StreamSession::put_trusted(ByteView data) {
 }
 
 StreamHandle StreamSession::put_whole_call(const chunk::ChunkPlan& plan,
-                                           crypto::Drbg& drbg) {
+                                           crypto::Drbg& drbg,
+                                           secret::Buffer& opened) {
   // Single-chunk degrade: exactly the per-call protocol — whole-call domain
   // context, one GET, one plain PUT on a miss, no manifest. The wire frames
   // are the ones DedupRuntime::execute would produce for this input.
@@ -374,7 +387,7 @@ StreamHandle StreamSession::put_whole_call(const chunk::ChunkPlan& plan,
     return handle;
   }
   if (get_resp->found) {
-    auto key = adopt_entry(ctx, tag, *get_resp);
+    auto key = adopt_entry(ctx, tag, *get_resp, opened);
     if (key.has_value()) {
       rt_.metrics_.stream_whole_hits.inc();
       rt_.metrics_.stream_bytes_deduped.inc(plan.total_bytes());
@@ -415,7 +428,9 @@ StreamHandle StreamSession::put_whole_call(const chunk::ChunkPlan& plan,
     std::vector<BatchReply> reget = rt_.stream_ops({make_get(tag)});
     const auto* reget_resp = std::get_if<GetResponse>(&reget.front());
     std::optional<secret::Buffer> key;
-    if (reget_resp != nullptr) key = adopt_entry(ctx, tag, *reget_resp);
+    if (reget_resp != nullptr) {
+      key = adopt_entry(ctx, tag, *reget_resp, opened);
+    }
     if (key.has_value()) {
       handle.key = std::move(*key);
       return handle;
@@ -490,11 +505,25 @@ Bytes StreamSession::get_trusted(const StreamHandle& handle) {
 Bytes StreamSession::assemble(const chunk::Manifest& manifest) {
   std::vector<std::size_t> refs;
   refs.reserve(manifest.entries.size());
+  std::uint64_t total = 0;
   for (std::size_t i = 0; i < manifest.entries.size(); ++i) {
-    if (!manifest.entries[i].inlined) refs.push_back(i);
+    const chunk::ManifestEntry& e = manifest.entries[i];
+    if (!e.inlined) refs.push_back(i);
+    total += e.inlined ? e.inline_bytes.size() : e.size;
+  }
+  if (total != manifest.total_bytes) {
+    throw net::StoreUnavailableError("stream get: stream size mismatch");
   }
 
-  std::vector<Bytes> plain(manifest.entries.size());
+  // The stream grows entry by entry, in order: inline bytes are copied, and
+  // a chunk opens straight into the bytes appended for it, once its
+  // envelope has arrived with the size the manifest claims.
+  Bytes out;
+  out.reserve(total);
+  std::size_t next = 0;  // the first entry not yet in `out`
+  const auto append_inline_until = [&](std::size_t end) {
+    for (; next < end; ++next) append(out, manifest.entries[next].inline_bytes);
+  };
   for (std::size_t base = 0; base < refs.size(); base += config_.window) {
     const std::size_t end = std::min(base + config_.window, refs.size());
     std::vector<BatchOp> gets;
@@ -513,33 +542,21 @@ Bytes StreamSession::assemble(const chunk::Manifest& manifest) {
       if (e.key.size() != mle::kResultKeySize) {
         throw SerializationError("stream get: malformed chunk key");
       }
-      auto pt = mle::ResultCipher::decrypt_result(e.tag, e.key,
-                                                  get_resp->entry.result_ct);
-      if (!pt.has_value()) {
+      const ByteView ct = get_resp->entry.result_ct;
+      if (ct.size() != crypto::gcm_envelope_size(e.size)) {
+        throw net::StoreUnavailableError("stream get: chunk size mismatch");
+      }
+      append_inline_until(i);
+      out.resize(out.size() + e.size);
+      if (!mle::ResultCipher::decrypt_result_into(
+              e.tag, e.key, ct, std::span(out).last(e.size))) {
         throw net::StoreUnavailableError(
             "stream get: chunk failed authentication");
       }
-      plain[i] = std::move(*pt).release_for(
-          secret::Purpose::of("stream_result_release"));
-      if (plain[i].size() != e.size) {
-        throw net::StoreUnavailableError("stream get: chunk size mismatch");
-      }
+      next = i + 1;
     }
   }
-
-  Bytes out;
-  out.reserve(manifest.total_bytes);
-  for (std::size_t i = 0; i < manifest.entries.size(); ++i) {
-    const chunk::ManifestEntry& e = manifest.entries[i];
-    if (e.inlined) {
-      append(out, e.inline_bytes);
-    } else {
-      append(out, plain[i]);
-    }
-  }
-  if (out.size() != manifest.total_bytes) {
-    throw net::StoreUnavailableError("stream get: stream size mismatch");
-  }
+  append_inline_until(manifest.entries.size());
   return out;
 }
 

@@ -101,7 +101,8 @@ class StreamSession {
 
  private:
   StreamHandle put_trusted(ByteView data);
-  StreamHandle put_whole_call(const chunk::ChunkPlan& plan, crypto::Drbg& drbg);
+  StreamHandle put_whole_call(const chunk::ChunkPlan& plan, crypto::Drbg& drbg,
+                              secret::Buffer& opened);
   Bytes get_trusted(const StreamHandle& handle);
   Bytes assemble(const chunk::Manifest& manifest);
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "chunk/chunk_plan.h"
@@ -12,9 +13,11 @@
 #include "chunk/manifest.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "crypto/sha256.h"
 #include "mle/tag.h"
 #include "serialize/codec.h"
 #include "test_seed.h"
+#include "workload/stream_corpus.h"
 
 namespace speed {
 namespace {
@@ -30,6 +33,47 @@ mle::FunctionIdentity test_identity(const std::string& sig = "bytes f(bytes)") {
 }
 
 // ------------------------------------------------------------- chunker ----
+
+/// Cut points of the default Chunker over the fixed 4 MiB corpus blob of
+/// CutPointsMatchRecordedDigest, recorded with the byte-at-a-time walk.
+constexpr std::size_t kRecordedChunkCount = 343;
+constexpr const char* kRecordedCutDigest =
+    "48c1d9f77efa31d6693f0fe1a49958deeda4e0924bb6b906375674519321423c";
+
+/// The Gear table entry for `byte`: splitmix64 of the byte value.
+std::uint64_t gear(std::uint8_t byte) {
+  std::uint64_t x = byte + 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// The reference cut rule: the Gear walk byte by byte from each chunk's
+/// first byte, testing every position from min_size on. Chunker::split
+/// starts later and tests two positions per step; it must cut exactly here.
+std::vector<ChunkRef> reference_split(const ChunkerConfig& cfg, ByteView data) {
+  const int bits = std::countr_zero(static_cast<std::uint64_t>(cfg.avg_size));
+  const std::uint64_t mask = bits == 0 ? 0 : ~(~std::uint64_t{0} >> bits);
+  std::vector<ChunkRef> chunks;
+  std::size_t start = 0;
+  while (start < data.size()) {
+    const std::size_t limit = std::min(data.size() - start, cfg.max_size);
+    std::size_t cut = limit;
+    if (limit > cfg.min_size) {
+      std::uint64_t h = 0;
+      for (std::size_t i = 0; i < limit; ++i) {
+        h = (h << 1) + gear(data[start + i]);
+        if (i + 1 >= cfg.min_size && (h & mask) == 0) {
+          cut = i + 1;
+          break;
+        }
+      }
+    }
+    chunks.push_back(ChunkRef{start, cut});
+    start += cut;
+  }
+  return chunks;
+}
 
 TEST(ChunkerConfigTest, RejectsInvalidShapes) {
   EXPECT_THROW(Chunker({0, 8, 16}), std::invalid_argument);       // min = 0
@@ -75,28 +119,87 @@ TEST(ChunkerTest, ChunksTileTheInputWithinBounds) {
   }
 }
 
+/// 1 MiB of character runs drawn from a 38-character phrase: the low-entropy
+/// input on which a low-bits cut rule misbehaves.
+Bytes low_entropy_text() {
+  Xoshiro256 rng(3);
+  Bytes text;
+  text.reserve(1 << 20);
+  const std::string vocab = "the quick brown enclave dedups chunks ";
+  while (text.size() < (1 << 20)) {
+    const char c = vocab[rng.below(vocab.size())];
+    text.insert(text.end(), 1 + rng.below(4), static_cast<std::uint8_t>(c));
+  }
+  return text;
+}
+
 TEST(ChunkerTest, BoundsHoldUnderRandomConfigsAndInputs) {
   SPEED_SEEDED_RNG(rng, 0xc0ffee02);
+  const Bytes text = low_entropy_text();
+  const Bytes zeros(64 * 1024, 0);
   for (int round = 0; round < 50; ++round) {
     ChunkerConfig cfg;
     cfg.avg_size = std::size_t{1} << (3 + rng.below(8));    // 8 .. 1024
     cfg.min_size = 1 + rng.below(cfg.avg_size);
     cfg.max_size = cfg.avg_size << rng.below(4);
     const Chunker chunker(cfg);
+    // Random bytes, a window of low-entropy text and a run of zeros: every
+    // split must tile within bounds and cut where the reference walk cuts.
     const Bytes data = rng.bytes(rng.below(64 * 1024));
-    std::size_t offset = 0;
-    const auto chunks = chunker.split(data);
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-      ASSERT_EQ(chunks[i].offset, offset);
-      ASSERT_GT(chunks[i].size, 0u);
-      ASSERT_LE(chunks[i].size, cfg.max_size);
-      if (i + 1 < chunks.size()) {
-        ASSERT_GE(chunks[i].size, cfg.min_size);
+    const std::size_t text_from = rng.below(text.size() - 64 * 1024);
+    const ByteView text_window =
+        ByteView(text).subspan(text_from, rng.below(64 * 1024));
+    const ByteView zero_run = ByteView(zeros).first(rng.below(zeros.size()));
+    for (const ByteView input : {ByteView(data), text_window, zero_run}) {
+      std::size_t offset = 0;
+      const auto chunks = chunker.split(input);
+      for (std::size_t i = 0; i < chunks.size(); ++i) {
+        ASSERT_EQ(chunks[i].offset, offset);
+        ASSERT_GT(chunks[i].size, 0u);
+        ASSERT_LE(chunks[i].size, cfg.max_size);
+        if (i + 1 < chunks.size()) {
+          ASSERT_GE(chunks[i].size, cfg.min_size);
+        }
+        offset += chunks[i].size;
       }
-      offset += chunks[i].size;
+      ASSERT_EQ(offset, input.size());
+      ASSERT_EQ(chunks, reference_split(cfg, input))
+          << "min " << cfg.min_size << " avg " << cfg.avg_size << " max "
+          << cfg.max_size << " input " << input.size();
     }
-    ASSERT_EQ(offset, data.size());
   }
+}
+
+TEST(ChunkerTest, DefaultConfigMatchesReferenceOnLowEntropyAndZeroInput) {
+  const Chunker chunker;
+  const Bytes text = low_entropy_text();
+  EXPECT_EQ(chunker.split(text), reference_split(chunker.config(), text));
+  // A run of zeros never passes the mask: only max_size cuts.
+  const Bytes zeros((1 << 20) + 100, 0);
+  const auto chunks = chunker.split(zeros);
+  EXPECT_EQ(chunks, reference_split(chunker.config(), zeros));
+  ASSERT_EQ(chunks.size(), zeros.size() / chunker.config().max_size + 1);
+  for (std::size_t i = 0; i + 1 < chunks.size(); ++i) {
+    EXPECT_EQ(chunks[i].size, chunker.config().max_size);
+  }
+}
+
+TEST(ChunkerTest, CutPointsMatchRecordedDigest) {
+  // Cut points decide chunk tags, and chunks already stored must keep
+  // deduplicating: pin the (offset, size) list of the default chunker over
+  // a fixed 4 MiB corpus blob.
+  workload::StreamCorpusConfig corpus;
+  corpus.blob_bytes = 4 << 20;
+  const Bytes blob = workload::synth_stream_blob(corpus, 0x5eedc0de);
+  const auto chunks = Chunker().split(blob);
+  serialize::Encoder enc;
+  for (const ChunkRef& c : chunks) {
+    enc.u64(c.offset);
+    enc.u64(c.size);
+  }
+  EXPECT_EQ(chunks.size(), kRecordedChunkCount);
+  EXPECT_EQ(hex_encode(crypto::to_bytes(crypto::Sha256::digest(enc.take()))),
+            kRecordedCutDigest);
 }
 
 TEST(ChunkerTest, SplitIsDeterministic) {
@@ -161,14 +264,7 @@ TEST(ChunkerTest, BoundariesResynchronizeAfterMidEdit) {
 TEST(ChunkerTest, CutRateSurvivesLowEntropyInput) {
   // Low-symbol-diversity input (the Gear low-bits weakness): judging the
   // high bits of the rolling hash must keep the average chunk near target.
-  Xoshiro256 rng(3);
-  Bytes text;
-  text.reserve(1 << 20);
-  const std::string vocab = "the quick brown enclave dedups chunks ";
-  while (text.size() < (1 << 20)) {
-    const char c = vocab[rng.below(vocab.size())];
-    text.insert(text.end(), 1 + rng.below(4), static_cast<std::uint8_t>(c));
-  }
+  const Bytes text = low_entropy_text();
   const Chunker chunker;
   const auto chunks = chunker.split(text);
   const std::size_t avg = text.size() / chunks.size();
@@ -194,20 +290,33 @@ TEST(ChunkPlanTest, SingleChunkDegradesToWholeCall) {
 
 TEST(ChunkPlanTest, MultiChunkTagsMatchDirectDerivation) {
   SPEED_SEEDED_RNG(rng, 0xc0ffee05);
-  const Bytes data = rng.bytes(128 * 1024);
   const auto fn = test_identity();
   const Chunker chunker;
-  const auto plan = chunk::ChunkPlan::build(fn, data, chunker);
-  ASSERT_FALSE(plan.whole_call());
-  ASSERT_GT(plan.chunk_count(), 1u);
-  for (std::size_t i = 0; i < plan.chunk_count(); ++i) {
-    const mle::ComputationContext direct(fn, plan.chunk_bytes(i),
-                                         mle::Domain::kChunk);
-    EXPECT_EQ(plan.chunk_tag(i), direct.tag());
-    EXPECT_EQ(plan.chunk_context(i).tag(), direct.tag());
+  // A 1 MiB input, and one cut just after a chunk boundary so that its last
+  // chunk is under two SHA-256 blocks (the one-lane fallback of the pass).
+  const Bytes mib = rng.bytes(1 << 20);
+  const auto mib_chunks = chunker.split(mib);
+  ASSERT_GT(mib_chunks.size(), 3u);
+  const Bytes short_tail(mib.begin(),
+                         mib.begin() + mib_chunks[2].offset + 100);
+  for (const Bytes& data : {rng.bytes(128 * 1024), mib, short_tail}) {
+    const auto plan = chunk::ChunkPlan::build(fn, data, chunker);
+    ASSERT_FALSE(plan.whole_call());
+    ASSERT_GT(plan.chunk_count(), 1u);
+    for (std::size_t i = 0; i < plan.chunk_count(); ++i) {
+      const mle::ComputationContext direct(fn, plan.chunk_bytes(i),
+                                           mle::Domain::kChunk);
+      EXPECT_EQ(plan.chunk_tag(i), direct.tag()) << "chunk " << i;
+      EXPECT_EQ(plan.chunk_context(i).tag(), direct.tag());
+      EXPECT_TRUE(ct_equal(plan.chunk_context(i).secondary_key(as_bytes("r")),
+                           direct.secondary_key(as_bytes("r"))));
+    }
+    const mle::ComputationContext stream(fn, data, mle::Domain::kStream);
+    EXPECT_EQ(plan.stream_tag(), stream.tag()) << data.size() << " bytes";
+    EXPECT_EQ(plan.stream_context().tag(), stream.tag());
   }
-  const mle::ComputationContext stream(fn, data, mle::Domain::kStream);
-  EXPECT_EQ(plan.stream_tag(), stream.tag());
+  const auto tail_plan = chunk::ChunkPlan::build(fn, short_tail, chunker);
+  EXPECT_EQ(tail_plan.chunk(tail_plan.chunk_count() - 1).size, 100u);
 }
 
 TEST(ChunkPlanTest, DomainsAreDisjoint) {

@@ -88,6 +88,73 @@ TEST(Sha256Test, HwAndPortablePathsAgree) {
   }
 }
 
+TEST(Sha256Test, UpdatePairMatchesTwoUpdates) {
+  // update_pair must leave both states exactly where a.update(data);
+  // b.update(data) would. Lane a holds `la` buffered bytes and lane b
+  // `lb` (after two whole blocks), for every (la, lb) in (0..63)², so the
+  // two lanes walk different block grids over `data`. Combinations with a
+  // portable lane take the two-update fallback; at the longest lengths they
+  // run a corner sample of the grid.
+  Drbg rng(to_bytes("sha256-update-pair"));
+  const Bytes prefix = rng.bytes(128 + 63);
+  using Impl = Sha256::Impl;
+  std::vector<std::pair<Impl, Impl>> combos = {{Impl::kPortable, Impl::kPortable}};
+  if (hw::sha256_available()) {
+    combos.insert(combos.end(), {{Impl::kAuto, Impl::kAuto},
+                                 {Impl::kAuto, Impl::kPortable},
+                                 {Impl::kPortable, Impl::kAuto}});
+  }
+  const auto absorbed = [&](Impl impl, std::size_t n) {
+    Sha256 h(impl);
+    h.update(ByteView(prefix).first(n));
+    return h;
+  };
+  const auto lane_b = [](std::size_t lb) { return 128 + lb; };
+  std::vector<std::size_t> all(64);
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  const std::vector<std::size_t> corners = {0, 1, 31, 63};
+
+  for (const std::size_t len :
+       {0u, 1u, 63u, 64u, 65u, 127u, 128u, 129u, 4095u, 65539u, 1048579u}) {
+    const Bytes data = rng.bytes(len);
+    for (const auto& [impl_a, impl_b] : combos) {
+      const bool both_hw = impl_a == Impl::kAuto && impl_b == Impl::kAuto;
+      const bool full = len <= 4095 || (both_hw && len <= 65539);
+      const std::vector<std::size_t>& grid = full ? all : corners;
+      // The oracle digest of a lane depends on that lane alone.
+      std::vector<Sha256Digest> want_a(64), want_b(64);
+      for (const std::size_t l : grid) {
+        Sha256 a = absorbed(impl_a, l);
+        a.update(data);
+        want_a[l] = a.finish();
+        Sha256 b = absorbed(impl_b, lane_b(l));
+        b.update(data);
+        want_b[l] = b.finish();
+      }
+      for (const std::size_t la : grid) {
+        for (const std::size_t lb : grid) {
+          Sha256 a = absorbed(impl_a, la);
+          Sha256 b = absorbed(impl_b, lane_b(lb));
+          Sha256::update_pair(a, b, data);
+          ASSERT_EQ(a.finish(), want_a[la])
+              << "len " << len << " la " << la << " lb " << lb;
+          ASSERT_EQ(b.finish(), want_b[lb])
+              << "len " << len << " la " << la << " lb " << lb;
+        }
+      }
+    }
+  }
+
+  // The same state as both lanes absorbs the data twice, as two updates do.
+  const Bytes data = rng.bytes(300);
+  Sha256 twice;
+  twice.update(data);
+  twice.update(data);
+  Sha256 paired;
+  Sha256::update_pair(paired, paired, data);
+  EXPECT_EQ(paired.finish(), twice.finish());
+}
+
 TEST(Sha256Test, StreamingMatchesOneShot) {
   // Chop a message at every possible split point; digests must agree.
   const std::string msg =

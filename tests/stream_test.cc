@@ -273,6 +273,86 @@ TEST(StreamSessionTest, QuotaRejectionsInlineChunksWithoutDataLoss) {
   EXPECT_EQ(s.get(handle), data);
 }
 
+TEST(StreamSessionTest, ChunkEntryThatDoesNotOpenIsInlined) {
+  // A found chunk entry is adopted only when it opens under the key its
+  // wrapped key recovers to. Plant an entry under one chunk's tag whose key
+  // was wrapped for other bytes: the put must inline that chunk rather than
+  // reference an entry its own key cannot open.
+  SPEED_SEEDED_RNG(rng, 0x57e40011);
+  Deployment d;
+  const auto fn = stream_identity(*d.rt);
+  runtime::StreamSession s(*d.rt, fn);
+  const Bytes data = rng.bytes(200 * 1024);
+  const auto plan =
+      chunk::ChunkPlan::build(fn, data, chunk::Chunker(s.config().chunker));
+  ASSERT_GT(plan.chunk_count(), 2u);
+  const std::size_t victim = 1;
+  crypto::Drbg drbg(rng.bytes(32));
+  const mle::ComputationContext other(fn, rng.bytes(plan.chunk(victim).size),
+                                      mle::Domain::kChunk);
+  auto wk = mle::ResultCipher::generate_key(other, drbg);
+  serialize::PutRequest plant;
+  plant.tag = plan.chunk_tag(victim);
+  plant.requester = d.enclave->measurement();
+  plant.entry.wrapped_key = std::move(wk.wrapped_key);
+  plant.entry.result_ct = mle::ResultCipher::encrypt_result(
+      plan.chunk_tag(victim), wk.key, plan.chunk_bytes(victim), drbg);
+  plant.entry.challenge = std::move(wk.challenge)
+                              .release_for(secret::Purpose::of("test"));
+  ASSERT_EQ(d.result_store.put(plant).status, serialize::PutStatus::kStored);
+
+  const auto handle = s.put(data);
+  const auto stats = d.rt->stats();
+  EXPECT_EQ(stats.stream_inline_chunks, 1u);
+  EXPECT_EQ(stats.stream_chunk_hits, 0u);
+  EXPECT_EQ(s.get(handle), data);
+}
+
+TEST(StreamSessionTest, ChunkEntryOfAnotherWriterFailsAuthenticationOnGet) {
+  // get() opens each chunk under the key its manifest pinned. Serve A's
+  // manifest next to the chunk entries tenant B wrote for the same content
+  // (same tags and sizes, B's keys): A's get() must refuse them.
+  SPEED_SEEDED_RNG(rng, 0x57e40012);
+  const Bytes data = rng.bytes(200 * 1024);
+  Deployment a, b, mixed;
+  runtime::StreamSession sa(*a.rt, stream_identity(*a.rt));
+  runtime::StreamSession sb(*b.rt, stream_identity(*b.rt));
+  const auto handle = sa.put(data);
+  ASSERT_EQ(handle.kind, runtime::StreamHandle::Kind::kStream);
+  sb.put(data);
+
+  const auto fn = stream_identity(*mixed.rt);
+  const auto plan =
+      chunk::ChunkPlan::build(fn, data, chunk::Chunker(sa.config().chunker));
+  const auto copy = [&](Deployment& from, const serialize::Tag& tag) {
+    serialize::GetRequest get;
+    get.tag = tag;
+    get.requester = from.enclave->measurement();
+    const serialize::GetResponse found = from.result_store.get(get);
+    ASSERT_TRUE(found.found);
+    serialize::PutRequest put;
+    put.tag = tag;
+    put.requester = mixed.enclave->measurement();
+    put.entry = found.entry;
+    ASSERT_EQ(mixed.result_store.put(put).status,
+              serialize::PutStatus::kStored);
+  };
+  copy(a, plan.stream_tag());
+  for (std::size_t i = 0; i < plan.chunk_count(); ++i) {
+    copy(b, plan.chunk_tag(i));
+  }
+
+  runtime::StreamSession reader(*mixed.rt, fn);
+  try {
+    (void)reader.get(handle);
+    FAIL() << "get() returned a stream assembled from another writer's chunks";
+  } catch (const net::StoreUnavailableError& e) {
+    EXPECT_NE(std::string(e.what()).find("chunk failed authentication"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ------------------------------------------- wire-compat regression -------
 
 /// Records every request frame crossing the transport.
