@@ -60,9 +60,10 @@ fi
 "$cluster_bench" "$repo_root/BENCH_cluster.json"
 echo "results:   $repo_root/BENCH_cluster.json"
 
-# Batched wire protocol: GET throughput vs client
-# micro-batch size against the epoll server (acceptance bar: >= 2x at
-# batch >= 16 over the v1 per-op protocol; the bench exits 2 below that).
+# Batched wire protocol: GET throughput with client micro-batching off and
+# on, at 1 and 8 threads, against the epoll server, with spin-charged
+# transitions and the host block (acceptance bar: batched >= 2x the v1
+# per-op protocol at 8 threads; the bench exits 2 below that).
 batch_bench="$build_dir/bench/bench_batch"
 if [ ! -x "$batch_bench" ]; then
   echo "building $batch_bench ..."

@@ -15,6 +15,8 @@
 #include <cstring>
 #include <optional>
 
+#include "serialize/wire.h"
+
 namespace speed::net {
 
 namespace {
@@ -25,7 +27,7 @@ constexpr std::size_t kMaxFrame = 256u * 1024 * 1024;
 /// server's default max_frame_bytes. A longer announced frame grows its
 /// buffer only as its bytes come in, so whoever writes the 4-byte length
 /// cannot make the reader hold 256 MiB with it.
-constexpr std::size_t kMaxUpFrontFrame = 4u * 1024 * 1024;
+constexpr std::size_t kMaxUpFrontFrame = serialize::kMaxFrameBytes;
 
 using OptDeadline = std::optional<FramedSocket::TimePoint>;
 

@@ -1,10 +1,11 @@
 #include "runtime/dedup_runtime.h"
 
-#include <algorithm>
 #include <chrono>
 #include <vector>
 
 #include "common/error.h"
+#include "crypto/gcm.h"
+#include "net/secure_channel.h"
 
 namespace speed::runtime {
 
@@ -28,6 +29,11 @@ constexpr std::array<telemetry::LabelValue,
         telemetry::LabelValue::lit("failed_recovery"),
         telemetry::LabelValue::lit("degraded"),
     };
+
+/// What a sealed batch frame carries besides its ops: the channel's frame
+/// header and GCM tag, and the envelope's kind byte and u32 op count.
+constexpr std::size_t kBatchFrameOverhead =
+    net::SecureChannel::kFrameHeaderSize + crypto::kGcmTagSize + 1 + 4;
 
 }  // namespace
 
@@ -212,16 +218,13 @@ Message DedupRuntime::batched_round_trip(const Message& request) {
 
 std::vector<serialize::BatchReply> DedupRuntime::batch_execute(
     std::vector<serialize::BatchOp> ops) {
-  // Leader/follower rendezvous: every thread parks its ops in the shared
-  // pending list; the first one in becomes the leader, waits briefly for
-  // followers, then ships everything pending as one frame. Followers just
-  // wait for their slots to complete.
+  // Group commit: every caller queues its ops in the shared pending list. A
+  // caller that finds no frame in flight leads: it ships the oldest pending
+  // ops and keeps leadership through its round trip, while later callers
+  // queue. When the reply lands, one waiting caller leads the next frame
+  // with everything queued by then. The round trip is the batching window.
   std::vector<PendingOp> slots(ops.size());
   for (std::size_t i = 0; i < ops.size(); ++i) slots[i].op = std::move(ops[i]);
-
-  // Slots are guarded by batch_mu_ by convention: they are stack-local, but
-  // their addresses are shared through batch_pending_ and mutated by
-  // whichever thread ends up shipping them.
   const auto slots_done = [&slots]() {
     for (const auto& slot : slots) {
       if (!slot.done) return false;
@@ -230,109 +233,80 @@ std::vector<serialize::BatchReply> DedupRuntime::batch_execute(
   };
 
   ScopedLock lock(batch_mu_);
-  ++batch_inflight_;
   for (auto& slot : slots) batch_pending_.push_back(&slot);
-  if (batch_pending_.size() >= config_.batching.max_ops) {
-    batch_fill_cv_.notify_one();
-  }
-  if (batch_leader_active_) {
-    // Follower. The current leader (or a later one) ships our slots.
-    while (!slots_done()) batch_done_cv_.wait(batch_mu_);
-  } else {
+  while (!slots_done()) {
+    if (batch_leader_active_) {
+      batch_done_cv_.wait(batch_mu_);
+      continue;
+    }
+    // Take the oldest ops that fit one frame a default store admits; an op
+    // too large for any frame still ships, alone.
+    std::size_t take = 0;
+    std::size_t frame_bytes = kBatchFrameOverhead;
+    while (take < batch_pending_.size() && take < serialize::kMaxBatchOps) {
+      frame_bytes += serialize::encoded_size(batch_pending_[take]->op);
+      if (take > 0 && frame_bytes > serialize::kMaxFrameBytes) break;
+      ++take;
+    }
+    const auto end =
+        batch_pending_.begin() + static_cast<std::ptrdiff_t>(take);
+    const std::vector<PendingOp*> frame(batch_pending_.begin(), end);
+    batch_pending_.erase(batch_pending_.begin(), end);
     batch_leader_active_ = true;
-    if (batch_pending_.size() < config_.batching.max_ops &&
-        config_.batching.flush_delay_us > 0 && batch_inflight_ > 1) {
-      // Adaptive flush: flush_delay_us caps the total wait, but the leader
-      // ships as soon as arrivals quiesce — a grace interval passing with no
-      // new op. Fewer concurrent threads than max_ops then costs one grace
-      // period, not the full delay, while a steady trickle of arrivals keeps
-      // filling the frame up to the cap.
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(config_.batching.flush_delay_us);
-      const auto grace = std::chrono::microseconds(
-          std::max<std::uint64_t>(config_.batching.flush_delay_us / 4, 1));
-      std::size_t seen = batch_pending_.size();
-      while (batch_pending_.size() < config_.batching.max_ops) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= deadline) break;
-        const auto slice = std::min(deadline, now + grace);
-        while (batch_pending_.size() < config_.batching.max_ops &&
-               batch_fill_cv_.wait_until(batch_mu_, slice) !=
-                   std::cv_status::timeout) {
-        }
-        if (batch_pending_.size() == seen) break;  // quiesced
-        seen = batch_pending_.size();
-      }
-    }
-    std::vector<PendingOp*> shipping;
-    shipping.swap(batch_pending_);
-    batch_leader_active_ = false;  // late arrivals elect the next leader
     lock.unlock();
-
-    metrics_.batches.inc();
-    metrics_.batch_ops.record(shipping.size());
-
-    // One op needs no envelope — and stays decodable by a legacy store.
-    std::optional<Message> response;
-    bool transport_failed = false;
-    std::string failure = "store unreachable";
-    // The ops are moved into the frame's message: no slot reads its op
-    // again, only its reply.
-    try {
-      if (shipping.size() == 1) {
-        response = std::visit(
-            [this](auto& o) { return secure_round_trip(Message(std::move(o))); },
-            shipping.front()->op);
-      } else {
-        serialize::BatchRequest batch;
-        batch.ops.reserve(shipping.size());
-        for (PendingOp* slot : shipping) {
-          batch.ops.push_back(std::move(slot->op));
-        }
-        response = secure_round_trip(Message(std::move(batch)));
-      }
-    } catch (const Error& e) {
-      transport_failed = true;
-      failure = e.what();
-    }
-
+    ship_frame(frame);
     lock.lock();
-    if (!transport_failed && shipping.size() == 1) {
-      shipping.front()->reply = serialize::to_batch_reply(std::move(*response));
-    } else if (!transport_failed) {
-      const auto* batch_resp = std::get_if<serialize::BatchResponse>(&*response);
-      if (batch_resp != nullptr &&
-          batch_resp->replies.size() == shipping.size()) {
-        for (std::size_t i = 0; i < shipping.size(); ++i) {
-          shipping[i]->reply = batch_resp->replies[i];
-        }
-      } else if (const auto* err =
-                     std::get_if<serialize::ErrorResponse>(&*response)) {
-        // Top-level refusal (e.g. kBatchTooLarge) applies to every op.
-        for (PendingOp* slot : shipping) slot->reply = *err;
-      } else {
-        transport_failed = true;
-        failure = "malformed batch response";
-      }
-    }
-    if (transport_failed) {
-      for (PendingOp* slot : shipping) {
-        slot->reply = serialize::ErrorResponse{
-            serialize::ErrorCode::kUnavailable, failure};
-      }
-    }
-    for (PendingOp* slot : shipping) slot->done = true;
+    for (PendingOp* slot : frame) slot->done = true;
+    batch_leader_active_ = false;
     batch_done_cv_.notify_all();
-    // Our own slots may have been shipped by an earlier leader instead.
-    while (!slots_done()) batch_done_cv_.wait(batch_mu_);
   }
-  --batch_inflight_;  // lock is held again on both paths
 
   std::vector<serialize::BatchReply> replies;
   replies.reserve(slots.size());
   for (auto& slot : slots) replies.push_back(std::move(slot.reply));
   return replies;
+}
+
+void DedupRuntime::ship_frame(const std::vector<PendingOp*>& frame) {
+  metrics_.batches.inc();
+  metrics_.batch_ops.record(frame.size());
+
+  // One op needs no envelope — and stays decodable by a legacy store. The
+  // ops are moved into the frame's message: no slot reads its op again,
+  // only its reply.
+  std::string failure;
+  try {
+    if (frame.size() == 1) {
+      frame.front()->reply = serialize::to_batch_reply(std::visit(
+          [this](auto& o) { return secure_round_trip(Message(std::move(o))); },
+          frame.front()->op));
+      return;
+    }
+    serialize::BatchRequest batch;
+    batch.ops.reserve(frame.size());
+    for (PendingOp* slot : frame) batch.ops.push_back(std::move(slot->op));
+    Message response = secure_round_trip(Message(std::move(batch)));
+    if (auto* batch_resp = std::get_if<serialize::BatchResponse>(&response);
+        batch_resp != nullptr && batch_resp->replies.size() == frame.size()) {
+      for (std::size_t i = 0; i < frame.size(); ++i) {
+        frame[i]->reply = std::move(batch_resp->replies[i]);
+      }
+      return;
+    }
+    if (const auto* err = std::get_if<serialize::ErrorResponse>(&response)) {
+      // Top-level refusal (e.g. kBatchTooLarge) applies to every op.
+      for (PendingOp* slot : frame) slot->reply = *err;
+      return;
+    }
+    failure = "malformed batch response";
+  } catch (const std::exception& e) {
+    // Whatever failed, the frame's callers must still be answered.
+    failure = e.what();
+  }
+  for (PendingOp* slot : frame) {
+    slot->reply =
+        serialize::ErrorResponse{serialize::ErrorCode::kUnavailable, failure};
+  }
 }
 
 DedupRuntime::Outcome DedupRuntime::execute(
@@ -547,35 +521,9 @@ void DedupRuntime::send_put(PutRequest put) {
   }
 }
 
-void DedupRuntime::send_put_batch(std::vector<PutRequest> puts) {
-  if (!config_.batching.enabled || puts.size() == 1) {
-    for (auto& put : puts) send_put(std::move(put));
-    return;
-  }
-  // The whole drained run rides the micro-batcher, where it may coalesce
-  // further with concurrent GETs into one frame.
-  std::vector<serialize::BatchOp> ops;
-  ops.reserve(puts.size());
-  for (auto& put : puts) ops.emplace_back(std::move(put));
-  const std::vector<serialize::BatchReply> replies =
-      batch_execute(std::move(ops));
-  for (const auto& reply : replies) {
-    const auto* put_resp = std::get_if<PutResponse>(&reply);
-    if (put_resp == nullptr) {
-      metrics_.puts_rejected.inc();  // per-op error or malformed reply kind
-      continue;
-    }
-    metrics_.puts_sent.inc();
-    if (put_resp->status != PutStatus::kStored &&
-        put_resp->status != PutStatus::kAlreadyPresent) {
-      metrics_.puts_rejected.inc();
-    }
-  }
-}
-
 void DedupRuntime::put_worker() {
   for (;;) {
-    std::vector<PutRequest> puts;
+    std::vector<serialize::BatchOp> puts;
     {
       MutexLock lock(queue_mu_);
       while (!shutting_down_ && put_queue_.empty()) {
@@ -585,17 +533,14 @@ void DedupRuntime::put_worker() {
         if (shutting_down_) return;
         continue;
       }
-      // Drain a run: with batching on, everything queued (up to max_ops)
-      // ships in one frame under one ECALL; otherwise one PUT per ECALL,
+      // With batching on, the whole queue ships under one ECALL, in as few
+      // frames as the batcher's caps allow; otherwise one PUT per ECALL,
       // the historical behavior.
       const std::size_t take =
-          config_.batching.enabled
-              ? std::min(put_queue_.size(),
-                         std::max<std::size_t>(config_.batching.max_ops, 1))
-              : 1;
+          config_.batching.enabled ? put_queue_.size() : 1;
       puts.reserve(take);
       for (std::size_t i = 0; i < take; ++i) {
-        puts.push_back(std::move(put_queue_.front()));
+        puts.emplace_back(std::move(put_queue_.front()));
         put_queue_.pop_front();
       }
       puts_in_flight_ += take;
@@ -604,7 +549,20 @@ void DedupRuntime::put_worker() {
     // trusted-thread ECALL.
     const std::size_t taken = puts.size();
     try {
-      enclave_.ecall([&] { send_put_batch(std::move(puts)); });
+      enclave_.ecall([&] {
+        for (const auto& reply : stream_ops(std::move(puts))) {
+          const auto* put_resp = std::get_if<PutResponse>(&reply);
+          if (put_resp == nullptr) {
+            metrics_.puts_rejected.inc();  // failed in flight, or refused
+            continue;
+          }
+          metrics_.puts_sent.inc();
+          if (put_resp->status != PutStatus::kStored &&
+              put_resp->status != PutStatus::kAlreadyPresent) {
+            metrics_.puts_rejected.inc();
+          }
+        }
+      });
     } catch (const Error&) {
       metrics_.puts_rejected.inc();
     }

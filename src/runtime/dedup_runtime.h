@@ -96,26 +96,24 @@ struct RuntimeConfig {
   /// Ring receiving completed spans; nullptr = the process-global ring.
   telemetry::TraceRing* trace_ring = nullptr;
 
-  /// Client-side micro-batching (wire protocol v2). When enabled, concurrent
-  /// GETs from application threads and drained async PUTs coalesce into
-  /// BatchRequest frames: the first op's thread becomes the batch leader and
-  /// waits up to `flush_delay_us` (or until `max_ops` ops are pending) before
-  /// shipping one frame, paying one channel round trip — and, server-side,
-  /// one enclave transition — for the whole batch. A batch that ends up with
-  /// a single op is sent as a plain v1 message, so enabling batching against
-  /// a legacy store degrades gracefully under low concurrency; only enable
-  /// it when the negotiated version is >= net::kProtocolVersionBatch (see
-  /// TcpAppConnection::protocol_version). Disabled by default: behavior is
-  /// then bit-for-bit the pre-batching one-message-per-round-trip protocol.
+  /// Client-side micro-batching (wire protocol v2), self-clocked like a
+  /// group commit. When enabled, GETs from application threads, drained
+  /// async PUTs and StreamSession windows coalesce into BatchRequest frames,
+  /// each paying one channel round trip — and, server-side, one enclave
+  /// transition — for all its ops. A caller that finds no frame in flight
+  /// ships at once; callers that arrive during that round trip queue, and
+  /// when its reply lands one of them ships everything queued. So a lone
+  /// caller never waits, and frames grow with load, with no timer. A frame
+  /// carries at most serialize::kMaxBatchOps ops and kMaxFrameBytes sealed
+  /// bytes, the store's default limits (a larger op ships alone). A frame
+  /// with a single op is sent as a plain v1 message, so enabling batching
+  /// against a legacy store degrades gracefully under low concurrency; only
+  /// enable it when the negotiated version is >= net::kProtocolVersionBatch
+  /// (see TcpAppConnection::protocol_version). Disabled by default: behavior
+  /// is then bit-for-bit the pre-batching one-message-per-round-trip
+  /// protocol.
   struct Batching {
     bool enabled = false;
-    /// Flush as soon as this many ops are pending.
-    std::size_t max_ops = 32;
-    /// Upper bound on the leader's wait for followers. The flush is
-    /// adaptive: the leader ships early once a quarter of this delay passes
-    /// with no new arrival, so the full delay is only ever paid under a
-    /// steady trickle of joiners.
-    std::uint64_t flush_delay_us = 200;
   };
   Batching batching;
 };
@@ -207,12 +205,12 @@ class DedupRuntime {
   /// Shared tail of every constructor: scheme setup, PUT worker, telemetry.
   void init_common();
 
-  /// Ship a window of chunk ops and return their replies in input order.
-  /// With batching enabled the window rides the micro-batcher as one frame
-  /// (splitting per node in cluster mode); otherwise each op is a plain v1
-  /// round trip. Transport failures surface as per-op
-  /// ErrorResponse{kUnavailable} — never as exceptions — so the streaming
-  /// path can degrade chunk-by-chunk.
+  /// Ship a run of ops (a chunk window, or drained async PUTs) and return
+  /// their replies in input order. With batching enabled the run rides the
+  /// micro-batcher in as few frames as its caps allow (split per node in
+  /// cluster mode); otherwise each op is a plain v1 round trip. Transport
+  /// failures surface as per-op ErrorResponse{kUnavailable} — never as
+  /// exceptions — so the caller can degrade op by op.
   std::vector<serialize::BatchReply> stream_ops(
       std::vector<serialize::BatchOp> ops);
 
@@ -228,18 +226,16 @@ class DedupRuntime {
   serialize::Message batched_round_trip(const serialize::Message& request);
 
   /// Submit `ops` to the micro-batcher and wait for their replies (in input
-  /// order). One participating thread becomes the leader and ships every op
-  /// pending at flush time in a single frame. A whole-batch transport
-  /// failure is reported as ErrorResponse{kUnavailable} per op.
+  /// order). Whichever caller finds no frame in flight leads: it ships the
+  /// oldest pending ops that fit one frame and holds leadership through the
+  /// round trip. A whole-frame transport failure is reported as
+  /// ErrorResponse{kUnavailable} per op.
   std::vector<serialize::BatchReply> batch_execute(
       std::vector<serialize::BatchOp> ops);
 
   void enqueue_put(serialize::PutRequest put);
   void put_worker();
   void send_put(serialize::PutRequest put);
-  /// Ship a drained run of queued PUTs — one BatchRequest frame when
-  /// batching is on (and there is more than one), per-op messages otherwise.
-  void send_put_batch(std::vector<serialize::PutRequest> puts);
 
   /// Hot-result cache (guarded by cache_mu_; only touched inside ECALLs).
   /// Lookup copies the plaintext out and refreshes recency; insert evicts
@@ -291,23 +287,21 @@ class DedupRuntime {
   };
   Metrics metrics_;
 
-  /// Micro-batcher rendezvous (leader/follower; see RuntimeConfig::Batching).
+  /// Micro-batcher (group commit; see RuntimeConfig::Batching). A slot sits
+  /// in batch_pending_ until a leader takes it into a frame; it belongs to
+  /// that leader until marked done under batch_mu_.
   struct PendingOp {
     serialize::BatchOp op;
     serialize::BatchReply reply;
     bool done = false;
   };
+  /// The leader's round trip for one frame, outside batch_mu_: fills every
+  /// slot's reply (the leader then marks them done).
+  void ship_frame(const std::vector<PendingOp*>& frame);
   Mutex batch_mu_{LockRank::kBatch};
-  CondVar batch_fill_cv_;  ///< leader waits for followers
-  CondVar batch_done_cv_;  ///< followers wait for replies
-  std::vector<PendingOp*> batch_pending_ GUARDED_BY(batch_mu_);
-  bool batch_leader_active_ GUARDED_BY(batch_mu_) = false;
-  /// Threads currently inside batch_execute (submitted, not yet answered).
-  /// A leader that is provably alone — no other submitter in flight — skips
-  /// the follower wait: nothing can arrive to share its frame, so waiting
-  /// would only add latency. A single-threaded caller with batching enabled
-  /// thus runs at unbatched speed.
-  std::size_t batch_inflight_ GUARDED_BY(batch_mu_) = 0;
+  CondVar batch_done_cv_;  ///< a frame landed: slots done, leadership free
+  std::vector<PendingOp*> batch_pending_ GUARDED_BY(batch_mu_);  ///< FIFO
+  bool batch_leader_active_ GUARDED_BY(batch_mu_) = false;  ///< frame in flight
 
   // Hot-result cache state. Tags are SHA-256 outputs, so the first 8 bytes
   // hash them perfectly well.

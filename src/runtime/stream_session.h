@@ -52,8 +52,9 @@ struct StreamConfig {
   chunk::ChunkerConfig chunker;
 
   /// Chunk ops coalesced per batch frame: each window of the plan issues
-  /// one GET frame (and one PUT frame if it had misses). Bounded by the
-  /// store's max_batch_entries (4096) when batching is negotiated.
+  /// one GET frame (and one PUT frame if it had misses). A window past
+  /// serialize::kMaxBatchOps ops (the store's default max_batch_entries),
+  /// or PUTs past kMaxFrameBytes, ships in more than one frame.
   std::size_t window = 64;
 };
 

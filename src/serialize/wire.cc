@@ -431,6 +431,16 @@ BatchReply to_batch_reply(Message&& reply) {
       std::move(reply));
 }
 
+std::size_t encoded_size(const BatchOp& op) {
+  // put_batch_ops: a GetRequest's fixed fields, plus a PutRequest's entry as
+  // three length-prefixed byte strings.
+  if (const auto* put = std::get_if<PutRequest>(&op)) {
+    return kMinBatchOpWire + 3 * 4 + put->entry.challenge.size() +
+           put->entry.wrapped_key.size() + put->entry.result_ct.size();
+  }
+  return kMinBatchOpWire;
+}
+
 MessageType peek_type(ByteView data) {
   if (data.empty()) throw SerializationError("peek_type: empty message");
   const std::uint8_t t = data[0];

@@ -201,6 +201,16 @@ struct BatchRequest {
   std::vector<BatchOp> ops;
 };
 
+/// The store's default frame limits (StoreServerConfig::max_batch_entries
+/// and max_frame_bytes). The runtime's micro-batcher never ships a frame
+/// past either, so a default server never refuses one as too large.
+inline constexpr std::size_t kMaxBatchOps = 4096;
+inline constexpr std::size_t kMaxFrameBytes = 4u * 1024 * 1024;
+
+/// Bytes `op` adds to an encoded BatchRequest; the envelope adds a kind
+/// byte and a u32 op count.
+std::size_t encoded_size(const BatchOp& op);
+
 struct BatchResponse {
   std::vector<BatchReply> replies;
 };

@@ -52,10 +52,10 @@ struct StoreServerConfig {
   /// connection closes. 0 = the transport-level 256 MB cap only. The same
   /// bound caps a connection's unsent replies: above it, the connection is
   /// neither read nor served until the socket drains.
-  std::size_t max_frame_bytes = 4ull * 1024 * 1024;
+  std::size_t max_frame_bytes = serialize::kMaxFrameBytes;
   /// Cap on sub-requests per batch frame (clean wire error beyond it).
   /// 0 = unlimited.
-  std::size_t max_batch_entries = 4096;
+  std::size_t max_batch_entries = serialize::kMaxBatchOps;
 };
 
 class StoreTcpServer {

@@ -79,6 +79,9 @@ TEST(BatchWireTest, RoundTripMixedBatch) {
   req.ops.emplace_back(make_get(nth_tag(0xAA, 2), app));
 
   const Bytes wire = serialize::encode_message(Message(req));
+  // The batcher sizes frames from encoded_size: kind byte, op count, ops.
+  EXPECT_EQ(wire.size(), 1 + 4 + serialize::encoded_size(req.ops[0]) +
+                             serialize::encoded_size(req.ops[1]));
   const Message decoded = serialize::decode_message(wire);
   const auto* back = std::get_if<BatchRequest>(&decoded);
   ASSERT_NE(back, nullptr);
@@ -609,18 +612,29 @@ TEST(ServerLoopTest, PipelinedConnectionsShareLoopsInOrder) {
 
 // --------------------------------------------------------- micro-batcher --
 
-// Forwards to the wrapped transport after a short sleep, pinning each frame
-// "on the wire" long enough for the other test threads to reach the batcher.
-// On a single-core runner the threads otherwise run strictly one after
-// another, each leader is provably alone, and there is nothing to coalesce.
+// Forwards to the wrapped transport after a sleep, pinning each frame larger
+// than `threshold` "on the wire" long enough for the other test threads to
+// reach the batcher, and records the largest frame sent. On a single-core
+// runner the threads otherwise run strictly one after another, each leader
+// ships alone, and there is nothing to coalesce.
 struct SlowTransport : net::Transport {
-  explicit SlowTransport(std::unique_ptr<net::Transport> wrapped)
-      : inner(std::move(wrapped)) {}
+  explicit SlowTransport(
+      std::unique_ptr<net::Transport> wrapped,
+      std::chrono::milliseconds hold = std::chrono::milliseconds(5),
+      std::size_t threshold = 0)
+      : inner(std::move(wrapped)), hold(hold), threshold(threshold) {}
   Bytes round_trip(ByteView request) override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::size_t seen = largest.load();
+    while (request.size() > seen &&
+           !largest.compare_exchange_weak(seen, request.size())) {
+    }
+    if (request.size() > threshold) std::this_thread::sleep_for(hold);
     return inner->round_trip(request);
   }
   std::unique_ptr<net::Transport> inner;
+  const std::chrono::milliseconds hold;
+  const std::size_t threshold;
+  std::atomic<std::size_t> largest{0};
 };
 
 TEST(MicroBatchTest, ConcurrentGetsCoalesceIntoOneFrame) {
@@ -634,8 +648,6 @@ TEST(MicroBatchTest, ConcurrentGetsCoalesceIntoOneFrame) {
   runtime::RuntimeConfig config;
   config.local_cache = false;  // every repeat call must hit the store
   config.batching.enabled = true;
-  config.batching.max_ops = 4;
-  config.batching.flush_delay_us = 50'000;
   runtime::DedupRuntime rt(*app, std::move(conn.session_key),
                            std::move(conn.transport), config);
   rt.libraries().register_library("lib", "1", as_bytes("code"));
@@ -668,6 +680,182 @@ TEST(MicroBatchTest, ConcurrentGetsCoalesceIntoOneFrame) {
   EXPECT_EQ(stats.puts_sent, 4u);
   EXPECT_EQ(stats.degraded_calls, 0u);
   EXPECT_LT(loopback->round_trips() - after_misses, 4u);
+}
+
+// Holds the first round trip after `armed` is set until the test clears
+// `held`, so the test knows a frame is in flight while other callers arrive.
+struct GateTransport : net::Transport {
+  explicit GateTransport(std::unique_ptr<net::Transport> wrapped)
+      : inner(std::move(wrapped)) {}
+  Bytes round_trip(ByteView request) override {
+    if (armed.exchange(false)) {
+      held = true;
+      while (held) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return inner->round_trip(request);
+  }
+  std::atomic<bool> armed{false};
+  std::atomic<bool> held{false};
+  std::unique_ptr<net::Transport> inner;
+};
+
+/// speed_runtime_batch_ops summed over every live runtime.
+telemetry::HistogramSnapshot batch_ops_histogram() {
+  telemetry::HistogramSnapshot merged;
+  for (const auto& family : telemetry::Registry::global().collect()) {
+    if (family.name != "speed_runtime_batch_ops") continue;
+    for (const auto& sample : family.samples) merged.merge(sample.hist);
+  }
+  return merged;
+}
+
+TEST(MicroBatchTest, CallersArrivingDuringARoundTripShareTheNextFrame) {
+  sgx::Platform platform(fast_model());
+  store::ResultStore result_store(platform);
+  auto app = platform.create_enclave("gc-app");
+  constexpr int kCallers = 8;
+  const auto compute = [](const Bytes& in) { return concat(in, in); };
+  const auto input_for = [](int i) {
+    return Bytes{static_cast<std::uint8_t>(i)};
+  };
+  {
+    // Seed every caller's entry unbatched, so the measured round is all
+    // store hits and ships no PUT.
+    auto conn = store::connect_app(result_store, *app);
+    runtime::RuntimeConfig config;
+    config.async_put = false;
+    runtime::DedupRuntime seeder(*app, std::move(conn.session_key),
+                                 std::move(conn.transport), config);
+    seeder.libraries().register_library("lib", "1", as_bytes("code"));
+    runtime::Deduplicable<Bytes(const Bytes&)> f(seeder, {"lib", "1", "f"},
+                                                 compute);
+    for (int i = 0; i < kCallers; ++i) (void)f(input_for(i));
+  }
+
+  auto conn = store::connect_app(result_store, *app);
+  auto* loopback = static_cast<net::LoopbackTransport*>(conn.transport.get());
+  auto gated = std::make_unique<GateTransport>(std::move(conn.transport));
+  GateTransport* gate = gated.get();
+  runtime::RuntimeConfig config;
+  config.local_cache = false;
+  config.batching.enabled = true;
+  runtime::DedupRuntime rt(*app, std::move(conn.session_key), std::move(gated),
+                           config);
+  rt.libraries().register_library("lib", "1", as_bytes("code"));
+  runtime::Deduplicable<Bytes(const Bytes&)> f(rt, {"lib", "1", "f"}, compute);
+  const auto call = [&](int i) {
+    EXPECT_EQ(f(input_for(i)), compute(input_for(i)));
+  };
+
+  const std::uint64_t trips_before = loopback->round_trips();
+  gate->armed = true;
+  std::vector<std::thread> threads;
+  threads.emplace_back(call, 0);  // leads the first frame, which is held
+  while (!gate->held) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (int i = 1; i < kCallers; ++i) threads.emplace_back(call, i);
+  while (rt.stats().calls < kCallers) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Each late caller has entered execute(); give it time to derive its tag
+  // and queue its GET behind the held frame.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  gate->held = false;
+  for (auto& t : threads) t.join();
+
+  // No timer: the held frame carried the first caller's GET alone, and the
+  // frame its reply released carried all seven that queued meanwhile.
+  EXPECT_EQ(loopback->round_trips() - trips_before, 2u);
+  EXPECT_EQ(rt.stats().hits, static_cast<std::uint64_t>(kCallers));
+  const telemetry::HistogramSnapshot frames = batch_ops_histogram();
+  EXPECT_EQ(frames.count, 2u);
+  EXPECT_EQ(frames.sum, static_cast<std::uint64_t>(kCallers));
+  EXPECT_EQ(frames.max, static_cast<std::uint64_t>(kCallers - 1));
+}
+
+TEST(MicroBatchTest, RunPastTheOpCapShipsAsFramesTheSessionAccepts) {
+  SPEED_SEEDED_RNG(rng, 0xBA7C4C01ull);
+  sgx::Platform platform(fast_model());
+  store::ResultStore result_store(platform);
+  auto app = platform.create_enclave("cap-app");
+  auto conn = store::connect_app(result_store, *app);
+  conn.session->set_max_batch_entries(serialize::kMaxBatchOps);
+  auto* loopback = static_cast<net::LoopbackTransport*>(conn.transport.get());
+  runtime::RuntimeConfig config;
+  config.batching.enabled = true;
+  runtime::DedupRuntime rt(*app, std::move(conn.session_key),
+                           std::move(conn.transport), config);
+  rt.libraries().register_library("stream-lib", "1", as_bytes("code"));
+
+  // Fixed 64-byte chunks, and one window holding every chunk: each window
+  // run is kMaxBatchOps + 1 ops, one more than the session accepts.
+  runtime::StreamConfig stream_config;
+  stream_config.chunker = {64, 64, 64};
+  stream_config.window = serialize::kMaxBatchOps + 1;
+  runtime::StreamSession s(rt, rt.resolve({"stream-lib", "1", "put(bytes)"}),
+                           stream_config);
+  const Bytes data = rng.bytes((serialize::kMaxBatchOps + 1) * 64);
+
+  const std::uint64_t trips_before = loopback->round_trips();
+  const runtime::StreamHandle handle = s.put(data);
+  // The stream-tag GET, the chunk GETs and the chunk PUTs in two frames
+  // each (kMaxBatchOps ops, then one), and the manifest PUT.
+  EXPECT_EQ(loopback->round_trips() - trips_before, 6u);
+  const auto stats = rt.stats();
+  EXPECT_EQ(stats.stream_chunks, serialize::kMaxBatchOps + 1);
+  EXPECT_EQ(stats.stream_inline_chunks, 0u);  // no op was refused
+  EXPECT_EQ(stats.stream_degraded, 0u);
+  EXPECT_EQ(batch_ops_histogram().max, serialize::kMaxBatchOps);
+  EXPECT_EQ(s.get(handle), data);
+}
+
+TEST(MicroBatchTest, QueuedLargePutsShipInFramesTheServerAdmits) {
+  // Eight concurrent 1 MiB misses queue eight 1 MiB PUTs while the first
+  // one's frame is held on the wire. The worker then drains all seven
+  // others at once, and they must reach a default server in frames under
+  // its max_frame_bytes: one oversized frame would be refused and close
+  // the connection, losing every PUT in it.
+  sgx::Platform platform(fast_model());
+  store::ResultStore result_store(platform);
+  store::StoreTcpServer server(result_store, 0);
+  auto app = platform.create_enclave("large-put-app");
+  auto conn = store::connect_tcp_app(
+      *app, result_store.enclave().measurement(), "127.0.0.1", server.port());
+  ASSERT_GE(conn.protocol_version, net::kProtocolVersionBatch);
+  auto held = std::make_unique<SlowTransport>(
+      std::move(conn.transport), std::chrono::milliseconds(50), 512 * 1024);
+  SlowTransport* wire = held.get();
+  runtime::RuntimeConfig config;
+  config.local_cache = false;  // the second round must reach the store
+  config.batching.enabled = true;
+  runtime::DedupRuntime rt(*app, std::move(conn.session_key), std::move(held),
+                           config);
+  rt.libraries().register_library("lib", "1", as_bytes("code"));
+  runtime::Deduplicable<Bytes(const Bytes&)> f(
+      rt, {"lib", "1", "f"},
+      [](const Bytes& in) { return Bytes(1024 * 1024, in.front()); });
+
+  constexpr int kCallers = 8;
+  const auto run_round = [&] {
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kCallers; ++i) {
+      threads.emplace_back([&, i] {
+        const Bytes input = {static_cast<std::uint8_t>(i)};
+        EXPECT_EQ(f(input), Bytes(1024 * 1024, input.front()));
+      });
+    }
+    for (auto& t : threads) t.join();
+  };
+
+  run_round();
+  ASSERT_TRUE(rt.flush(30'000));
+  EXPECT_EQ(server.oversized_frames(), 0u);
+  EXPECT_LE(wire->largest.load(), server.config().max_frame_bytes);
+  EXPECT_EQ(rt.stats().puts_sent, static_cast<std::uint64_t>(kCallers));
+  EXPECT_EQ(rt.stats().puts_rejected, 0u);
+
+  run_round();  // every result was stored, so every call is a store hit
+  EXPECT_EQ(rt.stats().hits, static_cast<std::uint64_t>(kCallers));
+  EXPECT_EQ(rt.stats().degraded_calls, 0u);
 }
 
 TEST(MicroBatchTest, SequentialCallsDegradeToPlainMessages) {

@@ -200,7 +200,6 @@ TEST(StreamSessionTest, BatchingCollapsesChunkRoundTrips) {
   SPEED_SEEDED_RNG(rng, 0x57e40007);
   runtime::RuntimeConfig config;
   config.batching.enabled = true;
-  config.batching.max_ops = 128;
   Deployment d(config);
   runtime::StreamSession s(*d.rt, stream_identity(*d.rt));
   const Bytes data = rng.bytes(300 * 1024);
@@ -531,7 +530,6 @@ TEST(StreamClusterTest, BatchedStreamsRouteAcrossNodes) {
   auto transport = cluster.connect(*app);
   runtime::RuntimeConfig config;
   config.batching.enabled = true;
-  config.batching.max_ops = 128;
   runtime::DedupRuntime rt(*app, transport, config);
   runtime::StreamSession s(rt, stream_identity(rt));
   const Bytes data = rng.bytes(300 * 1024);
