@@ -12,7 +12,7 @@
 // A second section measures what the fault-tolerance layer costs when
 // nothing is failing: the same hit-path workload over a bare transport vs
 // one wrapped in ResilientTransport (target: <2% overhead), plus the
-// degraded mode (store dead, breaker open) against pure local compute.
+// degraded mode (store dead, its node down) against pure local compute.
 #include <cstdio>
 #include <memory>
 
@@ -64,7 +64,7 @@ enum class Layer { kBare, kResilient, kStoreDead };
 
 /// Mean hit-path (Subsq.Comp.) latency with the chosen transport stack.
 /// kStoreDead reports the degraded path instead: every call is served by
-/// local compute behind an open breaker.
+/// local compute while the walk skips the down node.
 double run_resilience(Layer layer, std::uint64_t seed) {
   sgx::Platform platform(bench::realistic_model());
   store::ResultStore store(platform);
@@ -122,8 +122,8 @@ int main() {
   std::puts("neutral for compute-dominated functions (deflate).");
 
   std::puts("\n=== Resilience layer: happy-path overhead & degraded mode ===");
-  std::puts("(tokenize hit path; ResilientTransport adds one lock + breaker");
-  std::puts("check per round trip — target <2% over the bare transport)\n");
+  std::puts("(tokenize hit path; ResilientTransport adds one lock per round");
+  std::puts("trip — target <2% over the bare transport)\n");
 
   TablePrinter res_table({"Transport stack", "Subsq.Comp. (ms)", "vs bare"});
   const double bare = run_resilience(Layer::kBare, 9000);

@@ -6,12 +6,15 @@
 // loses no acknowledged result. The example demonstrates the whole fault
 // cycle live: dedup across two applications, a node killed mid-traffic
 // (GETs fail over to the surviving replica), the cluster degrading to
-// local compute when every node is down, and a restarted node re-attesting
-// and pulling its ring share back before serving again.
+// local compute when every node is down, and a restarted node re-attesting,
+// pulling its ring share back and being re-admitted by the clients' probes
+// before serving again.
 //
 //   $ ./cluster_deployment
+#include <chrono>
 #include <cstdio>
 #include <memory>
+#include <thread>
 
 #include "runtime/speed.h"
 #include "workload/synthetic.h"
@@ -112,6 +115,10 @@ int main() {
   const std::size_t pulled = cluster.rejoin(1);
   cluster.anti_entropy_round();
   std::printf("  node 1 rejoined, pulled %zu entries\n", pulled);
+  // A client skips a node it saw fail, without I/O, for one probe
+  // interval; its first call past that probes the node and re-admits it.
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(cluster_cfg.cluster.probe_interval_ms));
   run(*rt_a, fn_a, "web-frontend");  // repopulates the wiped dictionary
   rt_a->flush();
   run(*rt_b, fn_b, "batch-worker");  // dedup is back across applications

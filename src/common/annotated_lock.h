@@ -97,7 +97,7 @@ enum class LockRank : std::uint16_t {
   kTelemetryRegistry = 450,///< Registry::mu_ (held across collectors)
   kRuntimeCache = 460,     ///< DedupRuntime::cache_mu_ (hot-result LRU)
   kRuntimeQueue = 470,     ///< DedupRuntime::queue_mu_ (async PUT queue)
-  kTransport = 500,        ///< ResilientTransport::mu_ (breaker + reconnect)
+  kTransport = 500,        ///< ResilientTransport::mu_ (reconnect)
   kTransportInject = 505,  ///< FaultInjectingTransport::mu_ (under resilient)
   kTransportLink = 510,    ///< TcpTransport / LoopbackTransport (innermost)
   kClusterNode = 530,      ///< InprocCluster Node::mu (dialed under resilient)

@@ -21,9 +21,10 @@
 
 namespace speed::net {
 
-/// The transport cannot currently reach the store: connection dead, circuit
-/// breaker open, or reconnection failed. The DedupRuntime treats this as a
-/// degrade-to-compute signal, never as an application error.
+/// The transport cannot currently reach the store: connection dead, node
+/// down inside its probe window, or reconnection failed. The DedupRuntime
+/// treats this as a degrade-to-compute signal, never as an application
+/// error.
 class StoreUnavailableError : public Error {
  public:
   explicit StoreUnavailableError(const std::string& what) : Error(what) {}

@@ -37,8 +37,6 @@ ClusterTransport::ClusterTransport(sgx::Enclave& app_enclave,
   members_.reserve(nodes.size());
   links_.reserve(nodes.size());
   for (ClusterNode& node : nodes) {
-    members_.push_back(
-        {node.name, serialize::MemberStatus::kUp});
     // Every connection the node's link dials gets its own ResilientTransport,
     // whose reconnects re-run the node's plain dial.
     ResilientTransport::ReconnectFn dial =
@@ -58,6 +56,7 @@ ClusterTransport::ClusterTransport(sgx::Enclave& app_enclave,
       // which the first walk that probes it dials.
     }
     const bool dialed = initial.transport != nullptr;
+    members_.push_back({std::move(node.name), serialize::MemberStatus::kUp});
     links_.push_back(
         std::make_unique<Link>(enclave_, std::move(initial), std::move(dial)));
     if (!dialed) {
@@ -66,6 +65,19 @@ ClusterTransport::ClusterTransport(sgx::Enclave& app_enclave,
                                   std::memory_order_relaxed);
     }
   }
+  register_telemetry();
+}
+
+ClusterTransport::ClusterTransport(sgx::Enclave& app_enclave,
+                                   ResilientTransport::Connection store)
+    : enclave_(app_enclave),
+      members_{{"store", serialize::MemberStatus::kUp}} {
+  links_.push_back(std::make_unique<Link>(enclave_, std::move(store),
+                                          ResilientTransport::ReconnectFn{}));
+  register_telemetry();
+}
+
+void ClusterTransport::register_telemetry() {
   telemetry_handle_ = telemetry::Registry::global().add_collector(
       [this](telemetry::SampleSink& sink) {
         constexpr auto kNode = telemetry::LabelKey::of("node");
@@ -118,26 +130,22 @@ ClusterTransport::Stats ClusterTransport::stats() const {
   return s;
 }
 
-Message ClusterTransport::round_trip_message(const Message& request) {
+Message ClusterTransport::round_trip_message(Message request) {
   const Stopwatch sw;
   struct Record {
     telemetry::Histogram& hist;
     const Stopwatch& sw;
     ~Record() { hist.record(sw.elapsed_ns()); }
   } record{walk_ns_, sw};
-  if (const auto* get_req = std::get_if<GetRequest>(&request)) {
-    return cluster_get(*get_req);
-  }
-  if (const auto* put_req = std::get_if<PutRequest>(&request)) {
-    return cluster_put(*put_req);
-  }
-  if (const auto* batch_req = std::get_if<serialize::BatchRequest>(&request)) {
-    return cluster_batch(*batch_req);
+  if (std::holds_alternative<GetRequest>(request)) return cluster_get(request);
+  if (std::holds_alternative<PutRequest>(request)) return cluster_put(request);
+  if (auto* batch_req = std::get_if<serialize::BatchRequest>(&request)) {
+    return cluster_batch(std::move(*batch_req));
   }
   throw ProtocolError("ClusterTransport: only GET and PUT are routable");
 }
 
-Message ClusterTransport::cluster_batch(const serialize::BatchRequest& req) {
+Message ClusterTransport::cluster_batch(serialize::BatchRequest req) {
   serialize::BatchResponse resp;
   resp.replies.resize(req.ops.size());
   const std::size_t quorum = std::min(config_.replicas + 1, members_.size());
@@ -156,13 +164,18 @@ Message ClusterTransport::cluster_batch(const serialize::BatchRequest& req) {
 
   for (auto& [node, indices] : by_primary) {
     Link& link = *links_[node];
+    // The sub-frame takes its ops by move; an op that still has to walk
+    // moves back out of it.
+    Message forward{serialize::BatchRequest{}};
+    auto& forward_ops = std::get<serialize::BatchRequest>(forward).ops;
+    forward_ops.reserve(indices.size());
+    for (const std::size_t i : indices) {
+      forward_ops.push_back(std::move(req.ops[i]));
+    }
     std::optional<serialize::BatchResponse> node_resp;
     if (!skip_down(link)) {
-      serialize::BatchRequest forward;
-      forward.ops.reserve(indices.size());
-      for (const std::size_t i : indices) forward.ops.push_back(req.ops[i]);
       try {
-        Message answer = link_round_trip_retry(link, Message(forward));
+        Message answer = link_round_trip_retry(link, forward);
         if (auto* batch_resp = std::get_if<serialize::BatchResponse>(&answer);
             batch_resp != nullptr &&
             batch_resp->replies.size() == indices.size()) {
@@ -174,35 +187,25 @@ Message ClusterTransport::cluster_batch(const serialize::BatchRequest& req) {
     }
     for (std::size_t j = 0; j < indices.size(); ++j) {
       const std::size_t i = indices[j];
-      bool settled = false;
-      if (node_resp.has_value()) {
-        const serialize::BatchReply& reply = node_resp->replies[j];
-        if (const auto* get_resp = std::get_if<GetResponse>(&reply)) {
-          // A hit from the owner is always authoritative; a definitive miss
-          // only is when there are no replicas left to consult.
-          if (get_resp->found || quorum == 1) {
-            gets_.inc();
-            resp.replies[i] = *get_resp;
-            settled = true;
-          }
-        } else if (const auto* put_resp = std::get_if<PutResponse>(&reply)) {
-          // With replicas, an ack requires the full sloppy-quorum walk.
-          if (quorum == 1) {
-            puts_.inc();
-            resp.replies[i] = *put_resp;
-            settled = true;
-          }
+      serialize::BatchReply* primary =
+          node_resp.has_value() ? &node_resp->replies[j] : nullptr;
+      if (primary != nullptr) {
+        // A hit from the owner is always authoritative; a definitive miss,
+        // or a PUT's answer, only is when there are no replicas to consult.
+        const auto* get_resp = std::get_if<GetResponse>(primary);
+        if ((get_resp != nullptr && (get_resp->found || quorum == 1)) ||
+            (std::holds_alternative<PutResponse>(*primary) && quorum == 1)) {
+          (get_resp != nullptr ? gets_ : puts_).inc();
+          resp.replies[i] = std::move(*primary);
+          continue;
         }
-        // ErrorResponse (or an unexpected kind): fall through to the walk.
       }
-      if (settled) continue;
       try {
-        Message walked;
-        if (const auto* get_req = std::get_if<GetRequest>(&req.ops[i])) {
-          walked = cluster_get(*get_req);
-        } else {
-          walked = cluster_put(std::get<PutRequest>(req.ops[i]));
-        }
+        const Message op = std::visit(
+            [](auto& o) { return Message(std::move(o)); }, forward_ops[j]);
+        Message walked = std::holds_alternative<GetRequest>(op)
+                             ? cluster_get(op, primary)
+                             : cluster_put(op, primary);
         resp.replies[i] = serialize::to_batch_reply(std::move(walked));
       } catch (const Error& e) {
         // Only this op degrades; its neighbors keep their answers.
@@ -217,26 +220,26 @@ Message ClusterTransport::cluster_batch(const serialize::BatchRequest& req) {
 
 // ------------------------------------------------------------------- walks
 
-Message ClusterTransport::cluster_get(const GetRequest& req) {
+Message ClusterTransport::cluster_get(const Message& request,
+                                      serialize::BatchReply* primary_reply) {
   gets_.inc();
+  const auto& req = std::get<GetRequest>(request);
   const auto order = serialize::rendezvous_order(members_, req.tag);
   const std::size_t quorum = std::min(config_.replicas + 1, order.size());
-  const Message request(req);
 
   std::size_t definitive = 0;
   std::optional<GetResponse> found;
   std::optional<std::size_t> first_missing;  ///< earliest definitive miss
-  std::vector<std::size_t> skipped;          ///< down nodes bypassed w/o I/O
 
-  // Interpret one node's answer; returns true when the walk can stop.
-  const auto process = [&](std::size_t idx, const Message& m) {
-    const auto* gr = std::get_if<GetResponse>(&m);
+  // Interpret one node's answer (null: not a GET answer); returns true when
+  // the walk can stop. A found entry is moved, never copied.
+  const auto process = [&](std::size_t idx, GetResponse* gr) {
     if (gr == nullptr) {
       failovers_.inc();
       return false;
     }
     if (gr->found) {
-      found = *gr;
+      found = std::move(*gr);
       return true;
     }
     ++definitive;
@@ -244,31 +247,20 @@ Message ClusterTransport::cluster_get(const GetRequest& req) {
     return definitive >= quorum;
   };
 
-  for (const std::size_t idx : order) {
-    Link& link = *links_[idx];
-    if (skip_down(link)) {
-      skipped.push_back(idx);
-      continue;
-    }
+  std::size_t next = 0;
+  bool done = false;
+  if (primary_reply != nullptr) {
+    done = process(order.front(), std::get_if<GetResponse>(primary_reply));
+    next = 1;
+  }
+  for (; !done && next < order.size(); ++next) {
+    Link& link = *links_[order[next]];
+    if (skip_down(link)) continue;
     try {
-      if (process(idx, link_round_trip_retry(link, request))) break;
+      Message m = link_round_trip_retry(link, request);
+      done = process(order[next], std::get_if<GetResponse>(&m));
     } catch (const Error&) {
       failovers_.inc();
-    }
-  }
-
-  // Last-chance pass: a node the walk skipped as down (its probe window has
-  // not expired) may hold the only live copy — e.g. it just restarted and
-  // rejoined while a different node died. Never report a miss or
-  // unavailability the skipped nodes could contradict; the extra I/O only
-  // happens on walks that would otherwise come back negative.
-  if (!found.has_value()) {
-    for (const std::size_t idx : skipped) {
-      try {
-        if (process(idx, link_round_trip_retry(*links_[idx], request))) break;
-      } catch (const Error&) {
-        failovers_.inc();
-      }
     }
   }
 
@@ -276,66 +268,63 @@ Message ClusterTransport::cluster_get(const GetRequest& req) {
     if (first_missing.has_value()) {
       read_repair(*first_missing, req, *found);
     }
-    return *found;
+    return Message(std::move(*found));
   }
   if (definitive > 0) return GetResponse{};  // a real miss: degrade to compute
   unavailable_.inc();
   throw StoreUnavailableError("ClusterTransport: no node answered GET");
 }
 
-Message ClusterTransport::cluster_put(const PutRequest& req) {
+Message ClusterTransport::cluster_put(
+    const Message& request, const serialize::BatchReply* primary_reply) {
   puts_.inc();
+  const auto& req = std::get<PutRequest>(request);
   const auto order = serialize::rendezvous_order(members_, req.tag);
   const std::size_t target = std::min(config_.replicas + 1, order.size());
-  const Message request(req);
 
   std::size_t successes = 0;
   std::size_t definitive = 0;
   bool any_stored = false;
   bool any_quota = false;
-  std::vector<std::size_t> skipped;
-  const auto attempt = [&](std::size_t idx) {
+  // Tally one node's answer (null: not a PUT answer).
+  const auto tally = [&](const PutResponse* pr) {
+    if (pr == nullptr) {
+      failovers_.inc();
+      return;
+    }
+    ++definitive;
+    switch (pr->status) {
+      case PutStatus::kStored:
+        ++successes;
+        any_stored = true;
+        break;
+      case PutStatus::kAlreadyPresent:
+        ++successes;
+        break;
+      case PutStatus::kQuotaExceeded:
+        any_quota = true;
+        break;
+      case PutStatus::kRejected:
+        break;  // degraded node: definitive, but not a copy
+    }
+  };
+
+  // Sloppy quorum: walk past failed owners so the entry still lands on
+  // `target` live nodes; the rendezvous walk on GET finds it there.
+  std::size_t next = 0;
+  if (primary_reply != nullptr) {
+    tally(std::get_if<PutResponse>(primary_reply));
+    next = 1;
+  }
+  for (; successes < target && next < order.size(); ++next) {
+    Link& link = *links_[order[next]];
+    if (skip_down(link)) continue;
     try {
-      const Message m = link_round_trip_retry(*links_[idx], request);
-      const auto* pr = std::get_if<PutResponse>(&m);
-      if (pr == nullptr) {
-        failovers_.inc();
-        return;
-      }
-      ++definitive;
-      switch (pr->status) {
-        case PutStatus::kStored:
-          ++successes;
-          any_stored = true;
-          break;
-        case PutStatus::kAlreadyPresent:
-          ++successes;
-          break;
-        case PutStatus::kQuotaExceeded:
-          any_quota = true;
-          break;
-        case PutStatus::kRejected:
-          break;  // degraded node: definitive, but not a copy
-      }
+      const Message m = link_round_trip_retry(link, request);
+      tally(std::get_if<PutResponse>(&m));
     } catch (const Error&) {
       failovers_.inc();
     }
-  };
-  // Sloppy quorum: walk past failed owners so the entry still lands on
-  // `target` live nodes; the rendezvous walk on GET finds it there.
-  for (const std::size_t idx : order) {
-    if (successes >= target) break;
-    if (skip_down(*links_[idx])) {
-      skipped.push_back(idx);
-      continue;
-    }
-    attempt(idx);
-  }
-  // Same last-chance pass as cluster_get: a skipped node may be back up and
-  // able to lift this PUT to full quorum — try before refusing to ack.
-  for (const std::size_t idx : skipped) {
-    if (successes >= target) break;
-    attempt(idx);
   }
 
   if (successes >= target) {
@@ -416,13 +405,18 @@ Message ClusterTransport::link_round_trip(Link& link, const Message& request) {
 
 Message ClusterTransport::link_round_trip_retry(Link& link,
                                                 const Message& request) {
+  const bool was_up =
+      static_cast<NodeHealth>(link.health.load(std::memory_order_relaxed)) ==
+      NodeHealth::kUp;
   try {
     return link_round_trip(link, request);
   } catch (const Error&) {
+    // A suspect or down node's link was already poisoned, so this attempt
+    // was its recovery: one reconnect cycle per leg is enough.
+    if (!was_up) throw;
     // The failure poisoned the link; the retry's StoreLink round trip sees
-    // the poison, recovers (re-dial + re-attest + rekey), and wraps the
-    // frame under the fresh channel key. A genuinely dead node
-    // fails again quickly (bounded reconnect attempts or an open breaker).
+    // the poison, recovers (re-dial + re-attest + rekey), and seals the
+    // request again under the fresh channel key.
     return link_round_trip(link, request);
   }
 }

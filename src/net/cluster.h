@@ -1,14 +1,17 @@
-// Client-side replicated ResultStore cluster (docs/PROTOCOL.md §8).
+// Client-side store routing (docs/PROTOCOL.md §8): every runtime's one data
+// path, from a single store (a one-node cluster) to a replicated cluster.
 //
 // ClusterTransport routes each GET/PUT across N store nodes by rendezvous-
 // hashing the computation tag (serialize/rendezvous.h): element 0 of the
 // preference order is the tag's primary owner, the next `replicas` elements
-// its replicas. Unlike the single-node Transport it operates on decoded
-// messages, not opaque frames — routing needs the tag, and the tag is
-// inside the frame — so every node has its *own* StoreLink
+// its replicas. Unlike the single-connection Transport it operates on
+// decoded messages, not opaque frames — routing needs the tag, and the tag
+// is inside the frame — so every node has its *own* StoreLink
 // (net/store_link.h): an attested SecureChannel (sequence numbers are
-// per-connection) over its own ResilientTransport (reconnect + breaker,
-// net/resilient.h). Every leg of a walk runs on the calling thread.
+// per-connection) over its own transport. A dialed node's transport is a
+// ResilientTransport (reconnect with backoff, net/resilient.h); a single
+// store adopts the caller's attested connection as it is. Every leg of a
+// walk runs on the calling thread.
 //
 // Failure semantics, chaos-tested (tests/chaos_cluster_test.cc):
 //
@@ -26,10 +29,12 @@
 //     definitively missed, the entry is pushed back to the owner as an
 //     ordinary quota-charged PUT (the infra-only PUSH plane is not reachable
 //     from application credentials).
-//   * Health: per-node up/suspect/down states driven by the requests
-//     themselves plus explicit heartbeat probes; a down node is skipped
-//     without I/O until `probe_interval_ms` elapses, when one request is
-//     admitted as the probe.
+//   * Health, the one failure detector per node: up/suspect/down states
+//     driven by the requests themselves plus explicit heartbeat probes. A
+//     failed leg to an up node is retried once inline, through recover()
+//     (re-dial, re-attest, fresh key); a down node is skipped without I/O
+//     until `probe_interval_ms` elapses, when one request is admitted as
+//     the probe.
 #pragma once
 
 #include <atomic>
@@ -67,7 +72,7 @@ struct ClusterConfig {
   std::uint64_t probe_interval_ms = 50;
   /// Consecutive failures that take a node from suspect to down.
   int down_threshold = 2;
-  /// Per-link reconnect/breaker settings.
+  /// Reconnect settings of each dialed node's ResilientTransport.
   ResilienceConfig resilience;
 };
 
@@ -81,15 +86,24 @@ class ClusterTransport {
   ClusterTransport(sgx::Enclave& app_enclave, std::vector<ClusterNode> nodes,
                    ClusterConfig config = ClusterConfig{});
 
+  /// A single store as a one-node cluster: adopts `store`, an attested
+  /// connection, as it is — no dial, no reconnect layer added. A failed
+  /// node recovers through `store.transport`'s own recover() (a plain
+  /// transport cannot, and the node then stays down). Throws ProtocolError
+  /// if `store.transport` is null.
+  ClusterTransport(sgx::Enclave& app_enclave,
+                   ResilientTransport::Connection store);
+
   ClusterTransport(const ClusterTransport&) = delete;
   ClusterTransport& operator=(const ClusterTransport&) = delete;
 
-  /// Route one application request (GET or PUT) across the cluster. Must be
-  /// called from inside the application enclave (each node leg is one
-  /// StoreLink round trip, with its own OCALL). Throws
-  /// StoreUnavailableError when no node can serve — the degrade-to-compute
-  /// signal.
-  serialize::Message round_trip_message(const serialize::Message& request);
+  /// Route one application request (GET, PUT or a BatchRequest of both)
+  /// across the cluster. Must be called from inside the application enclave
+  /// (each node leg is one StoreLink round trip, with its own OCALL).
+  /// Payloads move through the walk: every leg seals from `request`, and a
+  /// found entry is moved into the reply. Throws StoreUnavailableError when
+  /// no node can serve — the degrade-to-compute signal.
+  serialize::Message round_trip_message(serialize::Message request);
 
   /// Heartbeat one node (by index); updates its health state. Returns the
   /// response when the node answered.
@@ -135,28 +149,39 @@ class ClusterTransport {
   /// updating health.
   serialize::Message link_round_trip(Link& link,
                                      const serialize::Message& request);
-  /// link_round_trip plus one inline retry: the first failure may only mean
-  /// the connection was stale (node restarted under a new incarnation), and
-  /// the retry goes through recover() — re-dial, re-attest, fresh key — so
-  /// a walk right after a node restart succeeds instead of failing over.
+  /// link_round_trip plus one inline retry for a node that was up: the
+  /// first failure may only mean the connection was stale (node restarted
+  /// under a new incarnation), and the retry goes through recover() —
+  /// re-dial, re-attest, fresh key, the request sealed again — so a walk
+  /// right after a node restart succeeds instead of failing over. A suspect
+  /// or down node's attempt already recovers, and is not retried.
   serialize::Message link_round_trip_retry(Link& link,
                                            const serialize::Message& request);
   void note_success(Link& link);
   void note_failure(Link& link);
   /// True when the walk should skip this node without attempting I/O.
   bool skip_down(Link& link) const;
+  void register_telemetry();
 
-  serialize::Message cluster_get(const serialize::GetRequest& req);
-  serialize::Message cluster_put(const serialize::PutRequest& req);
+  /// The quorum walks over `request`'s preference order. `primary_reply`,
+  /// when given, is the primary's answer from a batched sub-frame: it counts
+  /// as the walk's first leg, and the walk goes on at the next node.
+  serialize::Message cluster_get(
+      const serialize::Message& request,
+      serialize::BatchReply* primary_reply = nullptr);
+  serialize::Message cluster_put(
+      const serialize::Message& request,
+      const serialize::BatchReply* primary_reply = nullptr);
   /// Batched routing: ops are grouped by rendezvous primary and forwarded as
   /// one BatchRequest per node. A batched sub-answer is authoritative when a
   /// single leg settles it (found GETs always; everything when the quorum is
-  /// 1); anything else — quorum PUTs, definitive misses with replicas, node
-  /// failures, per-op errors — falls back to the op's normal quorum walk, so
-  /// batching never weakens the chaos-tested ack/read-repair guarantees. An
-  /// op whose walk also fails yields ErrorResponse{kUnavailable}; the call
-  /// itself always returns a full BatchResponse.
-  serialize::Message cluster_batch(const serialize::BatchRequest& req);
+  /// 1); otherwise — quorum PUTs, definitive misses with replicas, per-op
+  /// errors — the op's walk goes on from that answer. An op whose primary
+  /// could not be reached walks its whole order. So batching never weakens
+  /// the chaos-tested ack/read-repair guarantees. An op whose walk also
+  /// fails yields ErrorResponse{kUnavailable}; the call itself always
+  /// returns a full BatchResponse.
+  serialize::Message cluster_batch(serialize::BatchRequest req);
   void read_repair(std::size_t owner, const serialize::GetRequest& req,
                    const serialize::GetResponse& found);
 

@@ -1,5 +1,6 @@
 #include "net/resilient.h"
 
+#include <chrono>
 #include <thread>
 
 #include "common/clock.h"
@@ -23,21 +24,12 @@ ResilientTransport::ResilientTransport(std::unique_ptr<Transport> initial,
         sink.counter("speed_transport_failures_total",
                      "Failed round trips and recoveries", {},
                      failures_.value());
-        sink.counter("speed_transport_short_circuits_total",
-                     "Calls rejected immediately by an open breaker", {},
-                     short_circuits_.value());
         sink.counter("speed_transport_reconnects_total",
                      "Successful reconnect + re-handshake cycles", {},
                      reconnects_.value());
         sink.counter("speed_transport_reconnect_failures_total",
                      "Individual failed reconnect attempts", {},
                      reconnect_failures_.value());
-        sink.counter("speed_transport_breaker_opens_total",
-                     "Closed/half-open to open breaker transitions", {},
-                     breaker_opens_.value());
-        sink.gauge("speed_transport_breaker_open",
-                   "Transports whose circuit breaker is currently open", {},
-                   breaker_state() == BreakerState::kOpen ? 1 : 0);
         sink.histogram("speed_transport_round_trip_ns",
                        "Latency of successful store round trips", {}, rtt_ns_);
       });
@@ -48,44 +40,24 @@ void ResilientTransport::set_rekey_callback(RekeyCallback cb) {
   rekey_ = std::move(cb);
 }
 
-ResilientTransport::BreakerState ResilientTransport::breaker_state() const {
-  MutexLock lock(mu_);
-  return state_;
-}
-
 ResilientTransport::Stats ResilientTransport::stats() const {
   Stats s;
   s.round_trips = round_trips_.value();
   s.failures = failures_.value();
-  s.short_circuits = short_circuits_.value();
   s.reconnects = reconnects_.value();
   s.reconnect_failures = reconnect_failures_.value();
-  s.breaker_opens = breaker_opens_.value();
   return s;
 }
 
-// mu_ is deliberately held across the inner round trip and the reconnect
-// cycle: breaker state transitions must be atomic with the attempt outcome.
-// lockdiscipline-allow: LD004 breaker state must be atomic with the attempt
+// mu_ is deliberately held across the inner round trip: a reconnect swaps
+// inner_, and no round trip may run on a transport being replaced.
+// lockdiscipline-allow: LD004 a reconnect must not swap the transport mid-trip
 Bytes ResilientTransport::round_trip(ByteView request) {
-  // Declared before the lock: a transport displaced by reconnection is
-  // destroyed only after mu_ is released (see try_reconnect_locked).
-  std::unique_ptr<Transport> retired;
   MutexLock lock(mu_);
-  if (!admit_locked()) {
-    short_circuits_.inc();
-    throw StoreUnavailableError("ResilientTransport: circuit breaker open");
-  }
   if (!inner_healthy_) {
-    // The frame was wrapped for a connection that has since died; a fresh
+    // The frame was sealed for a connection that has since died; a fresh
     // connection carries a fresh key, so this frame can never be delivered.
-    // Still spend this admission on a reconnect: a half-open probe that
-    // insta-failed here would re-open the breaker without ever dialing, and
-    // steady round_trip traffic would then burn every probe window and hold
-    // the breaker open forever — even after the store came back. Recovering
-    // now closes the breaker and stages the fresh key for the NEXT frame;
-    // this one still fails (it is bound to the stale channel).
-    if (!try_reconnect_locked(retired)) on_failure_locked();
+    failures_.inc();
     throw StoreUnavailableError(
         "ResilientTransport: connection dead, frame bound to stale channel");
   }
@@ -94,12 +66,10 @@ Bytes ResilientTransport::round_trip(ByteView request) {
     Bytes response = inner_->round_trip(request);
     rtt_ns_.record(sw.elapsed_ns());
     round_trips_.inc();
-    consecutive_failures_ = 0;
-    state_ = BreakerState::kClosed;
     return response;
   } catch (const Error& e) {
     inner_healthy_ = false;
-    on_failure_locked();
+    failures_.inc();
     throw StoreUnavailableError(std::string("ResilientTransport: ") + e.what());
   }
 }
@@ -107,30 +77,17 @@ Bytes ResilientTransport::round_trip(ByteView request) {
 bool ResilientTransport::recover() {
   std::unique_ptr<Transport> retired;  // destroyed after mu_ is released
   MutexLock lock(mu_);
-  if (!admit_locked()) {
-    short_circuits_.inc();
-    return false;
-  }
   // The caller's channel is unusable even if the socket still looks alive
   // (e.g. the store answered garbage): only a re-handshake restores service.
   inner_healthy_ = false;
   if (try_reconnect_locked(retired)) return true;
-  on_failure_locked();
+  failures_.inc();
   return false;
 }
 
-bool ResilientTransport::admit_locked() {
-  if (state_ != BreakerState::kOpen) return true;
-  const auto cooldown = std::chrono::milliseconds(current_cooldown_ms_);
-  if (std::chrono::steady_clock::now() - opened_at_ < cooldown) return false;
-  state_ = BreakerState::kHalfOpen;
-  return true;
-}
-
-// Backoff sleeps and the dial both run under mu_: reconnection is part of
-// the guarded breaker state machine, and concurrent callers must observe
-// either the dead transport or the fully swapped-in fresh one.
-// lockdiscipline-allow: LD004 reconnect is part of the breaker state machine
+// Backoff sleeps and the dial both run under mu_: concurrent callers must
+// observe either the dead transport or the fully swapped-in fresh one.
+// lockdiscipline-allow: LD004 a reconnect swaps the transport atomically
 bool ResilientTransport::try_reconnect_locked(
     std::unique_ptr<Transport>& retired) {
   if (!reconnect_) return false;
@@ -150,8 +107,6 @@ bool ResilientTransport::try_reconnect_locked(
       retired = std::move(inner_);  // destroyed by the caller, outside mu_
       inner_ = std::move(fresh.transport);
       inner_healthy_ = true;
-      consecutive_failures_ = 0;
-      state_ = BreakerState::kClosed;
       reconnects_.inc();
       if (rekey_ && !fresh.session_key.empty()) {
         rekey_(std::move(fresh.session_key));
@@ -162,28 +117,6 @@ bool ResilientTransport::try_reconnect_locked(
     }
   }
   return false;
-}
-
-void ResilientTransport::on_failure_locked() {
-  failures_.inc();
-  ++consecutive_failures_;
-  const bool trip = state_ == BreakerState::kHalfOpen ||
-                    consecutive_failures_ >= config_.breaker_threshold;
-  if (trip) {
-    if (state_ != BreakerState::kOpen) breaker_opens_.inc();
-    state_ = BreakerState::kOpen;
-    opened_at_ = std::chrono::steady_clock::now();
-    // Draw a fresh jittered cooldown per open: clients that tripped on the
-    // same store failure half-open at different times instead of
-    // thundering-herd probing the recovering node in lockstep.
-    current_cooldown_ms_ = jittered_locked(config_.breaker_cooldown_ms,
-                                           config_.breaker_cooldown_jitter);
-  }
-}
-
-std::uint64_t ResilientTransport::current_cooldown_ms() const {
-  MutexLock lock(mu_);
-  return current_cooldown_ms_;
 }
 
 std::uint64_t ResilientTransport::jittered_locked(std::uint64_t ms,

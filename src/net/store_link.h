@@ -5,8 +5,8 @@
 // the enclave, ships the frame through one OCALL, and opens the reply, all
 // under the link's strand: the channel's sequence numbers admit no
 // interleaving. It is the only client code that seals or opens a store
-// frame. DedupRuntime holds one for a single store; ClusterTransport holds
-// one per node.
+// frame. ClusterTransport holds one per node; a single store is its one
+// node.
 //
 // Buffers. The link keeps one frame buffer and one plaintext buffer under
 // the strand. A request is encoded straight after the frame header and
@@ -21,7 +21,8 @@
 // asks the transport to recover() once (a ResilientTransport re-dials,
 // re-runs the attested handshake and stages the fresh key through the rekey
 // callback) and installs the staged key before it wraps; with no key staged
-// it throws StoreUnavailableError. The link never retries a frame itself.
+// it throws StoreUnavailableError. The link never retries a frame itself;
+// the ClusterTransport walk decides whether to call it again.
 #pragma once
 
 #include <memory>

@@ -41,14 +41,12 @@ DedupRuntime::DedupRuntime(sgx::Enclave& app_enclave,
                            secret::Buffer session_key,
                            std::unique_ptr<net::Transport> transport,
                            RuntimeConfig config)
-    : enclave_(app_enclave),
-      link_(std::in_place, app_enclave,
-            net::ResilientTransport::Connection{std::move(transport),
-                                                std::move(session_key)}),
-      config_(std::move(config)),
-      cache_charge_(app_enclave, 0) {
-  init_common();
-}
+    : DedupRuntime(app_enclave,
+                   std::make_shared<net::ClusterTransport>(
+                       app_enclave,
+                       net::ResilientTransport::Connection{
+                           std::move(transport), std::move(session_key)}),
+                   std::move(config)) {}
 
 DedupRuntime::DedupRuntime(sgx::Enclave& app_enclave,
                            std::shared_ptr<net::ClusterTransport> cluster,
@@ -60,10 +58,6 @@ DedupRuntime::DedupRuntime(sgx::Enclave& app_enclave,
   if (cluster_ == nullptr) {
     throw ProtocolError("DedupRuntime: cluster transport is required");
   }
-  init_common();
-}
-
-void DedupRuntime::init_common() {
   if (config_.scheme == RuntimeConfig::Scheme::kBasicSingleKey) {
     // Move the key into the cipher's secret domain; no plain copy stays
     // behind in the stored config.
@@ -173,13 +167,10 @@ mle::FunctionIdentity DedupRuntime::resolve(
   return mle::FunctionIdentity{desc, *measurement};
 }
 
-Message DedupRuntime::secure_round_trip(const Message& request) {
-  // Both paths throw when the store cannot serve; the fail-open GET path
-  // degrades that to compute.
+Message DedupRuntime::secure_round_trip(Message request) {
+  // Throws when the store cannot serve; the callers degrade that to compute.
   const Stopwatch rtt_sw;
-  Message response = link_.has_value()
-                         ? link_->round_trip(request)
-                         : cluster_->round_trip_message(request);
+  Message response = cluster_->round_trip_message(std::move(request));
   metrics_.round_trip_ns.record(rtt_sw.elapsed_ns());
   return response;
 }
@@ -187,7 +178,7 @@ Message DedupRuntime::secure_round_trip(const Message& request) {
 namespace {
 
 /// Lift a batch sub-reply back to a top-level message; a per-op error
-/// becomes StoreUnavailableError so fail-open degrades exactly this call.
+/// becomes StoreUnavailableError so exactly this call degrades.
 Message reply_to_message(serialize::BatchReply reply) {
   if (auto* get_resp = std::get_if<GetResponse>(&reply)) {
     return Message(std::move(*get_resp));
@@ -202,15 +193,15 @@ Message reply_to_message(serialize::BatchReply reply) {
 
 }  // namespace
 
-Message DedupRuntime::batched_round_trip(const Message& request) {
-  if (!config_.batching.enabled) return secure_round_trip(request);
+Message DedupRuntime::batched_round_trip(Message request) {
+  if (!config_.batching.enabled) return secure_round_trip(std::move(request));
   serialize::BatchOp op;
-  if (const auto* get = std::get_if<GetRequest>(&request)) {
-    op = *get;
-  } else if (const auto* put = std::get_if<PutRequest>(&request)) {
-    op = *put;
+  if (auto* get = std::get_if<GetRequest>(&request)) {
+    op = std::move(*get);
+  } else if (auto* put = std::get_if<PutRequest>(&request)) {
+    op = std::move(*put);
   } else {
-    return secure_round_trip(request);  // only GET/PUT are batchable
+    return secure_round_trip(std::move(request));  // only GET/PUT batch
   }
   std::vector<serialize::BatchReply> replies = batch_execute({std::move(op)});
   return reply_to_message(std::move(replies.front()));
@@ -373,28 +364,20 @@ DedupRuntime::Outcome DedupRuntime::execute(
     get.tag = tag;
     get.requester = enclave_.measurement();
 
-    // Fail-open: the store is an accelerator, not a dependency. Any
-    // transport/channel/protocol failure on the GET path degrades this call
-    // to a local compute; the breaker/reconnect machinery (if present)
-    // restores service for later calls.
+    // The store is an accelerator, not a dependency: any transport/channel/
+    // protocol failure on the GET path degrades this call to a local
+    // compute, and the walk's node health and the transport's reconnect
+    // restore service for later calls.
     Message response;
     const GetResponse* get_resp = nullptr;
     {
       const telemetry::TraceSpan::StageTimer t(span,
                                                telemetry::Stage::kStoreGet);
-      if (config_.fail_open) {
-        try {
-          response = batched_round_trip(get);
-          get_resp = std::get_if<GetResponse>(&response);
-        } catch (const Error&) {
-          get_resp = nullptr;
-        }
-      } else {
+      try {
         response = batched_round_trip(get);
         get_resp = std::get_if<GetResponse>(&response);
-        if (get_resp == nullptr) {
-          throw ProtocolError("DedupRuntime: expected GET_RESPONSE");
-        }
+      } catch (const Error&) {
+        get_resp = nullptr;
       }
     }
     if (get_resp == nullptr) {
@@ -496,14 +479,12 @@ void DedupRuntime::enqueue_put(PutRequest put) {
     }
     if (dropped) metrics_.puts_dropped.inc();
     queue_cv_.notify_one();
-  } else if (config_.fail_open) {
+  } else {
     try {
       send_put(std::move(put));
     } catch (const Error&) {
       metrics_.puts_rejected.inc();
     }
-  } else {
-    send_put(std::move(put));
   }
 }
 

@@ -17,17 +17,19 @@
 // — degrade to a local recompute (the ⊥ branch of Fig. 3), preserving
 // correctness against a malicious store at the cost of the speedup.
 //
-// The same fail-open posture extends to the transport: with
-// `RuntimeConfig::fail_open` (the default), a crashed store, dropped
+// The same posture extends to the transport: a crashed store, dropped
 // connection, timeout, or malformed frame on the GET path degrades the call
-// to `compute()` (counted in `Stats::degraded_calls`) instead of throwing
-// into the application. Every store frame is sealed, shipped and opened by
-// a net::StoreLink on the calling thread: one link for a single store, one
-// per node inside a ClusterTransport. A failed round trip poisons the link
-// (its sequence numbers are in an unknown state and are never reused), and
-// the next call asks the transport to recover(), installing the fresh
-// session key a ResilientTransport reports after re-running the attested
-// handshake (see net/store_link.h, docs/PROTOCOL.md §"Failure semantics").
+// to `compute()` (counted in `Stats::degraded_calls`), and a failed PUT is
+// counted and dropped; no store failure ever throws into the application.
+// Every runtime routes its store traffic through one net::ClusterTransport —
+// a single store is a one-node cluster — whose per-node net::StoreLink seals,
+// ships and opens each frame on the calling thread. A failed round trip
+// poisons the link (its sequence numbers are in an unknown state and are
+// never reused); the walk retries an up node once inline, asking the
+// transport to recover() and installing the fresh session key a
+// ResilientTransport reports after re-running the attested handshake. A node
+// that keeps failing goes down, and calls skip it without I/O until its
+// probe window expires (see net/cluster.h, docs/PROTOCOL.md §6).
 #pragma once
 
 #include <array>
@@ -44,7 +46,6 @@
 #include "mle/tag.h"
 #include "net/channel.h"
 #include "net/cluster.h"
-#include "net/store_link.h"
 #include "serialize/function_descriptor.h"
 #include "serialize/wire.h"
 #include "sgx/enclave.h"
@@ -65,11 +66,6 @@ struct RuntimeConfig {
   /// bound. PUTs are an optimization (the result is already computed), so
   /// dropping them costs only future dedup opportunities. 0 = unbounded.
   std::size_t put_queue_capacity = 1024;
-
-  /// Fail-open mode: store/transport/channel failures on the GET path
-  /// degrade to local compute instead of throwing into the application.
-  /// Disable only in tests that assert on raw failure propagation.
-  bool fail_open = true;
 
   /// Result-encryption scheme. kRce is the paper's cross-application design
   /// (§III-C); kBasicSingleKey is the §III-B strawman and requires
@@ -120,19 +116,18 @@ struct RuntimeConfig {
 
 class DedupRuntime {
  public:
-  /// Single-store mode: `session_key` comes from a completed
+  /// A single store: `session_key` comes from a completed
   /// ChannelKeyExchange (see store::connect_app / net/handshake.h);
-  /// `transport` delivers frames to the store.
+  /// `transport` delivers frames to the store. The connection becomes the
+  /// only node of a one-node ClusterTransport, as it is: no dial, no added
+  /// reconnect layer (a ResilientTransport brings its own recover()).
   DedupRuntime(sgx::Enclave& app_enclave, secret::Buffer session_key,
                std::unique_ptr<net::Transport> transport,
                RuntimeConfig config = RuntimeConfig{});
 
-  /// Cluster mode: GET/PUT route across a replicated store cluster instead
-  /// of one connection. The ClusterTransport owns a StoreLink per node
-  /// (plus reconnect/breaker machinery), so the runtime's own single-store
-  /// link stays disengaged; shared_ptr because the deployment layer (capi,
-  /// examples) keeps the cluster alive across runtimes and probes it for
-  /// health independently.
+  /// A replicated store cluster: GET/PUT route across its nodes.
+  /// shared_ptr because the deployment layer (capi, examples) keeps the
+  /// cluster alive across runtimes and probes it for health independently.
   DedupRuntime(sgx::Enclave& app_enclave,
                std::shared_ptr<net::ClusterTransport> cluster,
                RuntimeConfig config = RuntimeConfig{});
@@ -192,7 +187,7 @@ class DedupRuntime {
 
   sgx::Enclave& enclave() { return enclave_; }
 
-  /// Cluster mode only; nullptr in single-store mode.
+  /// The runtime's store routing; one node for a single store. Never null.
   const std::shared_ptr<net::ClusterTransport>& cluster() const {
     return cluster_;
   }
@@ -202,28 +197,25 @@ class DedupRuntime {
   /// stream metric cells through the runtime's private machinery.
   friend class StreamSession;
 
-  /// Shared tail of every constructor: scheme setup, PUT worker, telemetry.
-  void init_common();
-
   /// Ship a run of ops (a chunk window, or drained async PUTs) and return
   /// their replies in input order. With batching enabled the run rides the
-  /// micro-batcher in as few frames as its caps allow (split per node in
-  /// cluster mode); otherwise each op is a plain v1 round trip. Transport
+  /// micro-batcher in as few frames as its caps allow (split per node by the
+  /// cluster); otherwise each op is a plain v1 round trip. Transport
   /// failures surface as per-op ErrorResponse{kUnavailable} — never as
   /// exceptions — so the caller can degrade op by op.
   std::vector<serialize::BatchReply> stream_ops(
       std::vector<serialize::BatchOp> ops);
 
-  /// One request/response: over the single-store link, or routed by the
-  /// cluster. Must be called from inside the enclave; throws
+  /// One request/response routed by the cluster; the request's payload
+  /// moves through. Must be called from inside the enclave; throws
   /// StoreUnavailableError when the store cannot be reached.
-  serialize::Message secure_round_trip(const serialize::Message& request);
+  serialize::Message secure_round_trip(serialize::Message request);
 
   /// Like secure_round_trip, but routes through the micro-batcher when
   /// batching is enabled: the op may share a BatchRequest frame with other
   /// threads' ops. A per-op ErrorResponse surfaces as StoreUnavailableError,
-  /// so fail-open degrades only this call.
-  serialize::Message batched_round_trip(const serialize::Message& request);
+  /// so only this call degrades.
+  serialize::Message batched_round_trip(serialize::Message request);
 
   /// Submit `ops` to the micro-batcher and wait for their replies (in input
   /// order). Whichever caller finds no frame in flight leads: it ships the
@@ -244,8 +236,6 @@ class DedupRuntime {
   void cache_insert(const mle::Tag& tag, const Bytes& result);
 
   sgx::Enclave& enclave_;
-  /// Single-store mode only; disengaged in cluster mode.
-  std::optional<net::StoreLink> link_;
   std::shared_ptr<net::ClusterTransport> cluster_;
   RuntimeConfig config_;
   sgx::TrustedLibraryRegistry libraries_;
@@ -268,7 +258,7 @@ class DedupRuntime {
                static_cast<std::size_t>(telemetry::CallOutcome::kCount)>
         call_ns;
     /// Store round trips issued by this runtime (GET + PUT), timed around
-    /// secure_round_trip in both modes.
+    /// secure_round_trip.
     telemetry::Histogram round_trip_ns;
     /// Batch frames shipped by the micro-batcher and their op counts.
     telemetry::Counter batches;

@@ -106,7 +106,6 @@ StreamHandle StreamSession::put_trusted(ByteView data) {
   const chunk::ChunkPlan plan = chunk::ChunkPlan::build(fn_, data, chunker_);
   if (plan.whole_call()) return put_whole_call(plan, drbg, opened);
 
-  const bool fail_open = rt_.config_.fail_open;
   bool degraded = false;
 
   // Fast path: some client (maybe us) already stored this exact stream —
@@ -177,9 +176,6 @@ StreamHandle StreamSession::put_trusted(ByteView data) {
       const BatchReply& reply = replies[i - base];
       const auto* get_resp = std::get_if<GetResponse>(&reply);
       if (get_resp == nullptr) {
-        if (!fail_open) {
-          throw net::StoreUnavailableError("stream put: chunk GET failed");
-        }
         degraded = true;
         inline_chunk(i);
         continue;
@@ -230,9 +226,6 @@ StreamHandle StreamSession::put_trusted(ByteView data) {
       const std::size_t i = misses[j];
       const auto* put_resp = std::get_if<PutResponse>(&put_replies[j]);
       if (put_resp == nullptr) {
-        if (!fail_open) {
-          throw net::StoreUnavailableError("stream put: chunk PUT failed");
-        }
         degraded = true;
         inline_chunk(i);
         continue;
@@ -309,9 +302,6 @@ StreamHandle StreamSession::put_trusted(ByteView data) {
     std::vector<BatchReply> replies = rt_.stream_ops({std::move(put)});
     const auto* put_resp = std::get_if<PutResponse>(&replies.front());
     if (put_resp == nullptr) {
-      if (!fail_open) {
-        throw net::StoreUnavailableError("stream put: manifest PUT failed");
-      }
       degraded = true;
       inline_manifest();
     } else if (put_resp->status == PutStatus::kStored) {
@@ -353,7 +343,6 @@ StreamHandle StreamSession::put_whole_call(const chunk::ChunkPlan& plan,
   // are the ones DedupRuntime::execute would produce for this input.
   const mle::ComputationContext& ctx = plan.stream_context();  // Domain::kCall
   const serialize::Tag& tag = plan.stream_tag();
-  const bool fail_open = rt_.config_.fail_open;
 
   StreamHandle handle;
   handle.kind = StreamHandle::Kind::kWholeCall;
@@ -379,9 +368,6 @@ StreamHandle StreamSession::put_whole_call(const chunk::ChunkPlan& plan,
   std::vector<BatchReply> replies = rt_.stream_ops({make_get(tag)});
   const auto* get_resp = std::get_if<GetResponse>(&replies.front());
   if (get_resp == nullptr) {
-    if (!fail_open) {
-      throw net::StoreUnavailableError("stream put: GET failed");
-    }
     rt_.metrics_.stream_degraded.inc();
     inline_degrade();
     return handle;
@@ -412,9 +398,6 @@ StreamHandle StreamSession::put_whole_call(const chunk::ChunkPlan& plan,
   std::vector<BatchReply> put_replies = rt_.stream_ops({std::move(put)});
   const auto* put_resp = std::get_if<PutResponse>(&put_replies.front());
   if (put_resp == nullptr) {
-    if (!fail_open) {
-      throw net::StoreUnavailableError("stream put: PUT failed");
-    }
     rt_.metrics_.stream_degraded.inc();
     inline_degrade();
     return handle;

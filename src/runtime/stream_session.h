@@ -14,8 +14,8 @@
 //     2. Fast path: GET the stream tag. A recoverable manifest means some
 //        client already stored this exact stream — one round trip, done.
 //     3. Otherwise walk the plan in windows of `StreamConfig::window`
-//        chunks: one batched GET frame per window (PR 7 micro-batcher; in
-//        cluster mode each chunk routes to its own node), then one batched
+//        chunks: one batched GET frame per window (the micro-batcher; the
+//        cluster routes each chunk to its own node), then one batched
 //        PUT frame for the window's misses. Hits contribute their recovered
 //        per-chunk key to the manifest; misses contribute the fresh key
 //        that protected them.
@@ -28,7 +28,7 @@
 //     handle is the capability.
 //
 // Degradation never loses data. A chunk whose PUT is refused (quota,
-// poisoned tag, store down under fail_open) is *inlined* into the manifest;
+// poisoned tag, store down) is *inlined* into the manifest;
 // if the manifest itself cannot be stored, the manifest is inlined into the
 // handle. Worst case — store fully unreachable — the handle degrades to
 // carrying the whole stream, and get() still returns the exact bytes.
@@ -88,9 +88,9 @@ class StreamSession {
                 StreamConfig config = {});
 
   /// Store `data`; returns the capability for get(). Runs inside the app
-  /// enclave (one ECALL for the whole stream). Throws StoreUnavailableError
-  /// only when fail_open is disabled; otherwise degrades per the scheme
-  /// above and always returns a working handle.
+  /// enclave (one ECALL for the whole stream). Never throws for a store
+  /// failure: it degrades per the scheme above and always returns a working
+  /// handle.
   StreamHandle put(ByteView data);
 
   /// Retrieve the exact bytes of a stored stream. Throws

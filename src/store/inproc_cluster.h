@@ -183,8 +183,8 @@ class InprocCluster {
   struct Node {
     std::string name;
     /// Guards store swaps; shared_ptr keeps a killed store alive for
-    /// requests that raced the kill. 530: dialed under a ClusterTransport
-    /// link (510) and a ResilientTransport breaker (500), above both.
+    /// requests that raced the kill. 530: dialed under a StoreLink strand
+    /// (200) and a ResilientTransport reconnect (500), above both.
     Mutex mu{LockRank::kClusterNode};
     std::shared_ptr<ResultStore> store GUARDED_BY(mu);
     std::atomic<std::uint64_t> incarnation{1};

@@ -37,7 +37,7 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-/// Up/down gauge (bytes in use, queue depth, open breakers).
+/// Up/down gauge (bytes in use, queue depth, nodes up).
 class Gauge {
  public:
   void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }

@@ -102,7 +102,7 @@ class Registry {
   void remove_collector(std::uint64_t id);
 
   // Rank 450: acquired under StoreLink::mu_ (a node dial constructs a
-  // ResilientTransport, which registers its breaker collector) and held
+  // ResilientTransport, which registers its collector) and held
   // across collector callbacks that take the runtime cache/queue locks —
   // see docs/LOCK_ORDER.md.
   mutable Mutex mu_{LockRank::kTelemetryRegistry};

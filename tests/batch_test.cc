@@ -941,7 +941,7 @@ TEST(ClusterBatchTest, ReplicatedPutsKeepQuorumAckSemantics) {
   sgx::Platform platform(fast_model());
   store::InprocClusterConfig cc;
   cc.nodes = 3;
-  cc.cluster.replicas = 1;  // quorum 2: batched PUTs must fall back to the walk
+  cc.cluster.replicas = 1;  // quorum 2: batched PUTs and misses walk on
   store::InprocCluster cluster(platform, cc);
   auto app = platform.create_enclave("cbq-app");
   auto transport = cluster.connect(*app);
@@ -952,14 +952,34 @@ TEST(ClusterBatchTest, ReplicatedPutsKeepQuorumAckSemantics) {
   for (std::uint8_t n = 0; n < kTags; ++n) {
     batch.ops.emplace_back(make_put(nth_tag(0x6C, n), me));
   }
+  for (std::uint8_t n = 0; n < kTags; ++n) {
+    batch.ops.emplace_back(make_get(nth_tag(0x6D, n), me));  // never stored
+  }
   const Message reply = app->ecall(
       [&] { return transport->round_trip_message(Message(batch)); });
   const auto* resp = std::get_if<BatchResponse>(&reply);
   ASSERT_NE(resp, nullptr);
-  ASSERT_EQ(resp->replies.size(), static_cast<std::size_t>(kTags));
-  for (const BatchReply& r : resp->replies) {
-    EXPECT_EQ(std::get<PutResponse>(r).status, PutStatus::kStored);
+  ASSERT_EQ(resp->replies.size(), 2u * kTags);
+  for (std::size_t i = 0; i < kTags; ++i) {
+    EXPECT_EQ(std::get<PutResponse>(resp->replies[i]).status,
+              PutStatus::kStored);
+    EXPECT_FALSE(std::get<GetResponse>(resp->replies[kTags + i]).found);
   }
+  // The primary's batched answer is each walk's first leg, so no op asks
+  // its primary twice: a PUT reaches its two owners once each, and a miss
+  // asks two nodes.
+  std::uint64_t store_puts = 0;
+  std::uint64_t store_gets = 0;
+  std::uint64_t duplicate_puts = 0;
+  for (std::size_t n = 0; n < cc.nodes; ++n) {
+    const auto st = cluster.store(n).stats();
+    store_puts += st.put_requests;
+    store_gets += st.get_requests;
+    duplicate_puts += st.duplicate_puts;
+  }
+  EXPECT_EQ(store_puts, 2u * kTags);
+  EXPECT_EQ(duplicate_puts, 0u);
+  EXPECT_EQ(store_gets, 2u * kTags);
   // An acked batched PUT carries the same guarantee as an unbatched one:
   // a full quorum of owners holds the entry.
   for (std::uint8_t n = 0; n < kTags; ++n) {

@@ -50,10 +50,6 @@ net::ResilienceConfig chaos_resilience() {
   rc.reconnect_attempts = 2;
   rc.backoff_initial_ms = 0;
   rc.backoff_max_ms = 1;
-  // High threshold: the walk's own failover handles dead nodes; the breaker
-  // exists for real deployments where redials cost milliseconds.
-  rc.breaker_threshold = 10'000;
-  rc.breaker_cooldown_ms = 1;
   return rc;
 }
 

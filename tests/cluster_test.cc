@@ -43,9 +43,6 @@ net::ResilienceConfig fast_resilience() {
   rc.reconnect_attempts = 2;
   rc.backoff_initial_ms = 0;
   rc.backoff_max_ms = 1;
-  rc.breaker_threshold = 100;  // the cluster walk handles failover; don't
-                               // let per-link breakers mask it in unit tests
-  rc.breaker_cooldown_ms = 1;
   return rc;
 }
 
@@ -187,6 +184,12 @@ TEST_F(ClusterTest, GetFailsOverWhenAnyNodeDies) {
     cluster_->partition(victim, false);
     ASSERT_TRUE(cluster_->restart(victim));
     cluster_->rejoin(victim);
+    // The walk skips a down node without I/O until its probe window
+    // expires; a heartbeat re-admits the rejoined node before the next
+    // victim dies.
+    ASSERT_TRUE(transport_->probe(victim).has_value());
+    EXPECT_EQ(transport_->node_health(victim),
+              ClusterTransport::NodeHealth::kUp);
   }
   EXPECT_GT(transport_->stats().failovers, 0u);
 }

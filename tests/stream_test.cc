@@ -223,7 +223,7 @@ TEST(StreamSessionTest, StoreDownDegradesToInlineManifestAndStillServes) {
   auto enclave = platform.create_enclave("stream-app");
   auto conn = store::connect_app(result_store, *enclave);
   auto session = std::move(conn.session);
-  // Every frame hits a black hole (fail_open default: degrade, don't throw).
+  // Every frame hits a black hole: the put degrades, never throws.
   auto faulty = std::make_unique<net::FaultInjectingTransport>(
       std::move(conn.transport),
       net::FaultInjectingTransport::always(
@@ -239,24 +239,6 @@ TEST(StreamSessionTest, StoreDownDegradesToInlineManifestAndStillServes) {
   EXPECT_GT(rt.stats().stream_inline_chunks, 0u);
   // The handle carries everything: get() needs zero store round trips.
   EXPECT_EQ(down.get(handle), data);
-}
-
-TEST(StreamSessionTest, FailClosedThrowsWhenStoreUnreachable) {
-  SPEED_SEEDED_RNG(rng, 0x57e40009);
-  sgx::Platform platform(fast_model());
-  store::ResultStore result_store(platform);
-  auto enclave = platform.create_enclave("stream-app");
-  auto conn = store::connect_app(result_store, *enclave);
-  auto faulty = std::make_unique<net::FaultInjectingTransport>(
-      std::move(conn.transport),
-      net::FaultInjectingTransport::always(
-          net::FaultInjectingTransport::Fault::kDisconnect));
-  runtime::RuntimeConfig config;
-  config.fail_open = false;
-  runtime::DedupRuntime rt(*enclave, std::move(conn.session_key),
-                           std::move(faulty), config);
-  runtime::StreamSession s(rt, stream_identity(rt));
-  EXPECT_THROW(s.put(rng.bytes(100 * 1024)), net::StoreUnavailableError);
 }
 
 TEST(StreamSessionTest, QuotaRejectionsInlineChunksWithoutDataLoss) {
