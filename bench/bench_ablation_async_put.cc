@@ -9,10 +9,9 @@
 //   * deflate: compute-dominated — async makes little difference, matching
 //     the paper's observation that slow functions hide the PUT anyway.
 //
-// A second section measures what the fault-tolerance layer costs when
-// nothing is failing: the same hit-path workload over a bare transport vs
-// one wrapped in ResilientTransport (target: <2% overhead), plus the
-// degraded mode (store dead, its node down) against pure local compute.
+// A second section measures the degraded mode: the same hit-path workload
+// over a live store vs a dead one (its node down), where every call pays
+// local compute.
 #include <cstdio>
 #include <memory>
 
@@ -60,12 +59,10 @@ double run_mode(bool async_put, bool heavy_compute, std::uint64_t seed_base) {
   return total / kTrials;
 }
 
-enum class Layer { kBare, kResilient, kStoreDead };
-
-/// Mean hit-path (Subsq.Comp.) latency with the chosen transport stack.
-/// kStoreDead reports the degraded path instead: every call is served by
-/// local compute while the walk skips the down node.
-double run_resilience(Layer layer, std::uint64_t seed) {
+/// Mean hit-path (Subsq.Comp.) latency over a live store. With
+/// `store_dead` it reports the degraded path instead: every call is served
+/// by local compute while the walk skips the down node.
+double run_resilience(bool store_dead, std::uint64_t seed) {
   sgx::Platform platform(bench::realistic_model());
   store::ResultStore store(platform);
   auto enclave = platform.create_enclave("resilience-ablation-app");
@@ -73,15 +70,11 @@ double run_resilience(Layer layer, std::uint64_t seed) {
   auto session = std::move(conn.session);  // keep the server side alive
 
   std::unique_ptr<net::Transport> transport = std::move(conn.transport);
-  if (layer != Layer::kBare) {
-    if (layer == Layer::kStoreDead) {
-      transport = std::make_unique<net::FaultInjectingTransport>(
-          std::move(transport),
-          net::FaultInjectingTransport::always(
-              net::FaultInjectingTransport::Fault::kDisconnect));
-    }
-    transport = std::make_unique<net::ResilientTransport>(
-        std::move(transport), net::ResilientTransport::ReconnectFn{});
+  if (store_dead) {
+    transport = std::make_unique<net::FaultInjectingTransport>(
+        std::move(transport),
+        net::FaultInjectingTransport::always(
+            net::FaultInjectingTransport::Fault::kDisconnect));
   }
   runtime::DedupRuntime rt(*enclave, std::move(conn.session_key), std::move(transport));
   rt.libraries().register_library("ablation-lib", "1.0", as_bytes("ablation-code"));
@@ -121,23 +114,18 @@ int main() {
   std::puts("shipping when they rival the computation (tokenize), and is");
   std::puts("neutral for compute-dominated functions (deflate).");
 
-  std::puts("\n=== Resilience layer: happy-path overhead & degraded mode ===");
-  std::puts("(tokenize hit path; ResilientTransport adds one lock per round");
-  std::puts("trip — target <2% over the bare transport)\n");
+  std::puts("\n=== Degraded mode: store dead vs live ===");
+  std::puts("(tokenize hit path)\n");
 
-  TablePrinter res_table({"Transport stack", "Subsq.Comp. (ms)", "vs bare"});
-  const double bare = run_resilience(Layer::kBare, 9000);
-  const double wrapped = run_resilience(Layer::kResilient, 9000);
-  const double dead = run_resilience(Layer::kStoreDead, 9000);
-  res_table.add_row({"bare TcpTransport-equivalent", TablePrinter::fmt(bare, 3),
-                     "100.0%"});
-  res_table.add_row({"+ ResilientTransport", TablePrinter::fmt(wrapped, 3),
-                     bench::pct(wrapped, bare)});
-  res_table.add_row({"store dead (degrade-to-compute)",
-                     TablePrinter::fmt(dead, 3), bench::pct(dead, bare)});
+  TablePrinter res_table({"Store", "Subsq.Comp. (ms)", "vs live"});
+  const double live = run_resilience(/*store_dead=*/false, 9000);
+  const double dead = run_resilience(/*store_dead=*/true, 9000);
+  res_table.add_row({"live (store hit)", TablePrinter::fmt(live, 3), "100.0%"});
+  res_table.add_row({"dead (degrade-to-compute)", TablePrinter::fmt(dead, 3),
+                     bench::pct(dead, live)});
   res_table.print();
 
-  std::puts("\nExpected: wrapping costs ~0 on hits; with the store dead every");
-  std::puts("call pays local compute instead of a hit — the fail-open price.");
+  std::puts("\nExpected: with the store dead every call pays local compute");
+  std::puts("instead of a hit — the fail-open price.");
   return 0;
 }

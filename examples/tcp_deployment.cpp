@@ -7,17 +7,19 @@
 // frames carrying the GET/PUT protocol. The dedup semantics are identical
 // to the in-process deployment.
 //
-// The clients connect through connect_tcp_app_resilient — the production
-// posture: round trips are deadline-bounded and a ResilientTransport
-// redials + re-attests on failure, so when the store goes down the
-// applications keep answering from local compute (fail-open) instead of
-// surfacing socket errors.
+// Each client reaches the store as a one-node cluster built from
+// store::tcp_node — the production posture: round trips are
+// deadline-bounded, and the node's link re-dials and re-attests after a
+// failure, so when the store goes down the applications keep answering from
+// local compute (fail-open) instead of surfacing socket errors. The example
+// exits 1 if a gzip stream it prints does not round-trip.
 //
 //   $ ./tcp_deployment              # in-memory store, restarts start cold
 //   $ ./tcp_deployment /var/speed   # durable store, restarts replay the WAL
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "apps/deflate/container.h"
 #include "runtime/speed.h"
@@ -66,11 +68,12 @@ int main(int argc, char** argv) {
 
   auto make_client = [&](const char* name) {
     auto enclave = platform.create_enclave(name);
-    auto conn = store::connect_tcp_app_resilient(
-        *enclave, result_store.enclave().measurement(), "127.0.0.1",
-        server.port(), net::ResilienceConfig{}, /*deadline_ms=*/2000);
-    auto rt = std::make_unique<runtime::DedupRuntime>(
-        *enclave, std::move(conn.session_key), std::move(conn.transport));
+    auto store_node = std::make_shared<net::ClusterTransport>(
+        *enclave, std::vector<net::ClusterNode>{store::tcp_node(
+                      *enclave, result_store.enclave().measurement(),
+                      "127.0.0.1", server.port(), /*deadline_ms=*/2000)});
+    auto rt = std::make_unique<runtime::DedupRuntime>(*enclave,
+                                                      std::move(store_node));
     rt->libraries().register_library(deflate::kLibraryFamily,
                                      deflate::kLibraryVersion,
                                      as_bytes("gzip-capable deflate v1"));
@@ -116,8 +119,8 @@ int main(int argc, char** argv) {
   std::printf("edge:     5 assets gzipped in %.0f ms (%d executed, %d reused)\n",
               sw.elapsed_ms(), exec_b, 5 - exec_b);
 
-  std::printf("reused gzip stream is valid: %s\n",
-              deflate::gzip_decompress(last) == assets.back() ? "yes" : "NO");
+  const bool reused_ok = deflate::gzip_decompress(last) == assets.back();
+  std::printf("reused gzip stream is valid: %s\n", reused_ok ? "yes" : "NO");
 
   const auto stats = result_store.stats();
   std::printf("store: %llu entries, %llu hits, %llu puts over TCP; "
@@ -142,8 +145,9 @@ int main(int argc, char** argv) {
   std::printf("store stopped; edge keeps serving...\n");
   const Bytes fresh = to_bytes(workload::synth_text(100 * 1024, 99));
   const Bytes degraded = gzip_b(fresh);
+  const bool degraded_ok = deflate::gzip_decompress(degraded) == fresh;
   std::printf("degraded gzip stream is valid: %s (%llu degraded calls)\n",
-              deflate::gzip_decompress(degraded) == fresh ? "yes" : "NO",
+              degraded_ok ? "yes" : "NO",
               static_cast<unsigned long long>(rt_b->stats().degraded_calls));
-  return 0;
+  return reused_ok && degraded_ok ? 0 : 1;
 }

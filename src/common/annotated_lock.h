@@ -97,11 +97,9 @@ enum class LockRank : std::uint16_t {
   kTelemetryRegistry = 450,///< Registry::mu_ (held across collectors)
   kRuntimeCache = 460,     ///< DedupRuntime::cache_mu_ (hot-result LRU)
   kRuntimeQueue = 470,     ///< DedupRuntime::queue_mu_ (async PUT queue)
-  kTransport = 500,        ///< ResilientTransport::mu_ (reconnect)
-  kTransportInject = 505,  ///< FaultInjectingTransport::mu_ (under resilient)
+  kTransportInject = 505,  ///< FaultInjectingTransport::mu_ (under strand)
   kTransportLink = 510,    ///< TcpTransport / LoopbackTransport (innermost)
-  kClusterNode = 530,      ///< InprocCluster Node::mu (dialed under resilient)
-  kRekeyStaging = 540,     ///< StoreLink::rekey_mu_ (staged rekey key)
+  kClusterNode = 530,      ///< InprocCluster Node::mu (dialed under strand)
   kSession = 560,          ///< StoreSession::mu_ (per-session strand)
   kAccess = 590,           ///< AccessPolicy / RateLimiter / GatedResultStore
   kStoreShard = 600,       ///< ResultStore Shard::mu (lock-striped dict)

@@ -5,7 +5,9 @@
 // Transport is that abstraction: round_trip() sends one framed request and
 // blocks for the response. LoopbackTransport is the in-process deployment
 // (with optional injected latency to model a socket hop); it serializes
-// concurrent callers like a single connection would.
+// concurrent callers like a single connection would. A transport is one
+// connection and never reconnects: the StoreLink over it drops it after a
+// failure and dials a fresh one (net/store_link.h).
 #pragma once
 
 #include <atomic>
@@ -32,9 +34,7 @@ class StoreUnavailableError : public Error {
 
 class Transport {
  public:
-  /// Invoked with the fresh session key after a transport re-ran the
-  /// attested handshake, so the client can rebuild its SecureChannel. The
-  /// key stays in the secret domain end to end.
+  /// Unused: see recover().
   using RekeyCallback = std::function<void(secret::Buffer session_key)>;
 
   virtual ~Transport() = default;
@@ -42,14 +42,12 @@ class Transport {
   /// Send `request`, block until the peer's response arrives.
   virtual Bytes round_trip(ByteView request) = 0;
 
-  /// Called by a client whose secure channel over this transport has become
-  /// unusable (failed round trip, MAC failure, stale sequence numbers).
-  /// A recovering transport re-establishes the connection, re-runs the
-  /// attested handshake, reports the new key through the rekey callback, and
-  /// returns true. The default transport cannot recover.
+  /// Unused. Nothing in src/ calls or overrides recover() or
+  /// set_rekey_callback(): a StoreLink replaces a failed connection by
+  /// dialing a new one (net/store_link.h). They remain only because the
+  /// benchmark harness's TimedTransport (perfbench/cpp/harness.h) overrides
+  /// them; delete all three with those overrides.
   virtual bool recover() { return false; }
-
-  /// Register the rekey callback (no-op for transports that never rekey).
   virtual void set_rekey_callback(RekeyCallback) {}
 };
 

@@ -37,43 +37,26 @@ ClusterTransport::ClusterTransport(sgx::Enclave& app_enclave,
   members_.reserve(nodes.size());
   links_.reserve(nodes.size());
   for (ClusterNode& node : nodes) {
-    // Every connection the node's link dials gets its own ResilientTransport,
-    // whose reconnects re-run the node's plain dial.
-    ResilientTransport::ReconnectFn dial =
-        [raw = std::move(node.dial), resilience = config_.resilience]() {
-          ResilientTransport::Connection conn = raw();
-          if (conn.transport != nullptr) {
-            conn.transport = std::make_unique<ResilientTransport>(
-                std::move(conn.transport), raw, resilience);
-          }
-          return conn;
-        };
-    ResilientTransport::Connection initial;
-    try {
-      initial = enclave_.ocall(dial);
-    } catch (const Error&) {
-      // Unreachable now: the node starts out down with an undialed link,
-      // which the first walk that probes it dials.
-    }
-    const bool dialed = initial.transport != nullptr;
     members_.push_back({std::move(node.name), serialize::MemberStatus::kUp});
     links_.push_back(
-        std::make_unique<Link>(enclave_, std::move(initial), std::move(dial)));
-    if (!dialed) {
-      note_failure(*links_.back());
-      links_.back()->health.store(static_cast<std::uint8_t>(NodeHealth::kDown),
-                                  std::memory_order_relaxed);
+        std::make_unique<Link>(enclave_, Connection{}, std::move(node.dial)));
+    Link& link = *links_.back();
+    if (!link.store_link.connect()) {
+      // Unreachable now: the node starts out down, and the first walk that
+      // probes it dials it.
+      note_failure(link);
+      link.health.store(static_cast<std::uint8_t>(NodeHealth::kDown),
+                        std::memory_order_relaxed);
     }
   }
   register_telemetry();
 }
 
-ClusterTransport::ClusterTransport(sgx::Enclave& app_enclave,
-                                   ResilientTransport::Connection store)
+ClusterTransport::ClusterTransport(sgx::Enclave& app_enclave, Connection store)
     : enclave_(app_enclave),
       members_{{"store", serialize::MemberStatus::kUp}} {
-  links_.push_back(std::make_unique<Link>(enclave_, std::move(store),
-                                          ResilientTransport::ReconnectFn{}));
+  links_.push_back(
+      std::make_unique<Link>(enclave_, std::move(store), DialFn{}));
   register_telemetry();
 }
 
@@ -107,6 +90,13 @@ void ClusterTransport::register_telemetry() {
                      unavailable_.value());
         sink.counter("speed_cluster_probes_total",
                      "Heartbeat probes issued", {}, probes_.value());
+        const Stats totals = stats();
+        sink.counter("speed_cluster_reconnects_total",
+                     "Node re-dials that connected (fresh attested handshake)",
+                     {}, totals.reconnects);
+        sink.counter("speed_cluster_reconnect_failures_total",
+                     "Node re-dials that failed", {},
+                     totals.reconnect_failures);
         sink.histogram("speed_cluster_walk_ns",
                        "Whole-walk latency of routed requests", {}, walk_ns_);
       });
@@ -127,6 +117,11 @@ ClusterTransport::Stats ClusterTransport::stats() const {
   s.partial_puts = partial_puts_.value();
   s.unavailable = unavailable_.value();
   s.probes = probes_.value();
+  for (const auto& link : links_) {
+    const StoreLink::Stats l = link->store_link.stats();
+    s.reconnects += l.reconnects;
+    s.reconnect_failures += l.reconnect_failures;
+  }
   return s;
 }
 
@@ -372,7 +367,7 @@ std::optional<HeartbeatResponse> ClusterTransport::probe(std::size_t node) {
       nonce_source.fetch_add(1, std::memory_order_relaxed);
   try {
     const Message m =
-        link_round_trip(*links_[node], Message(HeartbeatRequest{nonce}));
+        link_round_trip_retry(*links_[node], Message(HeartbeatRequest{nonce}));
     const auto* hr = std::get_if<HeartbeatResponse>(&m);
     if (hr == nullptr || hr->nonce != nonce) return std::nullopt;
     return *hr;
@@ -411,12 +406,12 @@ Message ClusterTransport::link_round_trip_retry(Link& link,
   try {
     return link_round_trip(link, request);
   } catch (const Error&) {
-    // A suspect or down node's link was already poisoned, so this attempt
-    // was its recovery: one reconnect cycle per leg is enough.
+    // A suspect or down node's link had no connection, so this attempt
+    // began with its dial: one dial per leg is enough.
     if (!was_up) throw;
-    // The failure poisoned the link; the retry's StoreLink round trip sees
-    // the poison, recovers (re-dial + re-attest + rekey), and seals the
-    // request again under the fresh channel key.
+    // The failure dropped the link's connection; the retry's StoreLink
+    // round trip re-dials (re-attest, fresh key) and seals the request
+    // again under the fresh channel key.
     return link_round_trip(link, request);
   }
 }

@@ -8,10 +8,10 @@
 // decoded messages, not opaque frames — routing needs the tag, and the tag
 // is inside the frame — so every node has its *own* StoreLink
 // (net/store_link.h): an attested SecureChannel (sequence numbers are
-// per-connection) over its own transport. A dialed node's transport is a
-// ResilientTransport (reconnect with backoff, net/resilient.h); a single
-// store adopts the caller's attested connection as it is. Every leg of a
-// walk runs on the calling thread.
+// per-connection) over its own transport. A node's link dials the node
+// itself, and re-dials it after its connection drops; a single store
+// adopts the caller's attested connection as it is, and never re-dials.
+// Every leg of a walk runs on the calling thread.
 //
 // Failure semantics, chaos-tested (tests/chaos_cluster_test.cc):
 //
@@ -29,10 +29,11 @@
 //     definitively missed, the entry is pushed back to the owner as an
 //     ordinary quota-charged PUT (the infra-only PUSH plane is not reachable
 //     from application credentials).
-//   * Health, the one failure detector per node: up/suspect/down states
-//     driven by the requests themselves plus explicit heartbeat probes. A
-//     failed leg to an up node is retried once inline, through recover()
-//     (re-dial, re-attest, fresh key); a down node is skipped without I/O
+//   * Health, the one failure detector per node and the one clock that
+//     spaces reconnect attempts: up/suspect/down states driven by the
+//     requests themselves plus explicit heartbeat probes. A failed leg to an
+//     up node, or a failed heartbeat, is retried once inline, and the retry
+//     re-dials (re-attest, fresh key); a down node is skipped without I/O
 //     until `probe_interval_ms` elapses, when one request is admitted as
 //     the probe.
 #pragma once
@@ -44,7 +45,6 @@
 #include <string>
 #include <vector>
 
-#include "net/resilient.h"
 #include "net/store_link.h"
 #include "serialize/rendezvous.h"
 #include "serialize/wire.h"
@@ -55,12 +55,12 @@ namespace speed::net {
 
 /// One member endpoint. `dial` establishes a fresh connection: transport
 /// plus the session key from the attested handshake with that node's store
-/// enclave (e.g. a store::connect_tcp_app or connect_app closure). It is
-/// invoked for the initial connection and for every reconnect, so a
-/// restarted node is automatically re-attested.
+/// enclave (e.g. store::tcp_node, or a connect_app closure). The node's
+/// StoreLink invokes it for the initial connection and for every
+/// reconnect, so a restarted node is automatically re-attested.
 struct ClusterNode {
   std::string name;
-  ResilientTransport::ReconnectFn dial;
+  DialFn dial;
 };
 
 struct ClusterConfig {
@@ -72,8 +72,6 @@ struct ClusterConfig {
   std::uint64_t probe_interval_ms = 50;
   /// Consecutive failures that take a node from suspect to down.
   int down_threshold = 2;
-  /// Reconnect settings of each dialed node's ResilientTransport.
-  ResilienceConfig resilience;
 };
 
 class ClusterTransport {
@@ -87,12 +85,11 @@ class ClusterTransport {
                    ClusterConfig config = ClusterConfig{});
 
   /// A single store as a one-node cluster: adopts `store`, an attested
-  /// connection, as it is — no dial, no reconnect layer added. A failed
-  /// node recovers through `store.transport`'s own recover() (a plain
-  /// transport cannot, and the node then stays down). Throws ProtocolError
-  /// if `store.transport` is null.
-  ClusterTransport(sgx::Enclave& app_enclave,
-                   ResilientTransport::Connection store);
+  /// connection, as it is. With no dial, the node never reconnects: once
+  /// its connection drops, it stays down. A single store that reconnects is
+  /// a one-node cluster built from a dial (store::tcp_node). Throws
+  /// ProtocolError if `store.transport` is null.
+  ClusterTransport(sgx::Enclave& app_enclave, Connection store);
 
   ClusterTransport(const ClusterTransport&) = delete;
   ClusterTransport& operator=(const ClusterTransport&) = delete;
@@ -128,13 +125,14 @@ class ClusterTransport {
     std::uint64_t partial_puts = 0;    ///< PUTs below quorum (not acked)
     std::uint64_t unavailable = 0;     ///< walks with zero definitive answers
     std::uint64_t probes = 0;
+    std::uint64_t reconnects = 0;          ///< re-dials that connected
+    std::uint64_t reconnect_failures = 0;  ///< re-dials that failed
   };
   Stats stats() const;
 
  private:
   struct Link {
-    Link(sgx::Enclave& enclave, ResilientTransport::Connection initial,
-         ResilientTransport::ReconnectFn dial)
+    Link(sgx::Enclave& enclave, Connection initial, DialFn dial)
         : store_link(enclave, std::move(initial), std::move(dial)) {}
 
     StoreLink store_link;
@@ -151,10 +149,11 @@ class ClusterTransport {
                                      const serialize::Message& request);
   /// link_round_trip plus one inline retry for a node that was up: the
   /// first failure may only mean the connection was stale (node restarted
-  /// under a new incarnation), and the retry goes through recover() —
-  /// re-dial, re-attest, fresh key, the request sealed again — so a walk
-  /// right after a node restart succeeds instead of failing over. A suspect
-  /// or down node's attempt already recovers, and is not retried.
+  /// under a new incarnation), and it dropped that connection, so the retry
+  /// re-dials — re-attest, fresh key, the request sealed again — and a walk
+  /// or heartbeat right after a node restart succeeds instead of failing.
+  /// A suspect or down node's link has no connection, so its attempt
+  /// already begins with the dial, and is not retried.
   serialize::Message link_round_trip_retry(Link& link,
                                            const serialize::Message& request);
   void note_success(Link& link);

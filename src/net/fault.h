@@ -97,7 +97,7 @@ class FaultInjectingTransport : public Transport {
 
  private:
   std::unique_ptr<Transport> inner_;
-  // 505: stacked between ResilientTransport (500) and the wire (510).
+  // 505: stacked between the StoreLink strand (200) and the wire (510).
   Mutex mu_{LockRank::kTransportInject};
   Schedule schedule_ GUARDED_BY(mu_);
   std::atomic<std::uint64_t> calls_{0};

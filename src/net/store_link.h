@@ -5,8 +5,8 @@
 // the enclave, ships the frame through one OCALL, and opens the reply, all
 // under the link's strand: the channel's sequence numbers admit no
 // interleaving. It is the only client code that seals or opens a store
-// frame. ClusterTransport holds one per node; a single store is its one
-// node.
+// frame, and the only code that makes or remakes a store connection.
+// ClusterTransport holds one per node; a single store is its one node.
 //
 // Buffers. The link keeps one frame buffer and one plaintext buffer under
 // the strand. A request is encoded straight after the frame header and
@@ -16,46 +16,80 @@
 // transport receives and what the decoded message owns.
 //
 // Failure rule. A transport error, or a reply that fails the channel check,
-// poisons the link: the client cannot know which sequence numbers the store
-// consumed, so the key never wraps another frame. The next round_trip()
-// asks the transport to recover() once (a ResilientTransport re-dials,
-// re-runs the attested handshake and stages the fresh key through the rekey
-// callback) and installs the staged key before it wraps; with no key staged
-// it throws StoreUnavailableError. The link never retries a frame itself;
-// the ClusterTransport walk decides whether to call it again.
+// drops the link's connection: the client cannot know which sequence
+// numbers the store consumed, so the key never wraps another frame. A link
+// with no connection dials on its next round_trip(): one `dial` call inside
+// one OCALL, which re-runs the attested handshake, and a fresh channel under
+// the session key it returns. A failed dial leaves the link with no
+// connection. A link without a dial (the single store's adopted
+// connection) never reconnects: once its connection is dropped, every
+// round_trip() throws StoreUnavailableError without I/O. The link never
+// resends a frame and never waits; whether and when to call it again is the
+// ClusterTransport walk's node health.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 
 #include "common/annotated_lock.h"
 #include "common/secret.h"
-#include "net/resilient.h"
+#include "net/channel.h"
 #include "net/secure_channel.h"
 #include "serialize/wire.h"
 #include "sgx/enclave.h"
+#include "telemetry/metrics.h"
 
 namespace speed::net {
 
+/// A live store connection: its transport and the session key from its
+/// attested handshake.
+struct Connection {
+  std::unique_ptr<Transport> transport;
+  secret::Buffer session_key;
+};
+
+/// Makes a fresh connection, re-running the attested handshake (e.g. a
+/// store::connect_tcp_app or connect_app closure). Throws, or returns a
+/// null transport, on failure.
+using DialFn = std::function<Connection()>;
+
+/// Kept only for the benchmark harness (perfbench/), which spells the
+/// connection type `ResilientTransport::Connection`; new code says
+/// Connection.
+struct ResilientTransport {
+  using Connection = net::Connection;
+};
+
 class StoreLink {
  public:
-  /// A link over `initial`. When `initial.transport` is null the link starts
-  /// undialed: its first round_trip() makes one `dial` attempt inside one
-  /// OCALL, and a failed attempt leaves it undialed for the next call. The
-  /// link uses whatever transport it is given or dialed; it adds no
-  /// reconnect layer. Throws ProtocolError when given neither a transport
-  /// nor a dial.
-  StoreLink(sgx::Enclave& enclave, ResilientTransport::Connection initial,
-            ResilientTransport::ReconnectFn dial = {});
+  /// A link over `initial`, or with no connection when `initial.transport`
+  /// is null. Constructing it makes no I/O. Throws ProtocolError when given
+  /// neither a transport nor a dial.
+  StoreLink(sgx::Enclave& enclave, Connection initial, DialFn dial = {});
 
   StoreLink(const StoreLink&) = delete;
   StoreLink& operator=(const StoreLink&) = delete;
 
+  /// Dial now if the link has no connection and can dial: the same one dial
+  /// inside one OCALL that round_trip() would make, not counted in stats().
+  /// Returns whether the link has a connection; a failed dial returns false.
+  bool connect();
+
   /// One request/response over the attested channel. Must be called from
   /// inside `enclave`. Throws whatever the dial or transport throws,
   /// ProtocolError when the reply fails the channel check, and
-  /// StoreUnavailableError when the link is poisoned and cannot rekey.
+  /// StoreUnavailableError when the link has no connection and cannot dial.
   serialize::Message round_trip(const serialize::Message& request);
+
+  /// Dials that round_trip() made for a link with no connection.
+  struct Stats {
+    std::uint64_t reconnects = 0;          ///< dials that connected
+    std::uint64_t reconnect_failures = 0;  ///< dials that failed
+  };
+  Stats stats() const {
+    return {reconnects_.value(), reconnect_failures_.value()};
+  }
 
   /// Bytes the link keeps between round trips: its request frame and reply
   /// plaintext buffers.
@@ -65,28 +99,25 @@ class StoreLink {
   }
 
  private:
-  /// Adopt a dialed connection: its transport, a fresh channel under its
-  /// session key, and the rekey callback that stages later keys.
-  void install_locked(ResilientTransport::Connection conn) REQUIRES(mu_);
-  /// Swap in a channel under the key the transport staged, if any.
-  void install_rekey_locked() REQUIRES(mu_);
+  /// One dial inside one OCALL; on success adopts the connection and keys a
+  /// fresh channel from its session key. Throws what the dial throws, and
+  /// StoreUnavailableError when it yields no transport.
+  void dial_locked() REQUIRES(mu_);
+  void install_locked(Connection conn) REQUIRES(mu_);
 
   sgx::Enclave& enclave_;
-  const ResilientTransport::ReconnectFn dial_;
+  const DialFn dial_;
 
-  /// The strand: held across wrap -> OCALL -> unwrap, and across the
-  /// recover() or dial OCALL that precedes them.
+  /// The strand: held across wrap -> OCALL -> unwrap, and across the dial
+  /// OCALL that precedes them.
   mutable Mutex mu_{LockRank::kRuntimeChannel};
-  std::unique_ptr<Transport> transport_ GUARDED_BY(mu_);  ///< null until dialed
+  std::unique_ptr<Transport> transport_ GUARDED_BY(mu_);  ///< null: none
   std::optional<SecureChannel> channel_ GUARDED_BY(mu_);
-  bool poisoned_ GUARDED_BY(mu_) = false;
   Bytes frame_ GUARDED_BY(mu_);  ///< header ‖ request, sealed in place
   Bytes plain_ GUARDED_BY(mu_);  ///< the last reply's plaintext (a prefix)
 
-  /// Key staged by the transport's rekey callback. Own lock: the callback
-  /// fires inside recover(), while this thread already holds mu_.
-  Mutex rekey_mu_{LockRank::kRekeyStaging};
-  std::optional<secret::Buffer> pending_rekey_ GUARDED_BY(rekey_mu_);
+  telemetry::Counter reconnects_;
+  telemetry::Counter reconnect_failures_;
 };
 
 }  // namespace speed::net

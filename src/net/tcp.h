@@ -5,7 +5,9 @@
 // provides the socket plumbing: a framed connection, a blocking listener,
 // and a Transport implementation the DedupRuntime can use unchanged —
 // everything above the socket (handshake, secure channel, wire protocol)
-// is identical to the in-process deployment.
+// is identical to the in-process deployment. A TcpTransport is one socket
+// and never reconnects; reconnecting is the StoreLink's job, through a dial
+// such as store::tcp_node's.
 #pragma once
 
 #include <atomic>
@@ -167,7 +169,7 @@ class TcpListener {
 /// -1 keeps the historical block-forever behavior. A round trip that blows
 /// its deadline throws TcpTimeout, and the connection must then be
 /// abandoned: the response may still arrive later and would misalign the
-/// frame stream (wrap in ResilientTransport to get reconnection).
+/// frame stream (a StoreLink drops it, and re-dials when it has a dial).
 class TcpTransport : public Transport {
  public:
   explicit TcpTransport(FramedSocket socket, std::int64_t deadline_ms = -1)

@@ -44,7 +44,7 @@ DedupRuntime::DedupRuntime(sgx::Enclave& app_enclave,
     : DedupRuntime(app_enclave,
                    std::make_shared<net::ClusterTransport>(
                        app_enclave,
-                       net::ResilientTransport::Connection{
+                       net::Connection{
                            std::move(transport), std::move(session_key)}),
                    std::move(config)) {}
 

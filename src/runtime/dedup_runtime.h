@@ -24,12 +24,12 @@
 // Every runtime routes its store traffic through one net::ClusterTransport —
 // a single store is a one-node cluster — whose per-node net::StoreLink seals,
 // ships and opens each frame on the calling thread. A failed round trip
-// poisons the link (its sequence numbers are in an unknown state and are
-// never reused); the walk retries an up node once inline, asking the
-// transport to recover() and installing the fresh session key a
-// ResilientTransport reports after re-running the attested handshake. A node
-// that keeps failing goes down, and calls skip it without I/O until its
-// probe window expires (see net/cluster.h, docs/PROTOCOL.md §6).
+// drops the link's connection (its sequence numbers are in an unknown state
+// and are never reused); the walk retries an up node once inline, and the
+// retry re-dials the node, re-running the attested handshake for a fresh
+// session key. A node that keeps failing goes down, and calls skip it
+// without I/O until its probe window expires (see net/cluster.h,
+// docs/PROTOCOL.md §6).
 #pragma once
 
 #include <array>
@@ -119,8 +119,10 @@ class DedupRuntime {
   /// A single store: `session_key` comes from a completed
   /// ChannelKeyExchange (see store::connect_app / net/handshake.h);
   /// `transport` delivers frames to the store. The connection becomes the
-  /// only node of a one-node ClusterTransport, as it is: no dial, no added
-  /// reconnect layer (a ResilientTransport brings its own recover()).
+  /// only node of a one-node ClusterTransport, as it is, with no dial: once
+  /// it fails, calls degrade to local compute for the runtime's lifetime.
+  /// For a single store that reconnects, pass a one-node cluster built from
+  /// a dial (store::tcp_node) to the cluster constructor instead.
   DedupRuntime(sgx::Enclave& app_enclave, secret::Buffer session_key,
                std::unique_ptr<net::Transport> transport,
                RuntimeConfig config = RuntimeConfig{});

@@ -24,8 +24,8 @@
 #include "net/cluster.h"
 #include "net/fault.h"
 #include "net/handshake.h"
-#include "net/resilient.h"
 #include "net/secure_channel.h"
+#include "net/store_link.h"
 #include "runtime/adaptive.h"
 #include "runtime/dedup_runtime.h"
 #include "runtime/deduplicable.h"

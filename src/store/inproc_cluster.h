@@ -11,15 +11,15 @@
 //     backends lose state, like a machine that lost power). The node's
 //     incarnation counter bumps, which invalidates every connection dialed
 //     against the old incarnation: clients observe StoreUnavailableError,
-//     their ResilientTransport re-dials, and the dial runs a fresh attested
+//     their StoreLink re-dials, and the dial runs a fresh attested
 //     handshake against the NEW store enclave. Before admission the fresh
 //     enclave mutually re-attests with a live peer (replication.h).
 //   * partition(i): blackholes the node without killing it — requests fail,
 //     state survives, heal by partition(i, false).
 //
-// The application plane goes through GuardedTransport (a Transport a
-// ClusterTransport's per-node ResilientTransport wraps); the infra plane
-// goes through ClusterReplicator peers calling ResultStore::handle.
+// The application plane goes through GuardedTransport (the Transport each
+// dial hands a ClusterTransport node's StoreLink); the infra plane goes
+// through ClusterReplicator peers calling ResultStore::handle.
 #pragma once
 
 #include <atomic>
@@ -184,7 +184,7 @@ class InprocCluster {
     std::string name;
     /// Guards store swaps; shared_ptr keeps a killed store alive for
     /// requests that raced the kill. 530: dialed under a StoreLink strand
-    /// (200) and a ResilientTransport reconnect (500), above both.
+    /// (200), above it.
     Mutex mu{LockRank::kClusterNode};
     std::shared_ptr<ResultStore> store GUARDED_BY(mu);
     std::atomic<std::uint64_t> incarnation{1};
@@ -223,8 +223,8 @@ class InprocCluster {
     std::uint64_t incarnation_;
   };
 
-  net::ResilientTransport::ReconnectFn dial(std::size_t i, sgx::Enclave& app) {
-    return [this, i, &app]() -> net::ResilientTransport::Connection {
+  net::DialFn dial(std::size_t i, sgx::Enclave& app) {
+    return [this, i, &app]() -> net::Connection {
       Node& node = *nodes_[i];
       std::shared_ptr<ResultStore> store;
       std::uint64_t incarnation;
@@ -240,7 +240,7 @@ class InprocCluster {
       }
       // Attested handshake against this incarnation's store enclave.
       AppConnection conn = connect_app(*store, app);
-      net::ResilientTransport::Connection out;
+      net::Connection out;
       out.session_key = std::move(conn.session_key);
       out.transport = std::make_unique<GuardedTransport>(
           node, std::move(store), std::move(conn.session), incarnation);

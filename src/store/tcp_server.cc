@@ -522,31 +522,21 @@ TcpAppConnection connect_tcp_app(sgx::Enclave& app,
   return conn;
 }
 
-TcpAppConnection connect_tcp_app_resilient(
-    sgx::Enclave& app, const sgx::Measurement& store_measurement,
-    const std::string& host, std::uint16_t port,
-    net::ResilienceConfig resilience, std::int64_t deadline_ms) {
-  const auto dial = [&app, store_measurement, host, port, deadline_ms] {
-    TcpAppConnection fresh = connect_tcp_app(app, store_measurement, host, port);
-    if (deadline_ms >= 0) {
-      static_cast<net::TcpTransport*>(fresh.transport.get())
-          ->set_deadline_ms(deadline_ms);
-    }
-    return fresh;
-  };
-
-  TcpAppConnection initial = dial();
-  TcpAppConnection conn;
-  conn.session_key = std::move(initial.session_key);
-  conn.protocol_version = initial.protocol_version;
-  conn.transport = std::make_unique<net::ResilientTransport>(
-      std::move(initial.transport),
-      [dial]() -> net::ResilientTransport::Connection {
-        TcpAppConnection fresh = dial();
-        return {std::move(fresh.transport), std::move(fresh.session_key)};
-      },
-      resilience);
-  return conn;
+net::ClusterNode tcp_node(sgx::Enclave& app,
+                          const sgx::Measurement& store_measurement,
+                          const std::string& host, std::uint16_t port,
+                          std::int64_t deadline_ms) {
+  return {host + ":" + std::to_string(port),
+          [&app, store_measurement, host, port, deadline_ms] {
+            TcpAppConnection fresh =
+                connect_tcp_app(app, store_measurement, host, port);
+            if (deadline_ms >= 0) {
+              static_cast<net::TcpTransport*>(fresh.transport.get())
+                  ->set_deadline_ms(deadline_ms);
+            }
+            return net::Connection{std::move(fresh.transport),
+                                   std::move(fresh.session_key)};
+          }};
 }
 
 }  // namespace speed::store

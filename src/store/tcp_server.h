@@ -28,6 +28,10 @@
 //
 // A connection that fails attestation or violates the channel (tamper/replay)
 // is dropped, costing only itself; the counters below record each one.
+//
+// Client side: connect_tcp_app makes one attested connection; tcp_node
+// makes a cluster member whose StoreLink dials host:port and re-dials it
+// after the connection fails (a single store is then a one-node cluster).
 #pragma once
 
 #include <atomic>
@@ -38,7 +42,7 @@
 #include <thread>
 #include <vector>
 
-#include "net/resilient.h"
+#include "net/cluster.h"
 #include "net/tcp.h"
 #include "store/store_session.h"
 #include "telemetry/admin_server.h"
@@ -130,16 +134,16 @@ TcpAppConnection connect_tcp_app(sgx::Enclave& app,
                                  const sgx::Measurement& store_measurement,
                                  const std::string& host, std::uint16_t port);
 
-/// Like connect_tcp_app, but the transport is wrapped in a
-/// ResilientTransport whose reconnect hook re-dials host:port and re-runs
-/// the attested handshake (yielding a fresh channel key each time), and
-/// every round trip is bounded by `deadline_ms` (-1 = no deadline). This is
-/// the production-posture client: store crashes, restarts, and network
-/// faults degrade calls to local compute instead of failing them.
-TcpAppConnection connect_tcp_app_resilient(
-    sgx::Enclave& app, const sgx::Measurement& store_measurement,
-    const std::string& host, std::uint16_t port,
-    net::ResilienceConfig resilience = net::ResilienceConfig{},
-    std::int64_t deadline_ms = -1);
+/// The store at host:port as a cluster member: its dial runs
+/// connect_tcp_app (a fresh attested handshake, so a restarted store is
+/// re-attested and yields a fresh channel key), and bounds every round trip
+/// of the connection by `deadline_ms` (-1 = no deadline). A one-node
+/// ClusterTransport over it is the production-posture client of a single
+/// store: crashes, restarts and network faults degrade calls to local
+/// compute, and the node's link re-dials once the store is back.
+net::ClusterNode tcp_node(sgx::Enclave& app,
+                          const sgx::Measurement& store_measurement,
+                          const std::string& host, std::uint16_t port,
+                          std::int64_t deadline_ms = -1);
 
 }  // namespace speed::store

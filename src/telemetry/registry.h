@@ -1,7 +1,7 @@
 // Process-wide metrics registry.
 //
 // The registry is a rendezvous, not a datastore: components (a ResultStore,
-// a DedupRuntime, a ResilientTransport, the SGX platform) own their metric
+// a DedupRuntime, a ClusterTransport, the SGX platform) own their metric
 // cells (telemetry/metrics.h) and register a *collector* — a callback that
 // emits the cells' current values as named, labelled samples. A scrape runs
 // every collector and merges samples that share (name, labels): counters
@@ -101,10 +101,10 @@ class Registry {
   friend class Handle;
   void remove_collector(std::uint64_t id);
 
-  // Rank 450: acquired under StoreLink::mu_ (a node dial constructs a
-  // ResilientTransport, which registers its collector) and held
-  // across collector callbacks that take the runtime cache/queue locks —
-  // see docs/LOCK_ORDER.md.
+  // Rank 450: acquired under StoreLink::mu_ (a dropped transport can hold
+  // the last reference to a killed store, whose teardown deregisters its
+  // collectors) and held across collector callbacks that take the runtime
+  // cache/queue locks — see docs/LOCK_ORDER.md.
   mutable Mutex mu_{LockRank::kTelemetryRegistry};
   std::uint64_t next_id_ GUARDED_BY(mu_) = 1;
   std::map<std::uint64_t, Collector> collectors_ GUARDED_BY(mu_);

@@ -45,14 +45,6 @@ sgx::CostModel fast_model() {
   return m;
 }
 
-net::ResilienceConfig chaos_resilience() {
-  net::ResilienceConfig rc;
-  rc.reconnect_attempts = 2;
-  rc.backoff_initial_ms = 0;
-  rc.backoff_max_ms = 1;
-  return rc;
-}
-
 struct ChaosCluster {
   explicit ChaosCluster(std::size_t nodes, std::size_t replicas = 1)
       : platform(fast_model()) {
@@ -60,7 +52,6 @@ struct ChaosCluster {
     cc.nodes = nodes;
     cc.cluster.replicas = replicas;
     cc.cluster.probe_interval_ms = 0;  // never skip a node inside the walk
-    cc.cluster.resilience = chaos_resilience();
     // Anti-entropy rounds must cover EVERY entry (not just the hottest 64):
     // the zero-loss invariant across repeated kills needs each heal to put
     // sloppily-placed entries back on all their ring owners.

@@ -38,14 +38,6 @@ sgx::CostModel fast_model() {
   return m;
 }
 
-net::ResilienceConfig fast_resilience() {
-  net::ResilienceConfig rc;
-  rc.reconnect_attempts = 2;
-  rc.backoff_initial_ms = 0;
-  rc.backoff_max_ms = 1;
-  return rc;
-}
-
 class ClusterTest : public ::testing::Test {
  protected:
   ClusterTest() : platform_(fast_model()) {}
@@ -59,7 +51,6 @@ class ClusterTest : public ::testing::Test {
     cc.store = std::move(store_config);
     cc.cluster = net_config;
     cc.cluster.replicas = replicas;
-    cc.cluster.resilience = fast_resilience();
     cc.replication = repl;
     cluster_.emplace(platform_, cc);
     app_ = platform_.create_enclave("cluster-app");
@@ -255,8 +246,11 @@ TEST_F(ClusterTest, HeartbeatProbesDriveHealthStates) {
     EXPECT_EQ(transport_->node_health(n), ClusterTransport::NodeHealth::kUp);
   }
   cluster_->kill(1);
-  EXPECT_FALSE(transport_->probe(1).has_value());  // kUp -> suspect
-  EXPECT_FALSE(transport_->probe(1).has_value());  // suspect -> down
+  // One probe is an attempt plus its inline retry's refused re-dial: two
+  // failures take the up node down, as a walk call does.
+  EXPECT_FALSE(transport_->probe(1).has_value());  // kUp -> down
+  EXPECT_EQ(transport_->node_health(1), ClusterTransport::NodeHealth::kDown);
+  EXPECT_FALSE(transport_->probe(1).has_value());  // stays down
   EXPECT_EQ(transport_->node_health(1), ClusterTransport::NodeHealth::kDown);
   EXPECT_EQ(transport_->probe_all(), 2u);
 
@@ -264,6 +258,25 @@ TEST_F(ClusterTest, HeartbeatProbesDriveHealthStates) {
   const auto beat = transport_->probe(1);
   ASSERT_TRUE(beat.has_value());
   EXPECT_EQ(transport_->node_health(1), ClusterTransport::NodeHealth::kUp);
+}
+
+TEST_F(ClusterTest, HeartbeatAfterRestartRedialsStaleLink) {
+  build(3, 1);
+  EXPECT_EQ(transport_->probe_all(), 3u);  // every link holds a connection
+  const ClusterTransport::Stats before = transport_->stats();
+
+  // Node 1 restarts under a new incarnation. The client's connection to it
+  // is stale: the heartbeat's first attempt fails on it, and the inline
+  // retry re-dials the live node, so the beat is answered and the node
+  // never leaves kUp.
+  cluster_->kill(1);
+  ASSERT_TRUE(cluster_->restart(1));
+  const auto beat = transport_->probe(1);
+  ASSERT_TRUE(beat.has_value());
+  EXPECT_EQ(transport_->node_health(1), ClusterTransport::NodeHealth::kUp);
+  const ClusterTransport::Stats after = transport_->stats();
+  EXPECT_EQ(after.reconnects - before.reconnects, 1u) << "one dial";
+  EXPECT_EQ(after.reconnect_failures, before.reconnect_failures);
 }
 
 TEST_F(ClusterTest, NodeDownAtConstructionIsDialedWhenItReturns) {

@@ -1,8 +1,8 @@
 // Fault-tolerance tests: every store failure mode must degrade a marked
-// call to local compute, never throw into the application; the
-// ResilientTransport must reconnect with a fresh channel key; and the single
-// store, a one-node cluster, must go down, cost no I/O inside its probe
-// window, and be re-admitted by one probe as it dies and comes back.
+// call to local compute, never throw into the application; a node's link
+// must re-dial with a fresh channel key; and the single store, a one-node
+// cluster, must go down, cost no I/O inside its probe window, and be
+// re-admitted by one probe as it dies and comes back.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "net/fault.h"
-#include "net/resilient.h"
 #include "runtime/speed.h"
 #include "store/tcp_server.h"
 #include "telemetry/registry.h"
@@ -22,8 +21,6 @@ namespace speed {
 namespace {
 
 using net::FaultInjectingTransport;
-using net::ResilienceConfig;
-using net::ResilientTransport;
 using Fault = net::FaultInjectingTransport::Fault;
 
 sgx::CostModel fast_model() {
@@ -32,14 +29,6 @@ sgx::CostModel fast_model() {
   m.ocall_ns = 0;
   m.epc_page_swap_ns = 0;
   return m;
-}
-
-ResilienceConfig fast_resilience() {
-  ResilienceConfig rc;
-  rc.reconnect_attempts = 2;
-  rc.backoff_initial_ms = 1;
-  rc.backoff_max_ms = 2;
-  return rc;
 }
 
 /// This file exercises the transport/degrade path: repeated calls must
@@ -53,46 +42,47 @@ runtime::RuntimeConfig no_local_cache() {
 
 /// An application whose transport chain is
 ///   DedupRuntime -> one-node ClusterTransport -> StoreLink
-///     -> ResilientTransport -> FaultInjectingTransport -> store,
-/// with a reconnect hook that re-runs the in-process attested handshake
-/// (refusing while `store_up` is false), mirroring a TCP redial. It counts
-/// the I/O a call costs: `round_trips` (every FaultInjectingTransport round
-/// trip, faulted or not) and `dials` (every reconnect hook run, refused or
-/// not).
+///     -> FaultInjectingTransport -> store,
+/// built from a ClusterNode whose dial runs the in-process attested
+/// handshake (refusing while `store_up` is false), mirroring a TCP dial, and
+/// wraps each connection in a FaultInjectingTransport. It counts the I/O a
+/// call costs: `round_trips` (every FaultInjectingTransport round trip,
+/// faulted or not), `dials` (every dial, refused or not; the first is the
+/// cluster's dial at construction) and `failures` (every injected fault and
+/// refused dial).
 struct FaultyApp {
   FaultyApp(sgx::Platform& platform, store::ResultStore& store,
             const std::string& identity,
             FaultInjectingTransport::Schedule schedule,
             std::shared_ptr<std::atomic<bool>> store_up,
-            ResilienceConfig rc = fast_resilience(),
             runtime::RuntimeConfig config = no_local_cache())
       : enclave(platform.create_enclave(identity)) {
-    // Reconnects build fresh FaultInjectingTransports whose per-instance
+    // Each dial builds a fresh FaultInjectingTransport whose per-instance
     // counters restart at 0; rebase the schedule on a shared counter so a
     // call index means "round trips since the app started", not "since the
-    // last reconnect".
+    // last dial".
     FaultInjectingTransport::Schedule global_schedule =
-        [schedule, counter = round_trips](std::uint64_t) {
-          return schedule(counter->fetch_add(1));
+        [schedule, counter = round_trips, failed = failures](std::uint64_t) {
+          const Fault fault = schedule(counter->fetch_add(1));
+          if (fault != Fault::kNone) failed->fetch_add(1);
+          return fault;
         };
-    auto conn = store::connect_app(store, *enclave);
-    sessions.push_back(std::move(conn.session));
-    auto faulty = std::make_unique<FaultInjectingTransport>(
-        std::move(conn.transport), global_schedule);
-    auto reconnect = [this, &store, store_up, global_schedule]()
-        -> ResilientTransport::Connection {
-      dials->fetch_add(1);
-      if (!store_up->load()) throw net::TcpError("injected: store down");
-      auto fresh = store::connect_app(store, *enclave);
-      sessions.push_back(std::move(fresh.session));
-      return {std::make_unique<FaultInjectingTransport>(
-                  std::move(fresh.transport), global_schedule),
-              std::move(fresh.session_key)};
-    };
-    auto resilient = std::make_unique<ResilientTransport>(
-        std::move(faulty), std::move(reconnect), rc);
-    transport = resilient.get();
-    rt.emplace(*enclave, std::move(conn.session_key), std::move(resilient),
+    net::ClusterNode node{
+        "store", [this, &store, store_up, global_schedule]() -> net::Connection {
+          dials->fetch_add(1);
+          if (!store_up->load()) {
+            failures->fetch_add(1);
+            throw net::TcpError("injected: store down");
+          }
+          auto fresh = store::connect_app(store, *enclave);
+          sessions.push_back(std::move(fresh.session));
+          return {std::make_unique<FaultInjectingTransport>(
+                      std::move(fresh.transport), global_schedule),
+                  std::move(fresh.session_key)};
+        }};
+    rt.emplace(*enclave,
+               std::make_shared<net::ClusterTransport>(
+                   *enclave, std::vector<net::ClusterNode>{std::move(node)}),
                std::move(config));
     rt->libraries().register_library("lib", "1", as_bytes("code"));
   }
@@ -104,13 +94,17 @@ struct FaultyApp {
   std::chrono::milliseconds probe_interval() const {
     return std::chrono::milliseconds(rt->cluster()->config().probe_interval_ms);
   }
+  net::ClusterTransport::Stats cluster_stats() const {
+    return rt->cluster()->stats();
+  }
 
   std::shared_ptr<std::atomic<std::uint64_t>> round_trips =
       std::make_shared<std::atomic<std::uint64_t>>(0);
   std::shared_ptr<std::atomic<int>> dials = std::make_shared<std::atomic<int>>(0);
+  std::shared_ptr<std::atomic<std::uint64_t>> failures =
+      std::make_shared<std::atomic<std::uint64_t>>(0);
   std::unique_ptr<sgx::Enclave> enclave;
   std::vector<std::unique_ptr<store::StoreSession>> sessions;
-  ResilientTransport* transport = nullptr;
   std::optional<runtime::DedupRuntime> rt;
 };
 
@@ -162,9 +156,9 @@ TEST_F(FaultInjectionTest, TruncatedResponseDegradesOnceThenRecovers) {
   std::atomic<int> execs{0};
   auto f = make_fn(app, execs);
 
-  // The truncated reply fails the channel check and poisons the link; the
-  // walk's inline retry reconnects and re-seals the GET under a fresh key,
-  // so the call is served (a miss), not degraded.
+  // The truncated reply fails the channel check and drops the link's
+  // connection; the walk's inline retry re-dials and re-seals the GET under
+  // a fresh key, so the call is served (a miss), not degraded.
   const Bytes in = to_bytes("payload");
   EXPECT_EQ(f(in), expected_result(in));
   EXPECT_EQ(app.rt->stats().degraded_calls, 0u);
@@ -175,7 +169,7 @@ TEST_F(FaultInjectionTest, TruncatedResponseDegradesOnceThenRecovers) {
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.degraded_calls, 0u);
   EXPECT_EQ(execs.load(), 1);
-  EXPECT_EQ(app.transport->stats().reconnects, 1u)
+  EXPECT_EQ(app.cluster_stats().reconnects, 1u)
       << "fresh channel key after the bad frame";
   EXPECT_EQ(app.health(), NodeHealth::kUp);
 }
@@ -196,9 +190,10 @@ TEST_F(FaultInjectionTest, TimeoutDegradesWithoutException) {
 }
 
 TEST_F(FaultInjectionTest, PlainTransportWithoutReconnectStillFailsOpen) {
-  // No ResilientTransport at all: a FaultInjectingTransport straight over
-  // the loopback. After the first failure the channel stays poisoned (no
-  // way to rekey), so every call degrades — but none ever throws.
+  // No dial at all: the single-store constructor adopts a
+  // FaultInjectingTransport straight over the loopback. After the first
+  // failure the link has no connection and cannot dial one, so every call
+  // degrades — but none ever throws.
   auto enclave = platform_.create_enclave("bare-app");
   auto conn = store::connect_app(store_, *enclave);
   runtime::DedupRuntime rt(
@@ -320,29 +315,27 @@ TEST_F(FaultInjectionTest, BreakerOpensHalfOpensAndCloses) {
 
   up->store(false);  // store dies: round trips and redials both fail
   // One call takes the node down: its round trip fails (1), and the inline
-  // retry's recover() is refused (2 = down_threshold).
-  const auto reconnect_attempts = static_cast<int>(
-      app.transport->config().reconnect_attempts);
+  // retry's one re-dial is refused (2 = down_threshold).
   auto window_start = std::chrono::steady_clock::now();
   std::uint64_t round_trips = app.round_trips->load();
   int dials = app.dials->load();
   EXPECT_EQ(f(in), expected_result(in));
   EXPECT_EQ(app.health(), NodeHealth::kDown);
   EXPECT_EQ(app.round_trips->load(), round_trips + 1);
-  EXPECT_EQ(app.dials->load(), dials + reconnect_attempts);
+  EXPECT_EQ(app.dials->load(), dials + 1);
   EXPECT_EQ(app.rt->stats().degraded_calls, 1u);
 
   calls_inside_probe_window(app, f, in, window_start);
 
-  // Past the window, one call probes the still-dead store: one reconnect
-  // cycle, no round trip, and the node stays down for another window.
+  // Past the window, one call probes the still-dead store: one dial, no
+  // round trip, and the node stays down for another window.
   std::this_thread::sleep_for(app.probe_interval());
   window_start = std::chrono::steady_clock::now();
   round_trips = app.round_trips->load();
   dials = app.dials->load();
   EXPECT_EQ(f(in), expected_result(in));
   EXPECT_EQ(app.round_trips->load(), round_trips);
-  EXPECT_EQ(app.dials->load(), dials + reconnect_attempts);
+  EXPECT_EQ(app.dials->load(), dials + 1);
   EXPECT_EQ(app.health(), NodeHealth::kDown);
   calls_inside_probe_window(app, f, in, window_start);
 
@@ -351,7 +344,7 @@ TEST_F(FaultInjectionTest, BreakerOpensHalfOpensAndCloses) {
   round_trips = app.round_trips->load();
   dials = app.dials->load();
   const auto before_hits = app.rt->stats().hits;
-  EXPECT_EQ(f(in), expected_result(in));  // the probe: reconnect + GET
+  EXPECT_EQ(f(in), expected_result(in));  // the probe: re-dial + GET
   EXPECT_EQ(app.health(), NodeHealth::kUp);
   EXPECT_EQ(app.dials->load(), dials + 1);
   EXPECT_EQ(app.round_trips->load(), round_trips + 1);
@@ -367,16 +360,14 @@ TEST_F(FaultInjectionTest, BreakerOpensHalfOpensAndCloses) {
 TEST_F(FaultInjectionTest, ReconnectAndBreakerMetricsExportThroughRegistry) {
   // Drive the single store through failure -> node down -> skipped calls ->
   // a failed probe -> recovery, and assert the story is visible both in the
-  // per-instance Stats views and in the process-wide speed_cluster_* and
-  // speed_transport_* exports.
+  // cluster's Stats view and in the process-wide speed_cluster_* exports,
+  // including the re-dials of the node's link.
   const std::uint64_t base_unavailable =
       exported_total("speed_cluster_unavailable_total");
-  const std::uint64_t base_failures =
-      exported_total("speed_transport_failures_total");
   const std::uint64_t base_reconnects =
-      exported_total("speed_transport_reconnects_total");
+      exported_total("speed_cluster_reconnects_total");
   const std::uint64_t base_reconnect_failures =
-      exported_total("speed_transport_reconnect_failures_total");
+      exported_total("speed_cluster_reconnect_failures_total");
   const std::uint64_t base_up = exported_total("speed_cluster_node_up");
 
   auto up = std::make_shared<std::atomic<bool>>(true);
@@ -386,19 +377,16 @@ TEST_F(FaultInjectionTest, ReconnectAndBreakerMetricsExportThroughRegistry) {
   FaultyApp app(platform_, store_, "metrics-app", schedule, up);
   std::atomic<int> execs{0};
   auto f = make_fn(app, execs);
-  const auto rc = app.transport->config();
   // Every export below must move with this one runtime's cells.
   const auto expect_exports = [&](std::uint64_t node_up) {
-    const auto t = app.transport->stats();
+    const auto c = app.cluster_stats();
     EXPECT_EQ(exported_total("speed_cluster_node_up"), base_up + node_up);
     EXPECT_EQ(exported_total("speed_cluster_unavailable_total"),
-              base_unavailable + app.rt->cluster()->stats().unavailable);
-    EXPECT_EQ(exported_total("speed_transport_failures_total"),
-              base_failures + t.failures);
-    EXPECT_EQ(exported_total("speed_transport_reconnects_total"),
-              base_reconnects + t.reconnects);
-    EXPECT_EQ(exported_total("speed_transport_reconnect_failures_total"),
-              base_reconnect_failures + t.reconnect_failures);
+              base_unavailable + c.unavailable);
+    EXPECT_EQ(exported_total("speed_cluster_reconnects_total"),
+              base_reconnects + c.reconnects);
+    EXPECT_EQ(exported_total("speed_cluster_reconnect_failures_total"),
+              base_reconnect_failures + c.reconnect_failures);
   };
 
   const Bytes in = to_bytes("observed");
@@ -406,47 +394,48 @@ TEST_F(FaultInjectionTest, ReconnectAndBreakerMetricsExportThroughRegistry) {
   app.rt->flush();
   expect_exports(1);
 
-  // Down: the failed round trip and the refused recovery.
+  // Down: the failed round trip and the refused re-dial.
   up->store(false);
   auto window_start = std::chrono::steady_clock::now();
+  int dials = app.dials->load();
   EXPECT_EQ(f(in), expected_result(in));
-  auto t = app.transport->stats();
-  EXPECT_EQ(t.failures, 2u);
-  EXPECT_EQ(t.reconnect_failures, static_cast<std::uint64_t>(rc.reconnect_attempts))
-      << "redials refused while down";
-  EXPECT_EQ(t.reconnects, 0u);
-  EXPECT_EQ(app.rt->cluster()->stats().unavailable, 1u);
+  EXPECT_EQ(app.dials->load(), dials + 1);
+  auto c = app.cluster_stats();
+  EXPECT_EQ(app.failures->load(), 2u);
+  EXPECT_EQ(c.reconnect_failures, 1u) << "one re-dial, refused while down";
+  EXPECT_EQ(c.reconnects, 0u);
+  EXPECT_EQ(c.unavailable, 1u);
   expect_exports(0);
 
   // Skipped inside the window: each call is an unavailable walk, with no
-  // transport failure behind it.
+  // failure behind it.
   const int inside = calls_inside_probe_window(app, f, in, window_start);
-  EXPECT_EQ(app.transport->stats().failures, 2u);
-  EXPECT_EQ(app.rt->cluster()->stats().unavailable,
+  EXPECT_EQ(app.failures->load(), 2u);
+  EXPECT_EQ(app.cluster_stats().unavailable,
             1u + static_cast<std::uint64_t>(inside));
   expect_exports(0);
 
-  // A probe into the still-dead store: one more failed recovery.
+  // A probe into the still-dead store: one more refused re-dial.
   std::this_thread::sleep_for(app.probe_interval());
-  const std::uint64_t unavailable = app.rt->cluster()->stats().unavailable;
+  const std::uint64_t unavailable = app.cluster_stats().unavailable;
+  dials = app.dials->load();
   EXPECT_EQ(f(in), expected_result(in));
-  t = app.transport->stats();
-  EXPECT_EQ(t.failures, 3u);
-  EXPECT_EQ(t.reconnect_failures,
-            2u * static_cast<std::uint64_t>(rc.reconnect_attempts));
-  EXPECT_EQ(app.rt->cluster()->stats().unavailable, unavailable + 1);
+  EXPECT_EQ(app.dials->load(), dials + 1);
+  c = app.cluster_stats();
+  EXPECT_EQ(app.failures->load(), 3u);
+  EXPECT_EQ(c.reconnect_failures, 2u);
+  EXPECT_EQ(c.unavailable, unavailable + 1);
   expect_exports(0);
 
-  // Back: the first call past the window reconnects and is served.
+  // Back: the first call past the window re-dials and is served.
   up->store(true);
   std::this_thread::sleep_for(app.probe_interval());
   EXPECT_EQ(f(in), expected_result(in));
-  t = app.transport->stats();
-  EXPECT_EQ(t.reconnects, 1u);
-  EXPECT_EQ(t.failures, 3u);
+  c = app.cluster_stats();
+  EXPECT_EQ(c.reconnects, 1u);
+  EXPECT_EQ(app.failures->load(), 3u);
   EXPECT_EQ(app.rt->stats().hits, 1u);
   expect_exports(1);
-  EXPECT_GE(exported_total("speed_transport_round_trips_total"), 1u);
 }
 
 // ------------------------------------------------ acceptance: 10k calls
@@ -485,10 +474,10 @@ TEST_F(FaultInjectionTest, TenThousandCallsSurviveStoreOutage) {
   EXPECT_GT(s.degraded_calls, 0u);
   EXPECT_LT(s.degraded_calls, static_cast<std::uint64_t>(kCalls));
   EXPECT_GT(hits_after_revival, 0u) << "dedup service resumed";
-  // Every degraded call that tried the store cost at least one transport
-  // failure; fewer failures than degraded calls means the down node was
-  // skipped without I/O. And it is back up.
-  EXPECT_LT(app.transport->stats().failures, s.degraded_calls);
+  // Every degraded call that tried the store cost at least one failure (an
+  // injected fault or a refused dial); fewer failures than degraded calls
+  // means the down node was skipped without I/O. And it is back up.
+  EXPECT_LT(app.failures->load(), s.degraded_calls);
   EXPECT_EQ(app.health(), NodeHealth::kUp);
   // Fail-open invariant: every single call produced the right bytes, and
   // compute ran exactly once per miss/degrade (never for a hit).
@@ -644,7 +633,7 @@ TEST(StoreSessionErrorTest, BadFrameCostsOneSessionNotTheServer) {
   EXPECT_EQ(server.connections_accepted(), 2u);
 }
 
-// ------------------------------------------- resilient TCP client helper
+// ------------------------------------ reconnecting TCP client (tcp_node)
 
 TEST(ResilientTcpTest, ClientSurvivesStoreRestart) {
   sgx::Platform platform(fast_model());
@@ -652,15 +641,16 @@ TEST(ResilientTcpTest, ClientSurvivesStoreRestart) {
   auto server = std::make_unique<store::StoreTcpServer>(result_store, 0);
   const std::uint16_t port = server->port();
 
-  net::ResilienceConfig rc;
-  rc.reconnect_attempts = 1;
-  rc.backoff_initial_ms = 1;
+  // A single TCP store that reconnects: a one-node cluster built from the
+  // store's dial.
   auto enclave = platform.create_enclave("resilient-client");
-  auto conn = store::connect_tcp_app_resilient(
-      *enclave, result_store.enclave().measurement(), "127.0.0.1", port, rc,
-      /*deadline_ms=*/2000);
-  runtime::DedupRuntime rt(*enclave, std::move(conn.session_key),
-                           std::move(conn.transport), no_local_cache());
+  runtime::DedupRuntime rt(
+      *enclave,
+      std::make_shared<net::ClusterTransport>(
+          *enclave, std::vector<net::ClusterNode>{store::tcp_node(
+                        *enclave, result_store.enclave().measurement(),
+                        "127.0.0.1", port, /*deadline_ms=*/2000)}),
+      no_local_cache());
   rt.libraries().register_library("lib", "1", as_bytes("code"));
   std::atomic<int> execs{0};
   runtime::Deduplicable<Bytes(const Bytes&)> f(
@@ -685,7 +675,7 @@ TEST(ResilientTcpTest, ClientSurvivesStoreRestart) {
 
   server = std::make_unique<store::StoreTcpServer>(result_store, port);
   // The failed call took the node down. The first call past its probe
-  // window reconnects with a fresh handshake; hits resume.
+  // window re-dials with a fresh handshake; hits resume.
   std::this_thread::sleep_for(
       std::chrono::milliseconds(rt.cluster()->config().probe_interval_ms + 5));
   Bytes out;

@@ -1,5 +1,5 @@
 // Tests for the transport, the secure channel's framing, and the StoreLink
-// that seals, ships and re-keys client frames. The attested key agreement
+// that seals, ships and opens client frames and re-dials its connection. The attested key agreement
 // that keys the channel is covered in handshake_test.cc.
 #include <gtest/gtest.h>
 
@@ -251,12 +251,12 @@ TEST_F(SecureChannelTest, GarbageFrameRejected) {
 
 // ------------------------------------------------------------- StoreLink
 
-/// Store stand-in for StoreLinkTest: a LoopbackTransport whose handler opens
-/// each request under the current responder's SecureChannel and echoes a
-/// heartbeat. Tests can make the next round trip throw, or flip one byte of
-/// the next reply. recover() moves to a fresh responder under a new key and
-/// stages that key, unless `can_rekey` is off.
-class FakeStore : public Transport {
+/// Store stand-in for StoreLinkTest. Each dial() opens a connection to a
+/// fresh responder under a new key; the connection's transport opens each
+/// request under that responder's SecureChannel and echoes a heartbeat.
+/// Tests can refuse dials, make the next round trip throw, or flip one byte
+/// of the next reply.
+class FakeStore {
  public:
   struct Responder {
     explicit Responder(std::uint8_t key_fill)
@@ -265,48 +265,59 @@ class FakeStore : public Transport {
     std::vector<std::uint64_t> opened_seqs;  ///< requests it opened
   };
 
-  FakeStore()
-      : loopback_([this](ByteView frame) { return answer(frame); }) {
-    responders.push_back(std::make_unique<Responder>(kFirstKey));
-  }
-
-  Bytes round_trip(ByteView request) override {
-    ++round_trips;
-    if (fail_next) {
-      fail_next = false;
-      throw StoreUnavailableError("injected: connection reset");
-    }
-    Bytes reply = loopback_.round_trip(request);
-    if (tamper_next) {
-      tamper_next = false;
-      reply.back() ^= 0x01;
-    }
-    return reply;
-  }
-
-  bool recover() override {
-    ++recovers;
-    if (!can_rekey) return false;
+  /// One dial: a connection to a new responder, or a throw while
+  /// `refuse_dials` is set.
+  Connection dial() {
+    ++dials;
+    if (refuse_dials) throw StoreUnavailableError("injected: dial refused");
     const auto fill = static_cast<std::uint8_t>(kFirstKey + responders.size());
     responders.push_back(std::make_unique<Responder>(fill));
-    rekey_(secret::Buffer::absorb(fixed_key(fill)));
-    return true;
+    return {std::make_unique<Wire>(*this, *responders.back()),
+            secret::Buffer::absorb(fixed_key(fill))};
   }
-
-  void set_rekey_callback(RekeyCallback cb) override { rekey_ = std::move(cb); }
+  DialFn dialer() {
+    return [this] { return dial(); };
+  }
 
   static constexpr std::uint8_t kFirstKey = 0x10;
 
+  bool refuse_dials = false;
   bool fail_next = false;
   bool tamper_next = false;
-  bool can_rekey = true;
+  int dials = 0;
   int round_trips = 0;
-  int recovers = 0;
-  std::vector<std::unique_ptr<Responder>> responders;  ///< back() serves
+  std::vector<std::unique_ptr<Responder>> responders;
 
  private:
-  Bytes answer(ByteView frame) {
-    Responder& r = *responders.back();
+  /// One connection's transport: a LoopbackTransport to its responder.
+  class Wire : public Transport {
+   public:
+    Wire(FakeStore& store, Responder& responder)
+        : store_(store),
+          loopback_([&responder](ByteView frame) {
+            return answer(responder, frame);
+          }) {}
+
+    Bytes round_trip(ByteView request) override {
+      ++store_.round_trips;
+      if (store_.fail_next) {
+        store_.fail_next = false;
+        throw StoreUnavailableError("injected: connection reset");
+      }
+      Bytes reply = loopback_.round_trip(request);
+      if (store_.tamper_next) {
+        store_.tamper_next = false;
+        reply.back() ^= 0x01;
+      }
+      return reply;
+    }
+
+   private:
+    FakeStore& store_;
+    LoopbackTransport loopback_;
+  };
+
+  static Bytes answer(Responder& r, ByteView frame) {
     const auto plain = r.channel.unwrap(frame);
     if (!plain.has_value()) throw ProtocolError("fake store: bad frame");
     r.opened_seqs.push_back(serialize::Decoder(frame).u64());
@@ -315,9 +326,6 @@ class FakeStore : public Transport {
     return r.channel.wrap(serialize::encode_message(
         serialize::HeartbeatResponse{beat.nonce}));
   }
-
-  LoopbackTransport loopback_;
-  RekeyCallback rekey_;
 };
 
 class StoreLinkTest : public ::testing::Test {
@@ -333,15 +341,13 @@ class StoreLinkTest : public ::testing::Test {
       : platform_(free_transitions()),
         enclave_(platform_.create_enclave("link-app")) {}
 
-  /// A link over a fresh FakeStore keyed with its first responder's key.
-  std::unique_ptr<StoreLink> dialed_link(FakeStore*& store) {
-    auto owned = std::make_unique<FakeStore>();
-    store = owned.get();
-    return std::make_unique<StoreLink>(
-        *enclave_,
-        ResilientTransport::Connection{
-            std::move(owned),
-            secret::Buffer::absorb(fixed_key(FakeStore::kFirstKey))});
+  /// A link over `store`'s first connection (its first dial), which re-dials
+  /// `store` when `can_dial`.
+  std::unique_ptr<StoreLink> dialed_link(FakeStore& store,
+                                         bool can_dial = true) {
+    Connection first = store.dial();
+    return std::make_unique<StoreLink>(*enclave_, std::move(first),
+                                       can_dial ? store.dialer() : DialFn{});
   }
 
   /// One heartbeat over `link`, from inside the enclave; returns the echo.
@@ -356,80 +362,103 @@ class StoreLinkTest : public ::testing::Test {
 };
 
 TEST_F(StoreLinkTest, FailedRoundTripPoisonsUntilRekeyed) {
-  FakeStore* store = nullptr;
+  FakeStore store;
   auto link = dialed_link(store);
   EXPECT_EQ(beat(*link, 1), 1u);
 
-  store->fail_next = true;
+  store.fail_next = true;
   EXPECT_THROW(beat(*link, 2), StoreUnavailableError);
-  EXPECT_EQ(store->recovers, 0) << "the failed frame is never retried";
+  EXPECT_EQ(store.dials, 1) << "the failed frame is never retried";
 
+  // The failure dropped the connection: the next call dials once, and its
+  // request opens under the new key as that channel's first frame. The old
+  // key wrapped nothing after the failure.
   EXPECT_EQ(beat(*link, 3), 3u);
-  EXPECT_EQ(store->recovers, 1);
-  ASSERT_EQ(store->responders.size(), 2u);
-  // The old key wrapped nothing after the failure; the request opened
-  // under the staged key as that channel's first frame.
-  EXPECT_EQ(store->responders[0]->opened_seqs, std::vector<std::uint64_t>{0});
-  EXPECT_EQ(store->responders[1]->opened_seqs, std::vector<std::uint64_t>{0});
+  EXPECT_EQ(store.dials, 2);
+  ASSERT_EQ(store.responders.size(), 2u);
+  EXPECT_EQ(store.responders[0]->opened_seqs, std::vector<std::uint64_t>{0});
+  EXPECT_EQ(store.responders[1]->opened_seqs, std::vector<std::uint64_t>{0});
+  EXPECT_EQ(link->stats().reconnects, 1u);
 
   EXPECT_EQ(beat(*link, 4), 4u);
-  EXPECT_EQ(store->recovers, 1);
+  EXPECT_EQ(store.dials, 2);
 }
 
 TEST_F(StoreLinkTest, PoisonedLinkThatCannotRekeyNeverSendsAgain) {
-  FakeStore* store = nullptr;
-  auto link = dialed_link(store);
-  store->can_rekey = false;
-  store->fail_next = true;
-  EXPECT_THROW(beat(*link, 1), StoreUnavailableError);
-  const int sent = store->round_trips;
-
-  for (std::uint64_t nonce = 2; nonce < 5; ++nonce) {
-    EXPECT_THROW(beat(*link, nonce), StoreUnavailableError);
+  // A link with no dial (the single store's adopted connection): after the
+  // failure, calls throw without a round trip or an OCALL.
+  {
+    FakeStore store;
+    auto link = dialed_link(store, /*can_dial=*/false);
+    store.fail_next = true;
+    EXPECT_THROW(beat(*link, 1), StoreUnavailableError);
+    const int sent = store.round_trips;
+    const std::uint64_t ocalls = enclave_->ocall_count();
+    for (std::uint64_t nonce = 2; nonce < 5; ++nonce) {
+      EXPECT_THROW(beat(*link, nonce), StoreUnavailableError);
+    }
+    EXPECT_EQ(store.round_trips, sent);
+    EXPECT_EQ(enclave_->ocall_count(), ocalls);
+    EXPECT_EQ(store.dials, 1) << "only the first connection";
   }
-  EXPECT_EQ(store->round_trips, sent);
-  EXPECT_EQ(store->recovers, 3) << "one recover() per round trip";
+  // A link whose dial is refused: each call makes one dial inside one OCALL
+  // and no round trip.
+  {
+    FakeStore store;
+    auto link = dialed_link(store);
+    store.fail_next = true;
+    EXPECT_THROW(beat(*link, 1), StoreUnavailableError);
+    store.refuse_dials = true;
+    const int sent = store.round_trips;
+    const std::uint64_t ocalls = enclave_->ocall_count();
+    for (std::uint64_t nonce = 2; nonce < 5; ++nonce) {
+      EXPECT_THROW(beat(*link, nonce), StoreUnavailableError);
+    }
+    EXPECT_EQ(store.round_trips, sent);
+    EXPECT_EQ(enclave_->ocall_count() - ocalls, 3u) << "one dial per call";
+    EXPECT_EQ(store.dials, 1 + 3);
+    EXPECT_EQ(link->stats().reconnect_failures, 3u);
+    EXPECT_EQ(link->stats().reconnects, 0u);
+  }
 }
 
 TEST_F(StoreLinkTest, TamperedReplyPoisons) {
-  FakeStore* store = nullptr;
+  FakeStore store;
   auto link = dialed_link(store);
-  store->tamper_next = true;
+  store.tamper_next = true;
   EXPECT_THROW(beat(*link, 1), ProtocolError);
 
   EXPECT_EQ(beat(*link, 2), 2u);
-  EXPECT_EQ(store->recovers, 1);
-  EXPECT_EQ(store->responders.back()->opened_seqs,
+  EXPECT_EQ(store.dials, 2);
+  EXPECT_EQ(store.responders.back()->opened_seqs,
             std::vector<std::uint64_t>{0});
 }
 
 TEST_F(StoreLinkTest, UndialedLinkDialsOnFirstUse) {
-  int dials = 0;
-  bool refuse = true;
-  StoreLink link(*enclave_, ResilientTransport::Connection{},
-                 [&]() -> ResilientTransport::Connection {
-                   ++dials;
-                   if (refuse) throw StoreUnavailableError("injected: refused");
-                   return {std::make_unique<FakeStore>(),
-                           secret::Buffer::absorb(
-                               fixed_key(FakeStore::kFirstKey))};
-                 });
-  EXPECT_EQ(dials, 0);
+  FakeStore store;
+  store.refuse_dials = true;
+  StoreLink link(*enclave_, Connection{}, store.dialer());
+  EXPECT_EQ(store.dials, 0);
 
   std::uint64_t ocalls = enclave_->ocall_count();
   EXPECT_THROW(beat(link, 1), StoreUnavailableError);
-  EXPECT_EQ(dials, 1);
+  EXPECT_EQ(store.dials, 1);
   EXPECT_EQ(enclave_->ocall_count() - ocalls, 1u) << "the dial's OCALL only";
 
-  // The refused dial left the link undialed: the next call dials again.
-  refuse = false;
+  // The refused dial left the link with no connection: the next call dials
+  // again.
+  store.refuse_dials = false;
   ocalls = enclave_->ocall_count();
   EXPECT_EQ(beat(link, 2), 2u);
-  EXPECT_EQ(dials, 2);
+  EXPECT_EQ(store.dials, 2);
   EXPECT_EQ(enclave_->ocall_count() - ocalls, 2u) << "one dial, one round trip";
 
   EXPECT_EQ(beat(link, 3), 3u);
-  EXPECT_EQ(dials, 2);
+  EXPECT_EQ(store.dials, 2);
+  EXPECT_EQ(link.stats().reconnects, 1u);
+  EXPECT_EQ(link.stats().reconnect_failures, 1u);
+  EXPECT_TRUE(link.connect()) << "connected: no dial";
+  EXPECT_EQ(store.dials, 2);
 }
 
 }  // namespace

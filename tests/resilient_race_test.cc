@@ -1,10 +1,12 @@
-// ResilientTransport concurrency tests.
+// Reconnect concurrency tests.
 //
-// A ClusterTransport node's StoreLink drives its ResilientTransport from
-// many application threads at once, so recover() racing round_trip() across
-// a reconnect must be data-race free (this suite is part of the TSan chaos
-// job) and must admit exactly one coherent outcome: after the store comes
-// back, some recover() succeeds and every round trip works again. When to
+// A ClusterTransport node's StoreLink is driven by many application threads
+// at once, so a re-dial racing round trips across a store outage must be
+// data-race free (this suite is part of the TSan chaos job) and must admit
+// exactly one coherent outcome: once the store is back, one dial restores
+// the connection and every round trip works again. The link's strand makes
+// that deterministic: callers that find the connection dropped queue on the
+// strand, the first one re-dials, and the rest use its connection. When to
 // try a node at all is the cluster walk's node health
 // (fault_injection_test.cc).
 #include <gtest/gtest.h>
@@ -15,151 +17,164 @@
 #include <thread>
 #include <vector>
 
-#include "net/resilient.h"
+#include "net/store_link.h"
 #include "test_seed.h"
 
 namespace speed {
 namespace {
 
-using net::ResilienceConfig;
-using net::ResilientTransport;
+using net::Connection;
+using net::StoreLink;
 
-/// Inner transport controlled by a shared up/down flag.
-class SwitchedTransport : public net::Transport {
+/// A store behind a shared up/down switch. Each dial (refused while down)
+/// opens a connection under a fresh key, whose transport answers heartbeats
+/// while the store is up and throws while it is down.
+class SwitchedStore {
  public:
-  explicit SwitchedTransport(std::shared_ptr<std::atomic<bool>> up)
-      : up_(std::move(up)) {}
-  Bytes round_trip(ByteView request) override {
-    if (!up_->load(std::memory_order_acquire)) {
-      throw net::StoreUnavailableError("switched off");
+  Connection dial() {
+    if (!up.load(std::memory_order_acquire)) {
+      throw net::StoreUnavailableError("dial refused");
     }
-    return Bytes(request.begin(), request.end());
+    const int n = dials.fetch_add(1, std::memory_order_relaxed);
+    const Bytes key(32, static_cast<std::uint8_t>(0x5a + n));
+    return {std::make_unique<Wire>(up, key), secret::Buffer::absorb(Bytes(key))};
+  }
+  net::DialFn dialer() {
+    return [this] { return dial(); };
   }
 
+  std::atomic<bool> up{true};
+  std::atomic<int> dials{0};
+
  private:
-  std::shared_ptr<std::atomic<bool>> up_;
+  class Wire : public net::Transport {
+   public:
+    Wire(const std::atomic<bool>& up, const Bytes& key)
+        : up_(up), channel_(key, /*is_initiator=*/false) {}
+
+    // Called only under the link's strand, one frame at a time.
+    Bytes round_trip(ByteView frame) override {
+      if (!up_.load(std::memory_order_acquire)) {
+        throw net::StoreUnavailableError("switched off");
+      }
+      const auto plain = channel_.unwrap(frame);
+      if (!plain.has_value()) throw ProtocolError("switched store: bad frame");
+      const auto request = serialize::decode_message(*plain);
+      const auto& beat = std::get<serialize::HeartbeatRequest>(request);
+      return channel_.wrap(serialize::encode_message(
+          serialize::HeartbeatResponse{beat.nonce}));
+    }
+
+   private:
+    const std::atomic<bool>& up_;
+    net::SecureChannel channel_;
+  };
 };
 
-struct Rig {
-  explicit Rig(ResilienceConfig rc)
-      : up(std::make_shared<std::atomic<bool>>(true)),
-        transport(std::make_unique<SwitchedTransport>(up),
-                  [this]() -> ResilientTransport::Connection {
-                    if (!up->load(std::memory_order_acquire)) {
-                      throw net::StoreUnavailableError("dial refused");
-                    }
-                    redials.fetch_add(1, std::memory_order_relaxed);
-                    ResilientTransport::Connection c;
-                    c.transport = std::make_unique<SwitchedTransport>(up);
-                    c.session_key = secret::Buffer::absorb(Bytes(32, 0x5a));
-                    return c;
-                  },
-                  rc) {}
-
-  std::shared_ptr<std::atomic<bool>> up;
-  std::atomic<int> redials{0};
-  ResilientTransport transport;
-};
-
-ResilienceConfig race_config() {
-  ResilienceConfig rc;
-  rc.reconnect_attempts = 1;
-  rc.backoff_initial_ms = 0;
-  rc.backoff_max_ms = 1;
-  return rc;
+sgx::CostModel free_transitions() {
+  sgx::CostModel m;
+  m.ecall_ns = 0;
+  m.ocall_ns = 0;
+  return m;
 }
+
+/// One StoreLink to a SwitchedStore, driven from inside one app enclave.
+struct Rig {
+  Rig()
+      : platform(free_transitions()),
+        enclave(platform.create_enclave("race-app")),
+        link(*enclave, store.dial(), store.dialer()) {}
+
+  /// One heartbeat from inside the enclave; true when it was echoed.
+  bool beat(std::uint64_t nonce) {
+    const serialize::Message reply = enclave->ecall(
+        [&] { return link.round_trip(serialize::HeartbeatRequest{nonce}); });
+    return std::get<serialize::HeartbeatResponse>(reply).nonce == nonce;
+  }
+
+  SwitchedStore store;
+  sgx::Platform platform;
+  std::unique_ptr<sgx::Enclave> enclave;
+  StoreLink link;
+};
 
 TEST(ResilientRaceTest, ConcurrentRecoverRacesHalfOpenSafely) {
   SPEED_SEEDED_RNG(rng, 0x4ACE'0001ull);
-  Rig rig(race_config());
-  const Bytes frame{2};
+  Rig rig;
+  ASSERT_TRUE(rig.beat(1));
 
-  // Kill the connection: round trips fail while the store is down, and so
-  // does recover(), because the dial is refused.
-  rig.up->store(false);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_THROW(rig.transport.round_trip(frame), net::StoreUnavailableError);
+  // Kill the connection: the first call fails on it and drops it, and later
+  // calls fail on a refused dial.
+  rig.store.up.store(false);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    EXPECT_THROW(rig.beat(2 + i), net::StoreUnavailableError);
   }
-  EXPECT_FALSE(rig.transport.recover());
+  EXPECT_EQ(rig.store.dials.load(), 1) << "refused dials open nothing";
+  EXPECT_EQ(rig.link.stats().reconnect_failures, 2u);
 
-  // Store comes back; many threads immediately race recover() against each
-  // other and against round_trip() traffic. Exactly which recover() swaps
-  // in the connection a round trip sees is timing-dependent; the invariants
-  // are: no data race (TSan), at least one recover succeeds, and traffic
-  // flows.
-  rig.up->store(true);
-  std::atomic<int> recover_ok{0};
-  std::atomic<int> trips_ok{0};
+  // Store comes back; 8 threads race round trips over the dropped link.
+  // The strand admits one dial: the first caller re-dials, every other
+  // caller uses its connection, and every call is served (and TSan sees no
+  // race).
+  rig.store.up.store(true);
   std::vector<std::uint64_t> delays;
   for (int t = 0; t < 8; ++t) delays.push_back(rng() % 4);
+  std::atomic<int> served{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
       std::this_thread::sleep_for(std::chrono::milliseconds(delays[t]));
       for (int i = 0; i < 50; ++i) {
-        if ((i + t) % 3 == 0) {
-          if (rig.transport.recover()) {
-            recover_ok.fetch_add(1, std::memory_order_relaxed);
-          }
-        } else {
-          try {
-            const Bytes out = rig.transport.round_trip(frame);
-            EXPECT_EQ(out, frame);
-            trips_ok.fetch_add(1, std::memory_order_relaxed);
-          } catch (const net::StoreUnavailableError&) {
-            // the connection is dead until some recover() lands: expected
-          }
+        if (rig.beat(static_cast<std::uint64_t>(1000 * t + i))) {
+          served.fetch_add(1, std::memory_order_relaxed);
         }
       }
     });
   }
   for (auto& th : threads) th.join();
 
-  EXPECT_GT(recover_ok.load(), 0);
-  EXPECT_GT(trips_ok.load(), 0);
-  EXPECT_GT(rig.redials.load(), 0);
-  EXPECT_EQ(rig.transport.round_trip(frame), frame);
+  EXPECT_EQ(served.load(), 8 * 50);
+  EXPECT_EQ(rig.store.dials.load(), 2) << "exactly one re-dial";
+  EXPECT_EQ(rig.link.stats().reconnects, 1u);
 }
 
 TEST(ResilientRaceTest, FlappingStoreUnderConcurrencyStaysCoherent) {
   SPEED_SEEDED_RNG(rng, 0x4ACE'0002ull);
-  Rig rig(race_config());
-  const Bytes frame{3};
+  Rig rig;
 
   // Record one failure deterministically before the chaos starts: whether
   // any worker op lands inside a down window is scheduler-dependent (under
   // parallel ctest the chaos thread can be starved entirely), so the
-  // failures>0 assertion below must not depend on it.
-  rig.up->store(false);
-  EXPECT_THROW(rig.transport.round_trip(frame), net::StoreUnavailableError);
-  rig.up->store(true);
+  // failures>0 assertion below must not depend on it. The failure dropped
+  // the connection, so the first call served after it re-dialed.
+  std::atomic<int> failures{0};
+  rig.store.up.store(false);
+  EXPECT_THROW(rig.beat(1), net::StoreUnavailableError);
+  failures.fetch_add(1);
+  rig.store.up.store(true);
 
-  // A chaos thread flaps the store on a seeded schedule while workers hammer
-  // round_trip/recover. Nothing may crash, deadlock, or race; when the dust
+  // A chaos thread flaps the store on a seeded schedule while 8 workers
+  // drive the one link. Nothing may crash, deadlock, or race; when the dust
   // settles with the store up, service must be restored.
   std::atomic<bool> stop{false};
   std::vector<std::uint64_t> flips;
   for (int i = 0; i < 40; ++i) flips.push_back(1 + rng() % 3);
   std::thread chaos([&] {
     for (const std::uint64_t ms : flips) {
-      rig.up->store(!rig.up->load());
+      rig.store.up.store(!rig.store.up.load());
       std::this_thread::sleep_for(std::chrono::milliseconds(ms));
       if (stop.load()) break;
     }
-    rig.up->store(true);
+    rig.store.up.store(true);
   });
   std::vector<std::thread> workers;
-  for (int t = 0; t < 6; ++t) {
+  for (int t = 0; t < 8; ++t) {
     workers.emplace_back([&, t] {
       for (int i = 0; i < 200; ++i) {
         try {
-          if ((i + t) % 7 == 0) {
-            rig.transport.recover();
-          } else {
-            rig.transport.round_trip(frame);
-          }
+          EXPECT_TRUE(rig.beat(static_cast<std::uint64_t>(1000 * t + i)));
         } catch (const net::StoreUnavailableError&) {
-          // expected while flapped down / not yet recovered
+          failures.fetch_add(1, std::memory_order_relaxed);
         }
       }
     });
@@ -168,21 +183,11 @@ TEST(ResilientRaceTest, FlappingStoreUnderConcurrencyStaysCoherent) {
   stop.store(true);
   chaos.join();
 
-  // Store is up for good now: within a few recover cycles service must be
-  // restored.
-  bool restored = false;
-  for (int i = 0; i < 200 && !restored; ++i) {
-    try {
-      restored = rig.transport.round_trip(frame) == frame;
-    } catch (const net::StoreUnavailableError&) {
-      rig.transport.recover();
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  EXPECT_TRUE(restored);
-  const auto s = rig.transport.stats();
-  EXPECT_GT(s.round_trips, 0u);
-  EXPECT_GT(s.failures, 0u);
+  // The store is up for good now: the next call re-dials if the link has no
+  // connection, and is served.
+  EXPECT_TRUE(rig.beat(2));
+  EXPECT_GT(failures.load(), 0);
+  EXPECT_GT(rig.link.stats().reconnects, 0u);
 }
 
 }  // namespace

@@ -137,7 +137,7 @@ TEST(TcpStoreTest, LinkCarriesLargeThenSmallFramesExactly) {
   auto app = platform.create_enclave("link-sizes");
   auto conn = store::connect_tcp_app(
       *app, result_store.enclave().measurement(), "127.0.0.1", server.port());
-  net::StoreLink link(*app, net::ResilientTransport::Connection{
+  net::StoreLink link(*app, net::Connection{
                                 std::move(conn.transport),
                                 std::move(conn.session_key)});
 
@@ -176,7 +176,7 @@ TEST(TcpStoreTest, LinkKeepsOneFrameAfterLargePut) {
   auto app = platform.create_enclave("link-kept");
   auto conn = store::connect_tcp_app(
       *app, result_store.enclave().measurement(), "127.0.0.1", server.port());
-  net::StoreLink link(*app, net::ResilientTransport::Connection{
+  net::StoreLink link(*app, net::Connection{
                                 std::move(conn.transport),
                                 std::move(conn.session_key)});
 

@@ -37,7 +37,7 @@ class Caller {
   int unlocked(int request) { return inner_->round_trip(request); }
 
  private:
-  Mutex mu_{LockRank::kTransport};
+  Mutex mu_{LockRank::kTransportLink};
   Transportish* inner_ = nullptr;
   int last_ GUARDED_BY(mu_) = 0;
 };

@@ -17,7 +17,7 @@ class CleanCounter {
     return value_;
   }
 
-  // Correct nesting: 200 is held, then 500 is acquired — strictly ascending.
+  // Correct nesting: 200 is held, then 510 is acquired — strictly ascending.
   void ascend() {
     MutexLock outer(low_mu_);
     MutexLock inner(mu_);
@@ -32,7 +32,7 @@ class CleanCounter {
 
  private:
   Mutex low_mu_{LockRank::kRuntimeChannel};
-  mutable Mutex mu_{LockRank::kTransport};
+  mutable Mutex mu_{LockRank::kTransportLink};
   CondVar cv_;
   std::uint64_t value_ GUARDED_BY(mu_) = 0;
 };
