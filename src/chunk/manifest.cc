@@ -1,13 +1,16 @@
 #include "chunk/manifest.h"
 
 #include "common/error.h"
+#include "mle/rce.h"
 #include "serialize/codec.h"
 
 namespace speed::chunk {
 
 namespace {
 
-constexpr std::uint8_t kManifestVersion = 1;
+/// Version 2 refs carry unwrap material; version 1 refs pinned k_i.
+constexpr std::uint8_t kManifestVersion = 2;
+constexpr std::uint8_t kManifestVersionPinned = 1;
 constexpr std::uint8_t kKindRef = 0;
 constexpr std::uint8_t kKindInline = 1;
 
@@ -39,7 +42,8 @@ Bytes encode_manifest(const Manifest& manifest) {
 
 Manifest decode_manifest(ByteView plaintext) {
   serialize::Decoder dec(plaintext);
-  if (dec.u8() != kManifestVersion) {
+  const std::uint8_t version = dec.u8();
+  if (version != kManifestVersion && version != kManifestVersionPinned) {
     throw SerializationError("manifest: unknown version");
   }
   Manifest m;
@@ -56,7 +60,12 @@ Manifest decode_manifest(ByteView plaintext) {
       const ByteView t = dec.raw(e.tag.size());
       std::copy(t.begin(), t.end(), e.tag.begin());
       e.size = dec.u32();
-      e.key = secret::Buffer::absorb(dec.var_bytes());
+      Bytes key = dec.var_bytes();
+      if (version == kManifestVersion ? !mle::valid_unwrap_material(key)
+                                      : key.size() != mle::kResultKeySize) {
+        throw SerializationError("manifest: malformed chunk key");
+      }
+      e.key = secret::Buffer::absorb(std::move(key));
     } else if (kind == kKindInline) {
       e.inlined = true;
       e.inline_bytes = dec.var_bytes();

@@ -4,18 +4,25 @@
 // stores one manifest entry under the whole-stream tag. The manifest
 // plaintext lists, per chunk, either
 //
-//   * a *ref*: (chunk tag, size, per-chunk key k_i) — the chunk's result
-//     ciphertext lives under its own tag and k_i decrypts it; or
+//   * a *ref*: (chunk tag, size, unwrap material) — the chunk's entry lives
+//     under its own tag, and the material (the chunk context's SHA-256
+//     midstate, mle::ComputationContext::unwrap_material) turns any
+//     writer's header (r, [k]) for that tag into its k, through the checked
+//     wrap of mle/rce.h. So get() opens whichever writer's entry a replica
+//     serves; or
 //   * an *inline* copy of the chunk bytes — the fallback when a chunk's PUT
-//     was rejected or its stored entry is unrecoverable (a store keeps the
-//     first write for a tag, so a poisoned entry cannot be replaced; inlining
+//     was rejected or its stored entry fails the check (a store keeps the
+//     first write for a tag, so a foreign entry cannot be replaced; inlining
 //     keeps get() correct without it).
 //
-// The manifest plaintext contains every per-chunk key, so it is itself
+// Version 1 manifests pinned one writer's k_i per ref instead; they still
+// decode (their 16-byte keys come back as pinned keys) and still read.
+//
+// The unwrap material opens every chunk, so the manifest is itself
 // protected with RCE under the *stream-domain* context over the raw input
 // before leaving the enclave: recovering it requires either performing the
 // same computation on the same whole input (put-side dedup) or holding the
-// stream handle's manifest key (get-side). Binding it to the raw input —
+// stream handle's unwrap material (get-side). Binding it to the raw input —
 // not to the chunk-tag list — matters: the store observes chunk tags and
 // function identities are public, so a tag-list-derived key would let a
 // malicious store unwrap the manifest and with it every chunk key.
@@ -35,8 +42,11 @@ struct ManifestEntry {
 
   // Ref kind: the chunk entry lives in the store under `tag`.
   serialize::Tag tag{};
-  std::uint32_t size = 0;   ///< plaintext chunk size
-  secret::Buffer key;       ///< k_i decrypting the chunk's result ciphertext
+  std::uint32_t size = 0;  ///< plaintext chunk size
+  /// The chunk context's unwrap material; from a version 1 manifest, the
+  /// pinned k_i instead (mle::kResultKeySize bytes, which no unwrap
+  /// material is).
+  secret::Buffer key;
 
   // Inline kind: the chunk rides inside the manifest itself.
   Bytes inline_bytes;
@@ -47,13 +57,15 @@ struct Manifest {
   std::vector<ManifestEntry> entries;
 };
 
-/// Serialize the manifest plaintext (chunk keys are revealed into it — the
-/// audited "stream_manifest_build" escape; the caller must RCE-protect the
-/// returned bytes before they leave the enclave).
+/// Serialize the manifest plaintext, version 2 (unwrap material is revealed
+/// into it — the audited "stream_manifest_build" escape; the caller must
+/// RCE-protect the returned bytes before they leave the enclave).
 Bytes encode_manifest(const Manifest& manifest);
 
-/// Parse a recovered manifest plaintext; chunk keys land back in the secret
-/// domain. Throws SerializationError on malformed input.
+/// Parse a recovered manifest plaintext, version 2 or 1; keys land back in
+/// the secret domain. Throws SerializationError on malformed input,
+/// including a version 2 ref whose unwrap material has an impossible length
+/// or a version 1 ref whose key is not mle::kResultKeySize bytes.
 Manifest decode_manifest(ByteView plaintext);
 
 }  // namespace speed::chunk

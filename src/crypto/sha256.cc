@@ -4,6 +4,8 @@
 #include <cstring>
 #include <utility>
 
+#include "common/error.h"
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
 #include <immintrin.h>
@@ -43,6 +45,12 @@ inline void store_be32(std::uint8_t* p, std::uint32_t v) {
   p[1] = static_cast<std::uint8_t>(v >> 16);
   p[2] = static_cast<std::uint8_t>(v >> 8);
   p[3] = static_cast<std::uint8_t>(v);
+}
+
+/// The absorbed byte count an exported midstate encodes.
+std::uint64_t midstate_bytes(ByteView bytes) {
+  return (static_cast<std::uint64_t>(load_be32(bytes.data() + 32)) << 32) |
+         load_be32(bytes.data() + 36);
 }
 
 void compress_portable(std::uint32_t state[8], const std::uint8_t* blocks,
@@ -343,6 +351,35 @@ Sha256Digest Sha256::finish() {
   Sha256Digest out;
   for (int i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, state_[i]);
   return out;
+}
+
+void Sha256::export_midstate(std::span<std::uint8_t> out) const {
+  if (out.size() != midstate_size()) {
+    throw CryptoError("Sha256::export_midstate: wrong output size");
+  }
+  for (int i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, state_[i]);
+  const std::uint64_t bytes = bit_count_ / 8;
+  store_be32(out.data() + 32, static_cast<std::uint32_t>(bytes >> 32));
+  store_be32(out.data() + 36, static_cast<std::uint32_t>(bytes));
+  std::memcpy(out.data() + kMidstateFixedSize, buffer_, buffer_len_);
+}
+
+bool Sha256::valid_midstate(ByteView bytes) {
+  if (bytes.size() < kMidstateFixedSize) return false;
+  const std::uint64_t count = midstate_bytes(bytes);
+  // The bit count must fit its u64, and the buffered tail is count mod 64.
+  return count < (std::uint64_t{1} << 61) &&
+         bytes.size() == kMidstateFixedSize + count % 64;
+}
+
+std::optional<Sha256> Sha256::import_midstate(ByteView bytes) {
+  if (!valid_midstate(bytes)) return std::nullopt;
+  Sha256 h;
+  for (int i = 0; i < 8; ++i) h.state_[i] = load_be32(bytes.data() + 4 * i);
+  h.bit_count_ = midstate_bytes(bytes) * 8;
+  h.buffer_len_ = bytes.size() - kMidstateFixedSize;
+  std::memcpy(h.buffer_, bytes.data() + kMidstateFixedSize, h.buffer_len_);
+  return h;
 }
 
 Sha256Digest Sha256::digest(ByteView data) {

@@ -18,10 +18,18 @@
 // hardware path it runs both states' rounds interleaved, block by block, so
 // the two dependency chains share the SHA unit: a one-lane pass waits on the
 // latency of each round, and the second lane fills those waits.
+//
+// A midstate can leave the object as bytes and come back: export_midstate
+// writes the state words, the count of bytes absorbed and the buffered
+// partial block; import_midstate rebuilds a state that finishes exactly as
+// the exported one would. The streaming data path keeps a chunk context's
+// midstate in its manifest this way (mle::ComputationContext).
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <optional>
+#include <span>
 
 #include "common/bytes.h"
 
@@ -62,6 +70,26 @@ class Sha256 {
 
   /// One-shot convenience.
   static Sha256Digest digest(ByteView data);
+
+  /// Bytes of an exported midstate with no partial block buffered: eight
+  /// big-endian state words and the big-endian u64 count of bytes absorbed.
+  static constexpr std::size_t kMidstateFixedSize = 32 + 8;
+
+  /// export_midstate's size for this state: kMidstateFixedSize plus the
+  /// buffered partial block (the absorbed byte count mod 64).
+  std::size_t midstate_size() const { return kMidstateFixedSize + buffer_len_; }
+
+  /// Writes the midstate into `out`, which must hold exactly
+  /// midstate_size() bytes.
+  void export_midstate(std::span<std::uint8_t> out) const;
+
+  /// True iff `bytes` is a midstate export_midstate could have written: its
+  /// length agrees with the byte count it encodes.
+  static bool valid_midstate(ByteView bytes);
+
+  /// The state export_midstate wrote as `bytes` (kAuto implementation);
+  /// nullopt unless valid_midstate(bytes).
+  static std::optional<Sha256> import_midstate(ByteView bytes);
 
   /// One-shot over multiple segments, equivalent to hashing their
   /// concatenation. (Callers that need unambiguous multi-field hashing must

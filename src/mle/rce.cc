@@ -1,5 +1,7 @@
 #include "mle/rce.h"
 
+#include <array>
+
 #include "common/error.h"
 #include "crypto/gcm.h"
 
@@ -31,6 +33,18 @@ secret::Buffer unwrap_key(ByteView wrapped_key, const SecondaryKey& h) {
   const ByteView mask = h.reveal_for(secret::Purpose::of("rce_key_wrap"));
   return secret::Buffer::absorb(
       xor_bytes(wrapped_key, mask.first(wrapped_key.size())));
+}
+
+/// [k] = (k ‖ 0¹²⁸) XOR h: the checked wrap masks k with h[0..16) exactly as
+/// wrap_key does and publishes h[16..32) as the check half.
+Bytes wrap_key_checked(const secret::Buffer& key, const SecondaryKey& h) {
+  Bytes padded(kCheckedWrapSize, 0);
+  const ByteView k = key.reveal_for(secret::Purpose::of("rce_key_wrap"));
+  std::copy(k.begin(), k.end(), padded.begin());
+  Bytes out =
+      xor_bytes(padded, h.reveal_for(secret::Purpose::of("rce_key_wrap")));
+  secure_zero(padded.data(), padded.size());
+  return out;
 }
 
 /// r feeds h = Hash(func, m, r); r itself is published alongside the payload
@@ -80,6 +94,31 @@ secret::Buffer ResultCipher::recover_key(const ComputationContext& ctx,
   }
   const auto h = ctx.secondary_key(challenge);
   return unwrap_key(wrapped_key, h);                  // k = [k] ⊕ h
+}
+
+ResultCipher::WrappedKey ResultCipher::generate_checked_key(
+    const ComputationContext& ctx, crypto::Drbg& drbg) {
+  WrappedKey out;
+  out.key = drbg.secret_bytes(kResultKeySize);        // k <- KeyGen(1^λ)
+  out.challenge = drbg.secret_bytes(kChallengeSize);  // r <-R- {0,1}*
+  const auto h = ctx.secondary_key(challenge_view(out.challenge));
+  out.wrapped_key = wrap_key_checked(out.key, h);     // [k] = (k ‖ 0) ⊕ h
+  return out;
+}
+
+std::optional<secret::Buffer> ResultCipher::recover_checked_key(
+    const ComputationContext& ctx, ByteView challenge, ByteView wrapped_key) {
+  if (wrapped_key.size() != kCheckedWrapSize) return std::nullopt;
+  const auto h = ctx.secondary_key(challenge);
+  secret::Buffer unwrapped = unwrap_key(wrapped_key, h);  // k ‖ check
+  const std::array<std::uint8_t, kCheckedWrapSize - kResultKeySize> zero{};
+  const ByteView check =
+      unwrapped.reveal_for(secret::Purpose::of("rce_key_wrap"))
+          .subspan(kResultKeySize);
+  if (!ct_equal(check, ByteView(zero))) return std::nullopt;
+  return secret::Buffer::copy_of(
+      unwrapped.reveal_for(secret::Purpose::of("rce_key_wrap"))
+          .first(kResultKeySize));
 }
 
 Bytes ResultCipher::encrypt_result(const Tag& tag, const secret::Buffer& key,

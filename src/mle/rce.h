@@ -8,6 +8,16 @@
 // and input — recomputes h and recovers k; anyone else fails the GCM
 // authenticity check (the ⊥ of Fig. 3). No system-wide key exists.
 //
+// Chunk and manifest entries of the streaming data path use a *checked*
+// wrap instead: [k] = (k ‖ 0¹²⁸) XOR h, all 32 bytes of h. Unwrapping under
+// the wrong (func, m) leaves the second half nonzero, so an entry's header
+// (r, [k]) alone proves that it unwraps under this content — the put path
+// decides reuse from a header-only probe, and get() takes k from whichever
+// writer's entry a replica serves. The check half reveals h[16..32) for one
+// (chunk, r): a store that guesses a chunk can confirm the guess, which the
+// chunk tag already allows; h[0..16), which masks k, stays secret.
+// Per-call entries keep the 16-byte wrap, byte for byte.
+//
 // BasicResultCipher is the strawman of §III-B: one shared system key.
 // It is kept as the ablation baseline (bench_ablation_schemes) and to
 // demonstrate the single-point-of-compromise contrast in tests.
@@ -26,6 +36,8 @@ namespace speed::mle {
 
 inline constexpr std::size_t kResultKeySize = 16;   ///< AES-128
 inline constexpr std::size_t kChallengeSize = 32;   ///< |r|
+/// |[k]| of a checked wrap: k ‖ 0¹²⁸, masked by all of h.
+inline constexpr std::size_t kCheckedWrapSize = 32;
 
 class ResultCipher {
  public:
@@ -81,6 +93,14 @@ class ResultCipher {
                                  crypto::Drbg& drbg);
   static secret::Buffer recover_key(const ComputationContext& ctx,
                                     ByteView challenge, ByteView wrapped_key);
+  /// generate_key with the checked wrap: |wrapped_key| = kCheckedWrapSize.
+  static WrappedKey generate_checked_key(const ComputationContext& ctx,
+                                         crypto::Drbg& drbg);
+  /// k from a checked wrap; nullopt unless `wrapped_key` is
+  /// kCheckedWrapSize bytes whose second half unwraps to zero under `ctx`
+  /// (a foreign, tampered or 16-byte-wrapped entry fails).
+  static std::optional<secret::Buffer> recover_checked_key(
+      const ComputationContext& ctx, ByteView challenge, ByteView wrapped_key);
   // Result encryption is AEAD-bound to the computation tag (already derived
   // on the runtime's hot path — Algorithm 1/2 line 1 — so it is passed in
   // rather than re-derived from the full input).

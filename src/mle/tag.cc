@@ -107,6 +107,26 @@ secret::Bytes<crypto::kSha256DigestSize> ComputationContext::secondary_key(
   return out;
 }
 
+secret::Buffer ComputationContext::unwrap_material() const {
+  secret::Buffer out(midstate_.midstate_size());
+  midstate_.export_midstate(out.writable());
+  return out;
+}
+
+std::optional<ComputationContext> ComputationContext::from_unwrap_material(
+    const secret::Buffer& material) {
+  // The midstate is parsed back into hash state inside the enclave; the
+  // raw bytes go nowhere else.
+  auto midstate = crypto::Sha256::import_midstate(
+      material.reveal_for(secret::Purpose::of("rce_unwrap_material_import")));
+  if (!midstate.has_value()) return std::nullopt;
+  return ComputationContext(FromMidstate{}, *midstate);
+}
+
+bool valid_unwrap_material(ByteView material) {
+  return crypto::Sha256::valid_midstate(material);
+}
+
 Tag derive_tag(const FunctionIdentity& fn, ByteView input) {
   return ComputationContext(fn, input).tag();
 }

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
 #include "common/bytes.h"
@@ -80,6 +81,18 @@ class ComputationContext {
   secret::Bytes<crypto::kSha256DigestSize> secondary_key(
       ByteView challenge) const;
 
+  /// Unwrap material: the midstate itself (crypto::Sha256::export_midstate,
+  /// 40 to 103 bytes). Holding it is holding the power to derive h for any
+  /// challenge r, exactly what knowing (func, m) gives and no more, so it
+  /// is born secret. A stream manifest records one per chunk, so get()
+  /// opens whichever writer's entry a replica serves (PROTOCOL.md §10).
+  secret::Buffer unwrap_material() const;
+
+  /// The context whose unwrap_material() is `material`; nullopt when the
+  /// bytes are not a midstate (valid_unwrap_material).
+  static std::optional<ComputationContext> from_unwrap_material(
+      const secret::Buffer& material);
+
  private:
   friend class ChunkTagger;
   friend class ContextBuilder;
@@ -136,6 +149,10 @@ class ChunkTagger {
  private:
   crypto::Sha256 prefix_;  ///< absorbed: label ‖ len(uv) ‖ uv
 };
+
+/// True iff `material` could be some context's unwrap_material(): its
+/// length agrees with the byte count it encodes.
+bool valid_unwrap_material(ByteView material);
 
 /// t <- Hash(func, m). Algorithm 1/2, line 1.
 Tag derive_tag(const FunctionIdentity& fn, ByteView input);

@@ -13,6 +13,7 @@ using serialize::GetResponse;
 using serialize::HeartbeatRequest;
 using serialize::HeartbeatResponse;
 using serialize::Message;
+using serialize::ProbeRequest;
 using serialize::PutRequest;
 using serialize::PutResponse;
 using serialize::PutStatus;
@@ -132,12 +133,16 @@ Message ClusterTransport::round_trip_message(Message request) {
     const Stopwatch& sw;
     ~Record() { hist.record(sw.elapsed_ns()); }
   } record{walk_ns_, sw};
-  if (std::holds_alternative<GetRequest>(request)) return cluster_get(request);
+  if (std::holds_alternative<GetRequest>(request) ||
+      std::holds_alternative<ProbeRequest>(request)) {
+    return cluster_get(request);
+  }
   if (std::holds_alternative<PutRequest>(request)) return cluster_put(request);
   if (auto* batch_req = std::get_if<serialize::BatchRequest>(&request)) {
     return cluster_batch(std::move(*batch_req));
   }
-  throw ProtocolError("ClusterTransport: only GET and PUT are routable");
+  throw ProtocolError(
+      "ClusterTransport: only GET, PUT and probe are routable");
 }
 
 Message ClusterTransport::cluster_batch(serialize::BatchRequest req) {
@@ -198,9 +203,9 @@ Message ClusterTransport::cluster_batch(serialize::BatchRequest req) {
       try {
         const Message op = std::visit(
             [](auto& o) { return Message(std::move(o)); }, forward_ops[j]);
-        Message walked = std::holds_alternative<GetRequest>(op)
-                             ? cluster_get(op, primary)
-                             : cluster_put(op, primary);
+        Message walked = std::holds_alternative<PutRequest>(op)
+                             ? cluster_put(op, primary)
+                             : cluster_get(op, primary);
         resp.replies[i] = serialize::to_batch_reply(std::move(walked));
       } catch (const Error& e) {
         // Only this op degrades; its neighbors keep their answers.
@@ -218,8 +223,11 @@ Message ClusterTransport::cluster_batch(serialize::BatchRequest req) {
 Message ClusterTransport::cluster_get(const Message& request,
                                       serialize::BatchReply* primary_reply) {
   gets_.inc();
-  const auto& req = std::get<GetRequest>(request);
-  const auto order = serialize::rendezvous_order(members_, req.tag);
+  const auto* get_req = std::get_if<GetRequest>(&request);
+  const serialize::Tag& tag = get_req != nullptr
+                                  ? get_req->tag
+                                  : std::get<ProbeRequest>(request).tag;
+  const auto order = serialize::rendezvous_order(members_, tag);
   const std::size_t quorum = std::min(config_.replicas + 1, order.size());
 
   std::size_t definitive = 0;
@@ -260,14 +268,17 @@ Message ClusterTransport::cluster_get(const Message& request,
   }
 
   if (found.has_value()) {
-    if (first_missing.has_value()) {
-      read_repair(*first_missing, req, *found);
+    // A probe's hit carries no ciphertext, so there is nothing to repair
+    // with; the next full GET of the tag repairs its owner.
+    if (first_missing.has_value() && get_req != nullptr) {
+      read_repair(*first_missing, *get_req, *found);
     }
     return Message(std::move(*found));
   }
   if (definitive > 0) return GetResponse{};  // a real miss: degrade to compute
   unavailable_.inc();
-  throw StoreUnavailableError("ClusterTransport: no node answered GET");
+  throw StoreUnavailableError(
+      "ClusterTransport: no node answered GET or probe");
 }
 
 Message ClusterTransport::cluster_put(

@@ -25,10 +25,12 @@
 //     the walk, which also finds sloppily-placed entries. Zero definitive
 //     answers means the cluster is unreachable: StoreUnavailableError, the
 //     runtime's degrade-to-compute signal.
-//   * Read-repair: when a replica serves a hit after the tag's owner
+//   * A header-only probe walks exactly like a GET.
+//   * Read-repair: when a replica serves a GET hit after the tag's owner
 //     definitively missed, the entry is pushed back to the owner as an
 //     ordinary quota-charged PUT (the infra-only PUSH plane is not reachable
-//     from application credentials).
+//     from application credentials). A probe hit carries no ciphertext and
+//     never repairs.
 //   * Health, the one failure detector per node and the one clock that
 //     spaces reconnect attempts: up/suspect/down states driven by the
 //     requests themselves plus explicit heartbeat probes. A failed leg to an
@@ -94,9 +96,10 @@ class ClusterTransport {
   ClusterTransport(const ClusterTransport&) = delete;
   ClusterTransport& operator=(const ClusterTransport&) = delete;
 
-  /// Route one application request (GET, PUT or a BatchRequest of both)
-  /// across the cluster. Must be called from inside the application enclave
-  /// (each node leg is one StoreLink round trip, with its own OCALL).
+  /// Route one application request (GET, PUT, probe or a BatchRequest of
+  /// them) across the cluster. Must be called from inside the application
+  /// enclave (each node leg is one StoreLink round trip, with its own
+  /// OCALL).
   /// Payloads move through the walk: every leg seals from `request`, and a
   /// found entry is moved into the reply. Throws StoreUnavailableError when
   /// no node can serve — the degrade-to-compute signal.
@@ -162,7 +165,8 @@ class ClusterTransport {
   bool skip_down(Link& link) const;
   void register_telemetry();
 
-  /// The quorum walks over `request`'s preference order. `primary_reply`,
+  /// The quorum walks over `request`'s preference order (cluster_get takes
+  /// a GET or a probe). `primary_reply`,
   /// when given, is the primary's answer from a batched sub-frame: it counts
   /// as the walk's first leg, and the walk goes on at the next node.
   serialize::Message cluster_get(

@@ -11,27 +11,34 @@
 //   put(data) -> StreamHandle:
 //     1. Build a ChunkPlan (one pass: per-chunk tags in Domain::kChunk, the
 //        whole-stream tag in Domain::kStream).
-//     2. Fast path: GET the stream tag. A recoverable manifest means some
-//        client already stored this exact stream — one round trip, done.
+//     2. Fast path: probe the stream tag (a header-only GET). A manifest
+//        whose header passes the checked wrap (mle/rce.h) means some client
+//        already stored this exact stream — one round trip, done.
 //     3. Otherwise walk the plan in windows of `StreamConfig::window`
-//        chunks: one batched GET frame per window (the micro-batcher; the
-//        cluster routes each chunk to its own node), then one batched
-//        PUT frame for the window's misses. Hits contribute their recovered
-//        per-chunk key to the manifest; misses contribute the fresh key
-//        that protected them.
+//        chunks: one batched probe frame per window (the micro-batcher; the
+//        cluster routes each chunk to its own node), then one batched PUT
+//        frame for the window's misses, and one probe frame for the PUTs a
+//        concurrent writer won (kAlreadyPresent). A found chunk is referenced
+//        only if its header passes the check. No chunk is downloaded: every
+//        referenced chunk contributes its unwrap material to the manifest.
 //     4. Store the manifest under the stream tag; hand back a StreamHandle
-//        carrying (stream tag, manifest key).
+//        carrying (stream tag, the stream context's unwrap material).
 //
-//   get(handle) -> bytes: fetch + decrypt the manifest with the handle key,
-//     then fetch chunk entries in batched windows and decrypt each with its
-//     manifest key. No knowledge of the original input is needed — the
-//     handle is the capability.
+//   get(handle) -> bytes: fetch the manifest, take its key from the header
+//     the store served through the handle's unwrap material, decrypt it;
+//     then fetch chunk entries in batched windows and take each chunk's key
+//     from its header the same way. Whichever writer's entry a replica holds
+//     opens, so replicas of one tag may diverge. No knowledge of the
+//     original input is needed — the handle is the capability. A handle or
+//     manifest from before unwrap material pins 16-byte keys instead, which
+//     open as they are.
 //
-// Degradation never loses data. A chunk whose PUT is refused (quota,
-// poisoned tag, store down) is *inlined* into the manifest;
-// if the manifest itself cannot be stored, the manifest is inlined into the
-// handle. Worst case — store fully unreachable — the handle degrades to
-// carrying the whole stream, and get() still returns the exact bytes.
+// Degradation never loses data. A chunk whose PUT is refused (quota, store
+// down) or whose found entry fails the check is *inlined* into the
+// manifest; if the manifest itself cannot be stored, the manifest is
+// inlined into the handle. Worst case — store fully unreachable — the
+// handle degrades to carrying the whole stream, and get() still returns the
+// exact bytes.
 //
 // Inputs that chunk to a single chunk are not streams: put() follows the
 // exact whole-call path (Domain::kCall context, plain GET + PUT, no
@@ -52,26 +59,30 @@ struct StreamConfig {
   chunk::ChunkerConfig chunker;
 
   /// Chunk ops coalesced per batch frame: each window of the plan issues
-  /// one GET frame (and one PUT frame if it had misses). A window past
+  /// one probe frame (and one PUT frame if it had misses); get() fetches a
+  /// window's chunks in one GET frame. A window past
   /// serialize::kMaxBatchOps ops (the store's default max_batch_entries),
   /// or PUTs past kMaxFrameBytes, ships in more than one frame.
   std::size_t window = 64;
 };
 
 /// The client capability for one stored stream. Holding the handle is
-/// holding the data: the key decrypts the manifest, the manifest holds the
-/// chunk keys. serialize() is the audited escape that turns it into app
+/// holding the data: the key opens the manifest, the manifest opens the
+/// chunks. serialize() is the audited escape that turns it into app
 /// bytes (e.g. for the C API or an index kept by a storage service).
 struct StreamHandle {
   enum class Kind : std::uint8_t {
     kWholeCall,       ///< single chunk stored as a plain call entry
-    kStream,          ///< manifest stored under `tag`; `key` decrypts it
+    kStream,          ///< manifest stored under `tag`; `key` opens it
     kInlineManifest,  ///< manifest rides in the handle (degraded put)
   };
 
   Kind kind = Kind::kWholeCall;
   serialize::Tag tag{};        ///< call tag (kWholeCall) / stream tag (kStream)
-  secret::Buffer key;          ///< result key / manifest key
+  /// kWholeCall: the result key. kStream: the stream context's unwrap
+  /// material (a 16-byte key, from a handle serialized before unwrap
+  /// material, is a pinned manifest key).
+  secret::Buffer key;
   std::uint64_t total_bytes = 0;
   Bytes manifest;              ///< kInlineManifest: encoded manifest plaintext
 
@@ -102,12 +113,18 @@ class StreamSession {
 
  private:
   StreamHandle put_trusted(ByteView data);
-  StreamHandle put_whole_call(const chunk::ChunkPlan& plan, crypto::Drbg& drbg,
-                              secret::Buffer& opened);
+  StreamHandle put_whole_call(const chunk::ChunkPlan& plan,
+                              crypto::Drbg& drbg);
   Bytes get_trusted(const StreamHandle& handle);
   Bytes assemble(const chunk::Manifest& manifest);
 
   serialize::GetRequest make_get(const serialize::Tag& tag) const;
+  serialize::ProbeRequest make_probe(const serialize::Tag& tag) const;
+  /// PUT of `plain` under `tag`, protected with the checked wrap of `ctx`
+  /// (chunk and manifest entries).
+  serialize::PutRequest make_put(const mle::ComputationContext& ctx,
+                                 const serialize::Tag& tag, ByteView plain,
+                                 crypto::Drbg& drbg) const;
 
   DedupRuntime& rt_;
   mle::FunctionIdentity fn_;

@@ -95,6 +95,10 @@ void put_batch_ops(Encoder& enc, const std::vector<BatchOp>& ops) {
             enc.u8(static_cast<std::uint8_t>(MessageType::kGetRequest));
             put_array32(enc, o.tag);
             put_array32(enc, o.requester);
+          } else if constexpr (std::is_same_v<T, ProbeRequest>) {
+            enc.u8(static_cast<std::uint8_t>(MessageType::kProbeRequest));
+            put_array32(enc, o.tag);
+            put_array32(enc, o.requester);
           } else {
             enc.u8(static_cast<std::uint8_t>(MessageType::kPutRequest));
             put_array32(enc, o.tag);
@@ -120,6 +124,11 @@ std::vector<BatchOp> take_batch_ops(Decoder& dec) {
       g.tag = take_array32(dec);
       g.requester = take_array32(dec);
       ops.emplace_back(g);
+    } else if (kind == MessageType::kProbeRequest) {
+      ProbeRequest p;
+      p.tag = take_array32(dec);
+      p.requester = take_array32(dec);
+      ops.emplace_back(p);
     } else if (kind == MessageType::kPutRequest) {
       PutRequest p;
       p.tag = take_array32(dec);
@@ -127,7 +136,8 @@ std::vector<BatchOp> take_batch_ops(Decoder& dec) {
       p.entry = take_entry(dec);
       ops.emplace_back(std::move(p));
     } else {
-      throw SerializationError("decode_message: batch op is not GET/PUT");
+      throw SerializationError(
+          "decode_message: batch op is not GET/PUT/probe");
     }
   }
   return ops;
@@ -266,6 +276,10 @@ void encode_message_into(Encoder& enc, const Message& msg) {
         } else if constexpr (std::is_same_v<T, ErrorResponse>) {
           enc.u8(static_cast<std::uint8_t>(MessageType::kErrorResponse));
           put_error(enc, m);
+        } else if constexpr (std::is_same_v<T, ProbeRequest>) {
+          enc.u8(static_cast<std::uint8_t>(MessageType::kProbeRequest));
+          put_array32(enc, m.tag);
+          put_array32(enc, m.requester);
         }
       },
       msg);
@@ -409,6 +423,13 @@ Message decode_message(ByteView data) {
       out = take_error(dec);
       break;
     }
+    case MessageType::kProbeRequest: {
+      ProbeRequest m;
+      m.tag = take_array32(dec);
+      m.requester = take_array32(dec);
+      out = std::move(m);
+      break;
+    }
     default:
       throw SerializationError("decode_message: unknown message type");
   }
@@ -432,8 +453,8 @@ BatchReply to_batch_reply(Message&& reply) {
 }
 
 std::size_t encoded_size(const BatchOp& op) {
-  // put_batch_ops: a GetRequest's fixed fields, plus a PutRequest's entry as
-  // three length-prefixed byte strings.
+  // put_batch_ops: a GetRequest's (or ProbeRequest's) fixed fields, plus a
+  // PutRequest's entry as three length-prefixed byte strings.
   if (const auto* put = std::get_if<PutRequest>(&op)) {
     return kMinBatchOpWire + 3 * 4 + put->entry.challenge.size() +
            put->entry.wrapped_key.size() + put->entry.result_ct.size();
@@ -444,7 +465,9 @@ std::size_t encoded_size(const BatchOp& op) {
 MessageType peek_type(ByteView data) {
   if (data.empty()) throw SerializationError("peek_type: empty message");
   const std::uint8_t t = data[0];
-  if (t < 1 || t > 17) throw SerializationError("peek_type: unknown type");
+  if (t < 1 || t > static_cast<std::uint8_t>(MessageType::kProbeRequest)) {
+    throw SerializationError("peek_type: unknown type");
+  }
   return static_cast<MessageType>(t);
 }
 

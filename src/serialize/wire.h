@@ -7,7 +7,9 @@
 // carried over a Channel (src/net), optionally inside a secure channel.
 //
 // Key sizes: the result key k is an AES-128 key (16 bytes). The RCE wrap
-// mask is the first 16 bytes of h = SHA-256(func, m, r), so |[k]| = 16.
+// mask is the first 16 bytes of h = SHA-256(func, m, r), so |[k]| = 16 for a
+// per-call entry; chunk and manifest entries carry the 32-byte checked wrap
+// (mle/rce.h). The store treats both as opaque bytes.
 #pragma once
 
 #include <array>
@@ -50,12 +52,15 @@ enum class MessageType : std::uint8_t {
   kBatchRequest = 15,
   kBatchResponse = 16,
   kErrorResponse = 17,
+  // Header-only GET (docs/PROTOCOL.md §10): the reply is a GetResponse with
+  // r and [k] but no result ciphertext. Plain message or batch op.
+  kProbeRequest = 18,
 };
 
 /// The stored triple (r, [k], [res]) of Algorithm 1.
 struct EntryPayload {
   Bytes challenge;    ///< r — the RCE challenge message
-  Bytes wrapped_key;  ///< [k] = k XOR h[0..16)
+  Bytes wrapped_key;  ///< [k]: k XOR h[0..16), or the checked wrap
   Bytes result_ct;    ///< [res] — AES-GCM envelope (iv ‖ ct ‖ tag)
 
   friend bool operator==(const EntryPayload&, const EntryPayload&) = default;
@@ -68,7 +73,15 @@ struct GetRequest {
 
 struct GetResponse {
   bool found = false;
-  EntryPayload entry;  ///< valid only when found
+  EntryPayload entry;  ///< valid only when found; no result_ct for a probe
+};
+
+/// Header-only GET: the store finds the entry and refreshes its recency as
+/// for a GET hit, then answers a GetResponse carrying `found`, r and [k]
+/// with an empty result_ct. It reads no blob and checks no blob MAC.
+struct ProbeRequest {
+  Tag tag{};
+  AppId requester{};
 };
 
 struct PutRequest {
@@ -189,14 +202,15 @@ struct ErrorResponse {
 
 /// One sub-request of a batch. Only the application-plane data operations
 /// are batchable — the type system keeps infra messages out by construction.
-using BatchOp = std::variant<GetRequest, PutRequest>;
+using BatchOp = std::variant<GetRequest, PutRequest, ProbeRequest>;
 
 /// Per-entry reply, index-aligned with the request's ops. A failed entry
 /// carries an ErrorResponse without disturbing its neighbors.
 using BatchReply = std::variant<GetResponse, PutResponse, ErrorResponse>;
 
-/// Envelope carrying many GET/PUT sub-requests; the store executes them in
-/// order inside a single enclave crossing and replies entry-for-entry.
+/// Envelope carrying many GET/PUT/probe sub-requests; the store executes
+/// them in order inside a single enclave crossing and replies
+/// entry-for-entry.
 struct BatchRequest {
   std::vector<BatchOp> ops;
 };
@@ -219,11 +233,13 @@ using Message =
     std::variant<GetRequest, GetResponse, PutRequest, PutResponse, SyncRequest,
                  SyncResponse, HeartbeatRequest, HeartbeatResponse, PullRequest,
                  PullResponse, PushRequest, PushResponse, MembershipUpdate,
-                 MembershipAck, BatchRequest, BatchResponse, ErrorResponse>;
+                 MembershipAck, BatchRequest, BatchResponse, ErrorResponse,
+                 ProbeRequest>;
 
-/// Lift a plain reply into an op's batch slot: GET and PUT responses map to
-/// themselves, an ErrorResponse is the op's refusal, and any other kind
-/// becomes ErrorResponse{kBadRequest, "unexpected reply type"}.
+/// Lift a plain reply into an op's batch slot: GET (and probe) and PUT
+/// responses map to themselves, an ErrorResponse is the op's refusal, and
+/// any other kind becomes ErrorResponse{kBadRequest, "unexpected reply
+/// type"}.
 BatchReply to_batch_reply(Message&& reply);
 
 /// Encode any protocol message with its type byte.

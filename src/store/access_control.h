@@ -113,9 +113,10 @@ class RateLimiter {
 };
 
 /// ResultStore front that enforces the policy and the limiter before
-/// delegating to the trusted dictionary. GETs of unauthorized or throttled
-/// apps return "not found"; PUTs return kQuotaExceeded (the client treats
-/// both as cache-unavailable and recomputes — correctness is unaffected).
+/// delegating to the trusted dictionary. GETs and probes of unauthorized or
+/// throttled apps return "not found"; PUTs return kQuotaExceeded (the client
+/// treats both as cache-unavailable and recomputes — correctness is
+/// unaffected).
 class GatedResultStore {
  public:
   GatedResultStore(ResultStore& store, AccessPolicy& policy,

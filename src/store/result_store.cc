@@ -15,6 +15,7 @@ using serialize::EntryPayload;
 using serialize::GetRequest;
 using serialize::GetResponse;
 using serialize::Message;
+using serialize::ProbeRequest;
 using serialize::PutRequest;
 using serialize::PutResponse;
 using serialize::PutStatus;
@@ -275,10 +276,13 @@ Bytes ResultStore::handle(ByteView request) {
 
 Message ResultStore::dispatch_trusted(const Message& request, Peer peer) {
   if (const auto* get_req = std::get_if<GetRequest>(&request)) {
-    return get_trusted(*get_req);
+    return lookup_trusted(get_req->tag, /*with_ciphertext=*/true);
   }
   if (const auto* put_req = std::get_if<PutRequest>(&request)) {
     return put_trusted(*put_req);
+  }
+  if (const auto* probe_req = std::get_if<ProbeRequest>(&request)) {
+    return lookup_trusted(probe_req->tag, /*with_ciphertext=*/false);
   }
   if (const auto* hb_req = std::get_if<serialize::HeartbeatRequest>(&request)) {
     return heartbeat_trusted(*hb_req);
@@ -317,14 +321,16 @@ serialize::BatchResponse ResultStore::batch_trusted(
   for (const serialize::BatchOp& op : req.ops) {
     // Per-entry containment: a failed sub-request answers with an
     // ErrorResponse in its slot and never disturbs its neighbors. Sub-ops
-    // are GETs and PUTs only, dispatched by reference as dispatch_trusted
-    // would for any peer.
+    // are GETs, PUTs and probes only, dispatched by reference as
+    // dispatch_trusted would for any peer.
     try {
       resp.replies.push_back(std::visit(
           [this](const auto& o) -> serialize::BatchReply {
-            if constexpr (std::is_same_v<std::decay_t<decltype(o)>,
-                                         GetRequest>) {
-              return get_trusted(o);
+            using T = std::decay_t<decltype(o)>;
+            if constexpr (std::is_same_v<T, GetRequest>) {
+              return lookup_trusted(o.tag, /*with_ciphertext=*/true);
+            } else if constexpr (std::is_same_v<T, ProbeRequest>) {
+              return lookup_trusted(o.tag, /*with_ciphertext=*/false);
             } else {
               return put_trusted(o);
             }
@@ -339,11 +345,17 @@ serialize::BatchResponse ResultStore::batch_trusted(
 }
 
 GetResponse ResultStore::get(const GetRequest& req) {
-  return enclave_->ecall([&] { return get_trusted(req); });
+  return enclave_->ecall(
+      [&] { return lookup_trusted(req.tag, /*with_ciphertext=*/true); });
 }
 
 PutResponse ResultStore::put(const PutRequest& req) {
   return enclave_->ecall([&] { return put_trusted(req); });
+}
+
+GetResponse ResultStore::probe(const ProbeRequest& req) {
+  return enclave_->ecall(
+      [&] { return lookup_trusted(req.tag, /*with_ciphertext=*/false); });
 }
 
 // --------------------------------------------------- metadata two-tier core
@@ -685,8 +697,8 @@ std::optional<Bytes> ResultStore::read_verified_blob_locked(
 
 // ----------------------------------------------------------- request paths
 
-GetResponse ResultStore::get_trusted(const GetRequest& req) {
-  Shard& shard = shard_for(req.tag);
+GetResponse ResultStore::lookup_trusted(const Tag& tag, bool with_ciphertext) {
+  Shard& shard = shard_for(tag);
   shard.get_requests.inc();
   const LatencyScope timer(shard.get_ns);
   GetResponse resp;
@@ -696,12 +708,17 @@ GetResponse ResultStore::get_trusted(const GetRequest& req) {
   // section — that is the work the lock protects.
   sgx::charge_wait(platform_.cost_model(),
                    platform_.cost_model().store_service_ns);
-  auto found = find_entry_locked(shard, req.tag);
+  auto found = find_entry_locked(shard, tag);
   if (!found.has_value()) return resp;
 
-  std::optional<Bytes> blob = read_verified_blob_locked(shard, *found);
-  if (!blob.has_value()) return resp;
+  if (with_ciphertext) {
+    std::optional<Bytes> blob = read_verified_blob_locked(shard, *found);
+    if (!blob.has_value()) return resp;
+    resp.entry.result_ct = std::move(*blob);
+  }
 
+  // A probe hit keeps the entry warm exactly as a GET hit does: a put that
+  // reuses a chunk only probes it, and eviction must still see the reuse.
   shard.hits.inc();
   if (found->slot->hits < std::numeric_limits<std::uint16_t>::max()) {
     ++found->slot->hits;
@@ -710,7 +727,6 @@ GetResponse ResultStore::get_trusted(const GetRequest& req) {
   resp.found = true;
   resp.entry.challenge = std::move(found->rec.challenge);
   resp.entry.wrapped_key = std::move(found->rec.wrapped_key);
-  resp.entry.result_ct = std::move(*blob);
   return resp;
 }
 

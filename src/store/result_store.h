@@ -59,8 +59,9 @@
 // at most one shard lock) because the chain orders them anyway.
 //
 // The host-side body parses each framed request and dispatches one ECALL
-// (GET or PUT) that marshals data at the boundary and touches the trusted
-// dictionary, mirroring the paper's two customized ECALLs. DoS defence is a
+// (GET, header-only probe, or PUT) that marshals data at the boundary and
+// touches the trusted dictionary, mirroring the paper's two customized
+// ECALLs. DoS defence is a
 // per-application byte quota (§III-D); capacity pressure is handled by LRU
 // eviction. SYNC serves the hottest entries for the anti-entropy push that
 // implements the §IV-B Remark (store/replication.h).
@@ -164,6 +165,7 @@ class ResultStore {
   // Typed convenience API (each performs its own ECALL).
   serialize::GetResponse get(const serialize::GetRequest& req);
   serialize::PutResponse put(const serialize::PutRequest& req);
+  serialize::GetResponse probe(const serialize::ProbeRequest& req);
 
   // ----------------------------------------------------------- cluster view
 
@@ -358,7 +360,12 @@ class ResultStore {
 
   Shard& shard_for(const serialize::Tag& tag);
 
-  serialize::GetResponse get_trusted(const serialize::GetRequest& req);
+  /// GET (`with_ciphertext`) or header-only probe of `tag`. A hit counts
+  /// and refreshes recency either way; a probe reads no blob, checks no MAC
+  /// and copies no ciphertext, so a blob the host corrupted is caught by
+  /// the next full GET instead.
+  serialize::GetResponse lookup_trusted(const serialize::Tag& tag,
+                                        bool with_ciphertext);
   serialize::PutResponse put_trusted(const serialize::PutRequest& req);
   serialize::SyncResponse sync_trusted(const serialize::SyncRequest& req);
 

@@ -377,12 +377,15 @@ TEST(ChunkPlanTest, DistinctFunctionsNeverShareChunkTags) {
 // ------------------------------------------------------------- manifest ---
 
 TEST(ManifestTest, RoundTripsRefAndInlineEntries) {
+  // Version 2: a ref carries its chunk context's unwrap material.
+  const mle::ComputationContext ctx(test_identity(), to_bytes("chunk bytes"),
+                                    mle::Domain::kChunk);
   chunk::Manifest m;
   m.total_bytes = 12345;
   chunk::ManifestEntry ref;
   ref.tag.fill(0xab);
   ref.size = 4096;
-  ref.key = secret::Buffer::copy_of(as_bytes("0123456789abcdef"));
+  ref.key = ctx.unwrap_material();
   m.entries.push_back(std::move(ref));
   chunk::ManifestEntry inl;
   inl.inlined = true;
@@ -390,15 +393,82 @@ TEST(ManifestTest, RoundTripsRefAndInlineEntries) {
   m.entries.push_back(std::move(inl));
 
   const Bytes wire = chunk::encode_manifest(m);
+  EXPECT_EQ(wire[0], 2u);
   const chunk::Manifest back = chunk::decode_manifest(wire);
   EXPECT_EQ(back.total_bytes, 12345u);
   ASSERT_EQ(back.entries.size(), 2u);
   EXPECT_FALSE(back.entries[0].inlined);
   EXPECT_EQ(back.entries[0].tag, m.entries[0].tag);
   EXPECT_EQ(back.entries[0].size, 4096u);
-  EXPECT_TRUE(ct_equal(back.entries[0].key, as_bytes("0123456789abcdef")));
+  EXPECT_TRUE(ct_equal(back.entries[0].key, m.entries[0].key));
+  const auto rebuilt =
+      mle::ComputationContext::from_unwrap_material(back.entries[0].key);
+  ASSERT_TRUE(rebuilt.has_value());
+  EXPECT_EQ(rebuilt->tag(), ctx.tag());
   EXPECT_TRUE(back.entries[1].inlined);
   EXPECT_EQ(back.entries[1].inline_bytes, to_bytes("raw chunk payload"));
+}
+
+/// A manifest as version 1 wrote it: refs pin a 16-byte k_i.
+Bytes version1_manifest(const serialize::Tag& tag, ByteView key,
+                        ByteView inline_bytes) {
+  serialize::Encoder enc;
+  enc.u8(1);  // version
+  enc.u64(4096 + inline_bytes.size());
+  enc.u32(2);
+  enc.u8(0);  // ref
+  enc.raw(ByteView(tag.data(), tag.size()));
+  enc.u32(4096);
+  enc.var_bytes(key);
+  enc.u8(1);  // inline
+  enc.var_bytes(inline_bytes);
+  return enc.take();
+}
+
+TEST(ManifestTest, DecodesVersion1PinnedKeys) {
+  serialize::Tag tag;
+  tag.fill(0xcd);
+  const Bytes wire = version1_manifest(tag, as_bytes("0123456789abcdef"),
+                                       as_bytes("inline"));
+  const chunk::Manifest back = chunk::decode_manifest(wire);
+  EXPECT_EQ(back.total_bytes, 4096u + 6);
+  ASSERT_EQ(back.entries.size(), 2u);
+  EXPECT_EQ(back.entries[0].tag, tag);
+  EXPECT_TRUE(ct_equal(back.entries[0].key, as_bytes("0123456789abcdef")));
+  EXPECT_EQ(back.entries[1].inline_bytes, to_bytes("inline"));
+
+  // A version 1 ref pins a 16-byte key and nothing else.
+  EXPECT_THROW(chunk::decode_manifest(version1_manifest(
+                   tag, as_bytes("0123456789abcde"), as_bytes("x"))),
+               SerializationError);
+}
+
+TEST(ManifestTest, RefusesUnwrapMaterialOfImpossibleLength) {
+  // Unwrap material is a SHA-256 midstate: 40 bytes plus the buffered tail,
+  // whose length the encoded byte count fixes. Anything else is refused.
+  const mle::ComputationContext ctx(test_identity(), Bytes(100, 0x11),
+                                    mle::Domain::kChunk);
+  const secret::Buffer material = ctx.unwrap_material();
+  const ByteView good = material.reveal_for(secret::Purpose::of("test"));
+  const auto manifest_with = [](ByteView key) {
+    chunk::Manifest m;
+    m.total_bytes = 1;
+    chunk::ManifestEntry ref;
+    ref.size = 1;
+    ref.key = secret::Buffer::copy_of(key);
+    m.entries.push_back(std::move(ref));
+    return chunk::encode_manifest(m);
+  };
+  EXPECT_NO_THROW(chunk::decode_manifest(manifest_with(good)));
+  Bytes longer(good.begin(), good.end());
+  longer.push_back(0);
+  EXPECT_THROW(chunk::decode_manifest(manifest_with(longer)),
+               SerializationError);
+  EXPECT_THROW(chunk::decode_manifest(manifest_with(good.first(39))),
+               SerializationError);
+  EXPECT_THROW(chunk::decode_manifest(
+                   manifest_with(as_bytes("0123456789abcdef"))),
+               SerializationError);  // a pinned key is no unwrap material
 }
 
 TEST(ManifestTest, RejectsMalformedInput) {

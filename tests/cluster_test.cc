@@ -236,6 +236,39 @@ TEST_F(ClusterTest, ReadRepairRefillsARestartedOwner) {
   EXPECT_GT(cluster_->store(0).stats().entries, 0u);
 }
 
+TEST_F(ClusterTest, ProbeHitNeverReadRepairs) {
+  // The owner misses definitively and a replica hits: a GET would push the
+  // entry back to the owner, but a probe's hit carries no ciphertext to
+  // repair with, so the owner stays empty.
+  build(3, 1);
+  SPEED_SEEDED_RNG(rng, 0x9A0BEull);
+  const Tag tag = random_tag(rng);
+  const auto own = owners(tag);
+  PutRequest put;
+  put.tag = tag;
+  put.requester = app_->measurement();
+  put.entry.challenge = Bytes(32, 0x01);
+  put.entry.wrapped_key = Bytes(32, 0x02);
+  put.entry.result_ct = Bytes(48, 0x03);
+  ASSERT_EQ(cluster_->store(own[1]).put(put).status, PutStatus::kStored);
+
+  serialize::ProbeRequest probe;
+  probe.tag = tag;
+  probe.requester = app_->measurement();
+  const Message m = call(probe);
+  const auto* resp = std::get_if<GetResponse>(&m);
+  ASSERT_NE(resp, nullptr);
+  ASSERT_TRUE(resp->found);
+  EXPECT_EQ(resp->entry.wrapped_key, put.entry.wrapped_key);
+  EXPECT_TRUE(resp->entry.result_ct.empty());
+  EXPECT_EQ(transport_->stats().read_repairs, 0u);
+  EXPECT_EQ(cluster_->store(own[0]).stats().entries, 0u);
+
+  EXPECT_TRUE(get_found(tag));
+  EXPECT_EQ(transport_->stats().read_repairs, 1u);
+  EXPECT_EQ(cluster_->store(own[0]).stats().entries, 1u);
+}
+
 TEST_F(ClusterTest, HeartbeatProbesDriveHealthStates) {
   net::ClusterConfig nc;
   nc.probe_interval_ms = 0;  // probes always admitted

@@ -185,6 +185,39 @@ TEST(Sha256Test, ExactBlockBoundaryLengths) {
   }
 }
 
+TEST(Sha256Test, ExportedMidstateFinishesLikeTheOriginal) {
+  // Every buffered-tail length, on both compression functions: a state
+  // rebuilt from its export finishes to the original's digest, also after
+  // more input, and an export whose length disagrees with its byte count
+  // is refused.
+  for (const Sha256::Impl impl : kSha256Impls) {
+    for (std::size_t n : {0u, 1u, 55u, 63u, 64u, 65u, 127u, 1000u}) {
+      const std::string msg(n, 'm');
+      Sha256 h(impl);
+      h.update(as_bytes(msg));
+      Bytes exported(h.midstate_size());
+      h.export_midstate(exported);
+      EXPECT_EQ(exported.size(), Sha256::kMidstateFixedSize + n % 64);
+      ASSERT_TRUE(Sha256::valid_midstate(exported)) << "len " << n;
+      auto back = Sha256::import_midstate(exported);
+      ASSERT_TRUE(back.has_value()) << "len " << n;
+      Sha256 twin = *back;
+      h.update(as_bytes("suffix"));
+      twin.update(as_bytes("suffix"));
+      EXPECT_EQ(twin.finish(), h.finish()) << "len " << n;
+
+      Bytes longer = exported;
+      longer.push_back(0);
+      EXPECT_FALSE(Sha256::import_midstate(longer).has_value());
+      EXPECT_FALSE(Sha256::import_midstate(
+                       ByteView(exported).first(exported.size() > 39 ? 39 : 0))
+                       .has_value());
+    }
+  }
+  Bytes huge(Sha256::kMidstateFixedSize, 0xff);  // count past 2^61 bytes
+  EXPECT_FALSE(Sha256::valid_midstate(huge));
+}
+
 // ------------------------------------------------------------ HMAC-SHA256
 
 TEST(HmacTest, Rfc4231Case1) {

@@ -215,6 +215,65 @@ TEST(RceTest, PayloadIsRandomizedPerStore) {
   EXPECT_EQ(derive_tag(fn, input), derive_tag(fn, input));
 }
 
+TEST(RceTest, CheckedWrapOpensOnlyUnderItsOwnContent) {
+  // The checked wrap of chunk and manifest entries: [k] is 32 bytes, and it
+  // unwraps — to the very k that protected the entry — only under the
+  // context that wrapped it.
+  crypto::Drbg drbg(to_bytes("checked"));
+  const FunctionIdentity fn = make_fn();
+  const ComputationContext ctx(fn, to_bytes("chunk bytes"), Domain::kChunk);
+  const ComputationContext other(fn, to_bytes("other bytes"), Domain::kChunk);
+  const auto wk = ResultCipher::generate_checked_key(ctx, drbg);
+  ASSERT_EQ(wk.wrapped_key.size(), kCheckedWrapSize);
+  const ByteView r = wk.challenge.reveal_for(secret::Purpose::of("test"));
+
+  const auto k = ResultCipher::recover_checked_key(ctx, r, wk.wrapped_key);
+  ASSERT_TRUE(k.has_value());
+  EXPECT_TRUE(ct_equal(*k, wk.key));
+  EXPECT_FALSE(
+      ResultCipher::recover_checked_key(other, r, wk.wrapped_key).has_value());
+
+  // A flipped bit anywhere in [k] or r fails the check instead of yielding
+  // a wrong key, and so does a per-call 16-byte wrap.
+  for (const std::size_t at : {0u, 15u, 16u, 31u}) {
+    Bytes tampered = wk.wrapped_key;
+    tampered[at] ^= 0x01;
+    EXPECT_EQ(ResultCipher::recover_checked_key(ctx, r, tampered).has_value(),
+              at < kResultKeySize)
+        << "byte " << at;  // only the check half is checked
+  }
+  Bytes other_r(r.begin(), r.end());
+  other_r[0] ^= 0x01;
+  EXPECT_FALSE(
+      ResultCipher::recover_checked_key(ctx, other_r, wk.wrapped_key)
+          .has_value());
+  const auto plain = ResultCipher::generate_key(ctx, drbg);
+  EXPECT_FALSE(ResultCipher::recover_checked_key(
+                   ctx, plain.challenge.reveal_for(secret::Purpose::of("test")),
+                   plain.wrapped_key)
+                   .has_value());
+}
+
+TEST(TagTest, UnwrapMaterialRebuildsTheContext) {
+  // A context rebuilt from its unwrap material derives the same tag and
+  // the same secondary keys; bytes that are no midstate are refused.
+  const FunctionIdentity fn = make_fn();
+  for (std::size_t n : {0u, 1u, 63u, 64u, 4097u}) {
+    const ComputationContext ctx(fn, Bytes(n, 0x3c), Domain::kChunk);
+    const secret::Buffer material = ctx.unwrap_material();
+    EXPECT_TRUE(valid_unwrap_material(
+        material.reveal_for(secret::Purpose::of("test"))));
+    const auto back = ComputationContext::from_unwrap_material(material);
+    ASSERT_TRUE(back.has_value()) << "len " << n;
+    EXPECT_EQ(back->tag(), ctx.tag());
+    EXPECT_TRUE(ct_equal(back->secondary_key(as_bytes("r")),
+                         ctx.secondary_key(as_bytes("r"))));
+  }
+  EXPECT_FALSE(ComputationContext::from_unwrap_material(
+                   secret::Buffer::copy_of(Bytes(kResultKeySize, 0)))
+                   .has_value());
+}
+
 TEST(RceTest, SplitPhaseMatchesOneShot) {
   crypto::Drbg drbg(to_bytes("split"));
   const FunctionIdentity fn = make_fn();

@@ -173,6 +173,29 @@ TEST(WireTest, GetResponseRoundTripFoundAndMiss) {
   EXPECT_TRUE(decoded_miss.entry.result_ct.empty());
 }
 
+TEST(WireTest, ProbeRequestRoundTripsPlainAndBatched) {
+  ProbeRequest req;
+  req.tag = make_tag(0x55);
+  req.requester = make_tag(0x66);
+  const Bytes data = encode_message(req);
+  EXPECT_EQ(peek_type(data), MessageType::kProbeRequest);
+  const auto decoded = std::get<ProbeRequest>(decode_message(data));
+  EXPECT_EQ(decoded.tag, req.tag);
+  EXPECT_EQ(decoded.requester, req.requester);
+
+  BatchRequest batch;
+  batch.ops.emplace_back(req);
+  batch.ops.emplace_back(GetRequest{make_tag(0x77), make_tag(0x66)});
+  const Bytes wire = encode_message(batch);
+  EXPECT_EQ(wire.size(),
+            1 + 4 + encoded_size(batch.ops[0]) + encoded_size(batch.ops[1]));
+  const auto back = std::get<BatchRequest>(decode_message(wire));
+  ASSERT_EQ(back.ops.size(), 2u);
+  ASSERT_TRUE(std::holds_alternative<ProbeRequest>(back.ops[0]));
+  EXPECT_EQ(std::get<ProbeRequest>(back.ops[0]).tag, req.tag);
+  EXPECT_TRUE(std::holds_alternative<GetRequest>(back.ops[1]));
+}
+
 TEST(WireTest, PutRequestRoundTrip) {
   PutRequest req;
   req.tag = make_tag(0x33);

@@ -3,6 +3,8 @@
 // replication (the §IV-B Remark), and WAL recovery across shard layouts.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "crypto/drbg.h"
 #include "store/replication.h"
 #include "store/result_store.h"
@@ -225,6 +227,98 @@ TEST_F(StoreTest, WireDispatchRoundTrip) {
   const auto decoded = std::get<GetResponse>(serialize::decode_message(get_resp));
   ASSERT_TRUE(decoded.found);
   EXPECT_EQ(decoded.entry, put.entry);
+}
+
+// ----------------------------------------------------------------- probes
+
+/// Memory backend that counts blob reads (result blobs and spill records).
+class CountingBackend : public MemoryBackend {
+ public:
+  std::optional<Bytes> get_blob(const BlobRef& ref) const override {
+    reads.fetch_add(1, std::memory_order_relaxed);
+    return MemoryBackend::get_blob(ref);
+  }
+  mutable std::atomic<std::uint64_t> reads{0};
+};
+
+TEST_F(StoreTest, ProbeReturnsHeaderWithoutCiphertext) {
+  // As a plain message and as a batch op, a probe answers found, r and [k]
+  // and no ciphertext, and counts as a GET hit.
+  const PutRequest put = make_put(7, 256);
+  ASSERT_EQ(store_.put(put).status, PutStatus::kStored);
+  serialize::ProbeRequest probe;
+  probe.tag = make_tag(7);
+
+  const auto plain = std::get<GetResponse>(
+      serialize::decode_message(store_.handle(serialize::encode_message(probe))));
+  ASSERT_TRUE(plain.found);
+  EXPECT_EQ(plain.entry.challenge, put.entry.challenge);
+  EXPECT_EQ(plain.entry.wrapped_key, put.entry.wrapped_key);
+  EXPECT_TRUE(plain.entry.result_ct.empty());
+
+  serialize::BatchRequest batch;
+  batch.ops.emplace_back(probe);
+  serialize::ProbeRequest absent;
+  absent.tag = make_tag(8);
+  batch.ops.emplace_back(absent);
+  const auto replies = std::get<serialize::BatchResponse>(
+      serialize::decode_message(store_.handle(serialize::encode_message(batch))));
+  ASSERT_EQ(replies.replies.size(), 2u);
+  const auto& hit = std::get<GetResponse>(replies.replies[0]);
+  ASSERT_TRUE(hit.found);
+  EXPECT_EQ(hit.entry.wrapped_key, put.entry.wrapped_key);
+  EXPECT_TRUE(hit.entry.result_ct.empty());
+  EXPECT_FALSE(std::get<GetResponse>(replies.replies[1]).found);
+
+  const auto s = store_.stats();
+  EXPECT_EQ(s.get_requests, 3u);
+  EXPECT_EQ(s.hits, 2u);
+}
+
+TEST_F(StoreTest, ProbeReadsNoBlob) {
+  // A probe reads neither the result blob nor, while its record is cached,
+  // the spill tier; a GET of the same entry reads its blob.
+  StoreConfig cfg;
+  auto backend = std::make_shared<CountingBackend>();
+  cfg.backend = backend;
+  ResultStore store(platform_, cfg);
+  ASSERT_EQ(store.put(make_put(3, 512)).status, PutStatus::kStored);
+  const std::uint64_t before = backend->reads.load();
+  serialize::ProbeRequest probe;
+  probe.tag = make_tag(3);
+  ASSERT_TRUE(store.probe(probe).found);
+  EXPECT_EQ(backend->reads.load(), before);
+
+  // Not even a corrupted blob shows: the next full GET catches it.
+  ASSERT_TRUE(store.corrupt_blob_for_testing(make_tag(3)));
+  EXPECT_TRUE(store.probe(probe).found);
+  EXPECT_EQ(store.stats().corrupt_blobs, 0u);
+  GetRequest get;
+  get.tag = make_tag(3);
+  EXPECT_FALSE(store.get(get).found);
+  EXPECT_EQ(backend->reads.load(), before + 1);
+  EXPECT_EQ(store.stats().corrupt_blobs, 1u);
+  EXPECT_FALSE(store.probe(probe).found);
+}
+
+TEST_F(StoreTest, ProbedEntryIsNotTheNextLruVictim) {
+  StoreConfig cfg;
+  cfg.max_ciphertext_bytes = 300;
+  ResultStore store(platform_, cfg);
+  ASSERT_EQ(store.put(make_put(1, 100)).status, PutStatus::kStored);
+  ASSERT_EQ(store.put(make_put(2, 100)).status, PutStatus::kStored);
+  ASSERT_EQ(store.put(make_put(3, 100)).status, PutStatus::kStored);
+
+  // Probing tag 1 refreshes it like a GET hit, so tag 2 is evicted.
+  serialize::ProbeRequest probe1;
+  probe1.tag = make_tag(1);
+  ASSERT_TRUE(store.probe(probe1).found);
+  ASSERT_EQ(store.put(make_put(4, 100)).status, PutStatus::kStored);
+  EXPECT_EQ(store.stats().evictions, 1u);
+  serialize::ProbeRequest probe2;
+  probe2.tag = make_tag(2);
+  EXPECT_FALSE(store.probe(probe2).found) << "LRU entry evicted";
+  EXPECT_TRUE(store.probe(probe1).found) << "probed entry survives";
 }
 
 TEST_F(StoreTest, WireDispatchRejectsResponsesAsRequests) {

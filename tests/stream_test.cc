@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -54,6 +56,50 @@ struct Deployment {
   net::LoopbackTransport* loopback = nullptr;
   std::unique_ptr<runtime::DedupRuntime> rt;
 };
+
+/// A stream as a client stored it before unwrap material: every chunk entry
+/// and the manifest carry the 16-byte wrap, the version 1 manifest pins each
+/// chunk's k_i, and the handle pins the manifest key. Returns the handle's
+/// serialized bytes, in the unchanged StreamHandle layout.
+Bytes store_legacy_stream(Deployment& d, const mle::FunctionIdentity& fn,
+                          ByteView data, crypto::Drbg& drbg) {
+  const auto plan = chunk::ChunkPlan::build(fn, data, chunk::Chunker());
+  const auto put_entry = [&](const mle::ComputationContext& ctx,
+                             const serialize::Tag& tag, ByteView plain) {
+    auto wk = mle::ResultCipher::generate_key(ctx, drbg);
+    serialize::PutRequest put;
+    put.tag = tag;
+    put.requester = d.enclave->measurement();
+    put.entry.wrapped_key = std::move(wk.wrapped_key);
+    put.entry.result_ct =
+        mle::ResultCipher::encrypt_result(tag, wk.key, plain, drbg);
+    put.entry.challenge =
+        std::move(wk.challenge).release_for(secret::Purpose::of("test"));
+    EXPECT_EQ(d.result_store.put(put).status, serialize::PutStatus::kStored);
+    return std::move(wk.key);
+  };
+  serialize::Encoder manifest;
+  manifest.u8(1);  // version 1
+  manifest.u64(data.size());
+  manifest.u32(static_cast<std::uint32_t>(plan.chunk_count()));
+  for (std::size_t i = 0; i < plan.chunk_count(); ++i) {
+    const secret::Buffer key = put_entry(
+        plan.chunk_context(i), plan.chunk_tag(i), plan.chunk_bytes(i));
+    manifest.u8(0);  // ref
+    manifest.raw(ByteView(plan.chunk_tag(i).data(), plan.chunk_tag(i).size()));
+    manifest.u32(static_cast<std::uint32_t>(plan.chunk(i).size));
+    manifest.var_bytes(key.reveal_for(secret::Purpose::of("test")));
+  }
+  const secret::Buffer manifest_key =
+      put_entry(plan.stream_context(), plan.stream_tag(), manifest.take());
+  serialize::Encoder handle;
+  handle.u8(static_cast<std::uint8_t>(runtime::StreamHandle::Kind::kStream));
+  handle.raw(ByteView(plan.stream_tag().data(), plan.stream_tag().size()));
+  handle.var_bytes(manifest_key.reveal_for(secret::Purpose::of("test")));
+  handle.u64(data.size());
+  handle.var_bytes(Bytes{});
+  return handle.take();
+}
 
 TEST(StreamSessionTest, SmallInputRoundTripsAsWholeCall) {
   Deployment d;
@@ -194,6 +240,37 @@ TEST(StreamSessionTest, HandleSerializationRoundTrips) {
   bad_kind[0] = 0x7f;
   EXPECT_THROW(runtime::StreamHandle::deserialize(bad_kind),
                SerializationError);
+
+  // A handle serialized before unwrap material pins a 16-byte manifest key
+  // to a version 1 manifest; it still opens, as a pinned key.
+  crypto::Drbg drbg(rng.bytes(32));
+  const Bytes legacy_data = rng.bytes(120 * 1024);
+  const auto legacy = runtime::StreamHandle::deserialize(store_legacy_stream(
+      d, stream_identity(*d.rt), legacy_data, drbg));
+  EXPECT_EQ(legacy.kind, runtime::StreamHandle::Kind::kStream);
+  EXPECT_EQ(legacy.key.size(), mle::kResultKeySize);
+  EXPECT_EQ(s.get(legacy), legacy_data);
+}
+
+TEST(StreamSessionTest, Version1ManifestStillReads) {
+  // Streams stored before this manifest version keep reading through their
+  // handles; a put of the same bytes now finds entries whose 16-byte wrap
+  // fails the check, so it inlines rather than references them.
+  SPEED_SEEDED_RNG(rng, 0x57e40013);
+  Deployment d;
+  const auto fn = stream_identity(*d.rt);
+  runtime::StreamSession s(*d.rt, fn);
+  crypto::Drbg drbg(rng.bytes(32));
+  const Bytes data = rng.bytes(160 * 1024);
+  const auto legacy = runtime::StreamHandle::deserialize(
+      store_legacy_stream(d, fn, data, drbg));
+  EXPECT_EQ(s.get(legacy), data);
+
+  const auto fresh = s.put(data);
+  EXPECT_EQ(fresh.kind, runtime::StreamHandle::Kind::kInlineManifest);
+  EXPECT_EQ(d.rt->stats().stream_chunk_hits, 0u);
+  EXPECT_EQ(s.get(fresh), data);
+  EXPECT_EQ(s.get(legacy), data);
 }
 
 TEST(StreamSessionTest, BatchingCollapsesChunkRoundTrips) {
@@ -289,49 +366,140 @@ TEST(StreamSessionTest, ChunkEntryThatDoesNotOpenIsInlined) {
   EXPECT_EQ(s.get(handle), data);
 }
 
-TEST(StreamSessionTest, ChunkEntryOfAnotherWriterFailsAuthenticationOnGet) {
-  // get() opens each chunk under the key its manifest pinned. Serve A's
-  // manifest next to the chunk entries tenant B wrote for the same content
-  // (same tags and sizes, B's keys): A's get() must refuse them.
+/// A's manifest (and handle) next to the chunk entries tenant B wrote for
+/// the same content: same tags and sizes, B's keys. `tamper`, when set,
+/// flips one ciphertext byte of B's entry for that chunk before it is
+/// stored, so the store's own MAC vouches for the changed bytes.
+struct MixedWriters {
+  Deployment a, b, mixed;
+  runtime::StreamHandle handle;
+  mle::FunctionIdentity fn;
+
+  MixedWriters(ByteView data, std::optional<std::size_t> tamper = {}) {
+    runtime::StreamSession sa(*a.rt, stream_identity(*a.rt));
+    runtime::StreamSession sb(*b.rt, stream_identity(*b.rt));
+    handle = sa.put(data);
+    EXPECT_EQ(handle.kind, runtime::StreamHandle::Kind::kStream);
+    sb.put(data);
+
+    fn = stream_identity(*mixed.rt);
+    const auto plan =
+        chunk::ChunkPlan::build(fn, data, chunk::Chunker(sa.config().chunker));
+    const auto copy = [&](Deployment& from, const serialize::Tag& tag,
+                          bool flip) {
+      serialize::GetRequest get;
+      get.tag = tag;
+      get.requester = from.enclave->measurement();
+      const serialize::GetResponse found = from.result_store.get(get);
+      ASSERT_TRUE(found.found);
+      serialize::PutRequest put;
+      put.tag = tag;
+      put.requester = mixed.enclave->measurement();
+      put.entry = found.entry;
+      if (flip) put.entry.result_ct[put.entry.result_ct.size() / 2] ^= 0x01;
+      ASSERT_EQ(mixed.result_store.put(put).status,
+                serialize::PutStatus::kStored);
+    };
+    copy(a, plan.stream_tag(), false);
+    for (std::size_t i = 0; i < plan.chunk_count(); ++i) {
+      copy(b, plan.chunk_tag(i), tamper == i);
+    }
+  }
+};
+
+TEST(StreamSessionTest, ChunkEntryOfAnotherWriterOpensOnGet) {
+  // get() takes each chunk's key from the entry it is served, through the
+  // unwrap material in the manifest: A's manifest opens B's chunk entries.
   SPEED_SEEDED_RNG(rng, 0x57e40012);
   const Bytes data = rng.bytes(200 * 1024);
-  Deployment a, b, mixed;
-  runtime::StreamSession sa(*a.rt, stream_identity(*a.rt));
-  runtime::StreamSession sb(*b.rt, stream_identity(*b.rt));
-  const auto handle = sa.put(data);
-  ASSERT_EQ(handle.kind, runtime::StreamHandle::Kind::kStream);
-  sb.put(data);
+  MixedWriters w(data);
+  runtime::StreamSession reader(*w.mixed.rt, w.fn);
+  EXPECT_EQ(reader.get(w.handle), data);
+}
 
-  const auto fn = stream_identity(*mixed.rt);
-  const auto plan =
-      chunk::ChunkPlan::build(fn, data, chunk::Chunker(sa.config().chunker));
-  const auto copy = [&](Deployment& from, const serialize::Tag& tag) {
-    serialize::GetRequest get;
-    get.tag = tag;
-    get.requester = from.enclave->measurement();
-    const serialize::GetResponse found = from.result_store.get(get);
-    ASSERT_TRUE(found.found);
-    serialize::PutRequest put;
-    put.tag = tag;
-    put.requester = mixed.enclave->measurement();
-    put.entry = found.entry;
-    ASSERT_EQ(mixed.result_store.put(put).status,
-              serialize::PutStatus::kStored);
-  };
-  copy(a, plan.stream_tag());
-  for (std::size_t i = 0; i < plan.chunk_count(); ++i) {
-    copy(b, plan.chunk_tag(i));
-  }
-
-  runtime::StreamSession reader(*mixed.rt, fn);
+TEST(StreamSessionTest, TamperedChunkEntryOfAnotherWriterFailsAuthentication) {
+  // One flipped ciphertext byte in B's entry: its header still yields B's
+  // key, the store's MAC covers the flipped blob, and GCM refuses it. get()
+  // throws; it never returns wrong bytes.
+  SPEED_SEEDED_RNG(rng, 0x57e40014);
+  const Bytes data = rng.bytes(200 * 1024);
+  MixedWriters w(data, /*tamper=*/1);
+  runtime::StreamSession reader(*w.mixed.rt, w.fn);
   try {
-    (void)reader.get(handle);
-    FAIL() << "get() returned a stream assembled from another writer's chunks";
+    const Bytes got = reader.get(w.handle);
+    FAIL() << "get() returned " << (got == data ? "" : "wrong ")
+           << "bytes from a tampered chunk entry";
   } catch (const net::StoreUnavailableError& e) {
     EXPECT_NE(std::string(e.what()).find("chunk failed authentication"),
               std::string::npos)
         << e.what();
   }
+}
+
+/// Runs `hook(frame_index)` before forwarding each request frame.
+struct HookTransport : net::Transport {
+  HookTransport(std::unique_ptr<net::Transport> wrapped,
+                std::function<void(std::size_t)> before)
+      : inner(std::move(wrapped)), hook(std::move(before)) {}
+  Bytes round_trip(ByteView request) override {
+    hook(frames++);
+    return inner->round_trip(request);
+  }
+  std::unique_ptr<net::Transport> inner;
+  std::function<void(std::size_t)> hook;
+  std::size_t frames = 0;
+};
+
+TEST(StreamSessionTest, ChunkEntryPlantedBetweenProbeAndPutIsInlined) {
+  // The race of ChunkEntryThatDoesNotOpenIsInlined: the chunk's probe
+  // misses, then an entry wrapped for other bytes lands on its tag before
+  // the PUT, which answers kAlreadyPresent. The re-probe checks the
+  // winner's header like any found chunk's, and the chunk is inlined.
+  SPEED_SEEDED_RNG(rng, 0x57e40015);
+  sgx::Platform platform(fast_model());
+  store::ResultStore result_store(platform);
+  auto enclave = platform.create_enclave("stream-app");
+  auto conn = store::connect_app(result_store, *enclave);
+  // Frames: 0 probes the stream tag, 1 the window's chunks, 2 PUTs the
+  // misses. The plant lands just before frame 2.
+  serialize::PutRequest plant;
+  auto hooked = std::make_unique<HookTransport>(
+      std::move(conn.transport), [&](std::size_t frame) {
+        if (frame == 2) {
+          ASSERT_EQ(result_store.put(plant).status,
+                    serialize::PutStatus::kStored);
+        }
+      });
+  runtime::RuntimeConfig config;
+  config.batching.enabled = true;
+  runtime::DedupRuntime rt(*enclave, std::move(conn.session_key),
+                           std::move(hooked), config);
+  const auto fn = stream_identity(rt);
+  const Bytes data = rng.bytes(200 * 1024);
+  const auto plan = chunk::ChunkPlan::build(fn, data, chunk::Chunker());
+  ASSERT_GT(plan.chunk_count(), 2u);
+  ASSERT_LT(plan.chunk_count(), runtime::StreamConfig{}.window);
+  const std::size_t victim = 1;
+  crypto::Drbg drbg(rng.bytes(32));
+  const mle::ComputationContext other(fn, rng.bytes(plan.chunk(victim).size),
+                                      mle::Domain::kChunk);
+  auto wk = mle::ResultCipher::generate_checked_key(other, drbg);
+  plant.tag = plan.chunk_tag(victim);
+  plant.requester = enclave->measurement();
+  plant.entry.wrapped_key = std::move(wk.wrapped_key);
+  plant.entry.result_ct = mle::ResultCipher::encrypt_result(
+      plan.chunk_tag(victim), wk.key, plan.chunk_bytes(victim), drbg);
+  plant.entry.challenge =
+      std::move(wk.challenge).release_for(secret::Purpose::of("test"));
+
+  runtime::StreamSession s(rt, fn);
+  const auto handle = s.put(data);
+  EXPECT_EQ(result_store.stats().duplicate_puts, 1u);
+  const auto stats = rt.stats();
+  EXPECT_EQ(stats.stream_inline_chunks, 1u);
+  EXPECT_EQ(stats.stream_chunk_hits, 0u);
+  EXPECT_EQ(stats.stream_degraded, 0u);
+  EXPECT_EQ(s.get(handle), data);
 }
 
 // ------------------------------------------- wire-compat regression -------
