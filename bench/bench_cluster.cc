@@ -84,13 +84,19 @@ struct Bed {
     return put;
   }
 
+  /// One op routed as a list of one.
+  serialize::BatchReply route_one(serialize::BatchOp op) {
+    return app->ecall([&] {
+      return transport->route(serialize::batch_of(std::move(op))).front();
+    });
+  }
+
   bool get_found(std::uint64_t n) {
     serialize::GetRequest get;
     get.tag = nth_tag(n);
     get.requester = app->measurement();
-    const serialize::Message m =
-        app->ecall([&] { return transport->round_trip_message(get); });
-    const auto* resp = std::get_if<serialize::GetResponse>(&m);
+    const serialize::BatchReply reply = route_one(get);
+    const auto* resp = std::get_if<serialize::GetResponse>(&reply);
     return resp != nullptr && resp->found;
   }
 
@@ -117,9 +123,7 @@ ScalePoint run_scale(std::size_t nodes, std::size_t replicas) {
   {
     Stopwatch sw;
     for (std::uint64_t n = 0; n < kPuts; ++n) {
-      const serialize::Message m = bed.app->ecall(
-          [&] { return bed.transport->round_trip_message(bed.put_request(n)); });
-      (void)m;
+      (void)bed.route_one(bed.put_request(n));
     }
     p.put_ops_per_sec = 1000.0 * kPuts / sw.elapsed_ms();
   }
@@ -159,8 +163,7 @@ Trace run_availability_trace() {
 
   Bed bed(3, 1);
   for (std::uint64_t n = 0; n < kPuts; ++n) {
-    bed.app->ecall(
-        [&] { return bed.transport->round_trip_message(bed.put_request(n)); });
+    (void)bed.route_one(bed.put_request(n));
   }
 
   Trace trace;
@@ -231,7 +234,7 @@ int main(int argc, char** argv) {
       trace.availability, static_cast<unsigned long long>(trace.failovers),
       static_cast<unsigned long long>(trace.read_repairs));
 
-  std::string json = "{\"scale\": [";
+  std::string json = "{\"host\": " + bench::host_json() + ", \"scale\": [";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const ScalePoint& p = points[i];
     char buf[256];

@@ -2,18 +2,21 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
+#include <type_traits>
 
 #include "common/clock.h"
 
 namespace speed::net {
 
+using serialize::BatchOp;
+using serialize::BatchReply;
+using serialize::ErrorCode;
+using serialize::ErrorResponse;
 using serialize::GetRequest;
 using serialize::GetResponse;
 using serialize::HeartbeatRequest;
 using serialize::HeartbeatResponse;
 using serialize::Message;
-using serialize::ProbeRequest;
 using serialize::PutRequest;
 using serialize::PutResponse;
 using serialize::PutStatus;
@@ -24,6 +27,38 @@ std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+constexpr std::size_t kNoLeg = SIZE_MAX;
+
+/// One op's progress through the rounds of a route() call.
+struct Walk {
+  std::vector<std::size_t> order;  ///< the tag's preference order
+  std::size_t next = 0;            ///< position in `order` of the next leg
+  std::size_t leg = kNoLeg;        ///< this round's node, if any
+  bool settled = false;            ///< answered, or every node tried
+  std::size_t definitive = 0;      ///< nodes that answered (GET: missed)
+  std::size_t copies = 0;          ///< PUT: nodes that hold the entry
+  bool any_stored = false;         ///< PUT: some node stored it just now
+  bool any_quota = false;          ///< PUT: some node refused on quota
+  std::optional<std::size_t> first_missing;  ///< GET: earliest miss
+};
+
+const serialize::Tag& tag_of(const BatchOp& op) {
+  return std::visit(
+      [](const auto& o) -> const serialize::Tag& { return o.tag; }, op);
+}
+
+/// Moves a one-op frame's op back out of its message.
+void take_back(Message& frame, BatchOp& op) {
+  std::visit(
+      [&op](auto& m) {
+        if constexpr (std::is_constructible_v<BatchOp,
+                                              std::decay_t<decltype(m)>&&>) {
+          op = std::move(m);
+        }
+      },
+      frame);
 }
 
 }  // namespace
@@ -126,227 +161,167 @@ ClusterTransport::Stats ClusterTransport::stats() const {
   return s;
 }
 
-Message ClusterTransport::round_trip_message(Message request) {
+std::vector<BatchReply> ClusterTransport::route(std::vector<BatchOp> ops) {
   const Stopwatch sw;
-  struct Record {
-    telemetry::Histogram& hist;
-    const Stopwatch& sw;
-    ~Record() { hist.record(sw.elapsed_ns()); }
-  } record{walk_ns_, sw};
-  if (std::holds_alternative<GetRequest>(request) ||
-      std::holds_alternative<ProbeRequest>(request)) {
-    return cluster_get(request);
-  }
-  if (std::holds_alternative<PutRequest>(request)) return cluster_put(request);
-  if (auto* batch_req = std::get_if<serialize::BatchRequest>(&request)) {
-    return cluster_batch(std::move(*batch_req));
-  }
-  throw ProtocolError(
-      "ClusterTransport: only GET, PUT and probe are routable");
-}
-
-Message ClusterTransport::cluster_batch(serialize::BatchRequest req) {
-  serialize::BatchResponse resp;
-  resp.replies.resize(req.ops.size());
-  const std::size_t quorum = std::min(config_.replicas + 1, members_.size());
-
-  // Group ops by their rendezvous primary: one forwarded BatchRequest per
-  // node keeps the transition-amortization win while every op still lands
-  // on its tag's owner first.
-  std::unordered_map<std::size_t, std::vector<std::size_t>> by_primary;
-  for (std::size_t i = 0; i < req.ops.size(); ++i) {
-    const serialize::Tag& tag = std::visit(
-        [](const auto& op) -> const serialize::Tag& { return op.tag; },
-        req.ops[i]);
-    const auto order = serialize::rendezvous_order(members_, tag);
-    by_primary[order.front()].push_back(i);
+  const std::size_t quorum = std::min(config_.replicas + 1, links_.size());
+  std::vector<BatchReply> replies(ops.size());
+  std::vector<Walk> walks(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    walks[i].order = serialize::rendezvous_order(members_, tag_of(ops[i]));
+    (std::holds_alternative<PutRequest>(ops[i]) ? puts_ : gets_).inc();
   }
 
-  for (auto& [node, indices] : by_primary) {
-    Link& link = *links_[node];
-    // The sub-frame takes its ops by move; an op that still has to walk
-    // moves back out of it.
-    Message forward{serialize::BatchRequest{}};
-    auto& forward_ops = std::get<serialize::BatchRequest>(forward).ops;
-    forward_ops.reserve(indices.size());
-    for (const std::size_t i : indices) {
-      forward_ops.push_back(std::move(req.ops[i]));
-    }
-    std::optional<serialize::BatchResponse> node_resp;
-    if (!skip_down(link)) {
-      try {
-        Message answer = link_round_trip_retry(link, forward);
-        if (auto* batch_resp = std::get_if<serialize::BatchResponse>(&answer);
-            batch_resp != nullptr &&
-            batch_resp->replies.size() == indices.size()) {
-          node_resp = std::move(*batch_resp);
-        }
-      } catch (const Error&) {
-        failovers_.inc();  // the per-op walks below pick up the slack
+  // Fold one leg's answer (null: the leg failed) into op i's walk. A found
+  // entry is moved into the op's reply, never copied.
+  const auto note = [&](std::size_t i, BatchReply* answer) {
+    Walk& w = walks[i];
+    if (std::holds_alternative<PutRequest>(ops[i])) {
+      const auto* pr =
+          answer != nullptr ? std::get_if<PutResponse>(answer) : nullptr;
+      if (pr == nullptr) {
+        failovers_.inc();
+        return;
       }
-    }
-    for (std::size_t j = 0; j < indices.size(); ++j) {
-      const std::size_t i = indices[j];
-      serialize::BatchReply* primary =
-          node_resp.has_value() ? &node_resp->replies[j] : nullptr;
-      if (primary != nullptr) {
-        // A hit from the owner is always authoritative; a definitive miss,
-        // or a PUT's answer, only is when there are no replicas to consult.
-        const auto* get_resp = std::get_if<GetResponse>(primary);
-        if ((get_resp != nullptr && (get_resp->found || quorum == 1)) ||
-            (std::holds_alternative<PutResponse>(*primary) && quorum == 1)) {
-          (get_resp != nullptr ? gets_ : puts_).inc();
-          resp.replies[i] = std::move(*primary);
-          continue;
-        }
+      ++w.definitive;
+      switch (pr->status) {
+        case PutStatus::kStored:
+          w.any_stored = true;
+          [[fallthrough]];
+        case PutStatus::kAlreadyPresent:
+          ++w.copies;
+          break;
+        case PutStatus::kQuotaExceeded:
+          w.any_quota = true;
+          break;
+        case PutStatus::kRejected:
+          break;  // degraded node: definitive, but not a copy
       }
-      try {
-        const Message op = std::visit(
-            [](auto& o) { return Message(std::move(o)); }, forward_ops[j]);
-        Message walked = std::holds_alternative<PutRequest>(op)
-                             ? cluster_put(op, primary)
-                             : cluster_get(op, primary);
-        resp.replies[i] = serialize::to_batch_reply(std::move(walked));
-      } catch (const Error& e) {
-        // Only this op degrades; its neighbors keep their answers.
-        resp.replies[i] =
-            serialize::ErrorResponse{serialize::ErrorCode::kUnavailable,
-                                     e.what()};
-      }
+      w.settled = w.copies >= quorum;
+      return;
     }
-  }
-  return Message(std::move(resp));
-}
-
-// ------------------------------------------------------------------- walks
-
-Message ClusterTransport::cluster_get(const Message& request,
-                                      serialize::BatchReply* primary_reply) {
-  gets_.inc();
-  const auto* get_req = std::get_if<GetRequest>(&request);
-  const serialize::Tag& tag = get_req != nullptr
-                                  ? get_req->tag
-                                  : std::get<ProbeRequest>(request).tag;
-  const auto order = serialize::rendezvous_order(members_, tag);
-  const std::size_t quorum = std::min(config_.replicas + 1, order.size());
-
-  std::size_t definitive = 0;
-  std::optional<GetResponse> found;
-  std::optional<std::size_t> first_missing;  ///< earliest definitive miss
-
-  // Interpret one node's answer (null: not a GET answer); returns true when
-  // the walk can stop. A found entry is moved, never copied.
-  const auto process = [&](std::size_t idx, GetResponse* gr) {
+    auto* gr = answer != nullptr ? std::get_if<GetResponse>(answer) : nullptr;
     if (gr == nullptr) {
-      failovers_.inc();
-      return false;
-    }
-    if (gr->found) {
-      found = std::move(*gr);
-      return true;
-    }
-    ++definitive;
-    if (!first_missing.has_value()) first_missing = idx;
-    return definitive >= quorum;
-  };
-
-  std::size_t next = 0;
-  bool done = false;
-  if (primary_reply != nullptr) {
-    done = process(order.front(), std::get_if<GetResponse>(primary_reply));
-    next = 1;
-  }
-  for (; !done && next < order.size(); ++next) {
-    Link& link = *links_[order[next]];
-    if (skip_down(link)) continue;
-    try {
-      Message m = link_round_trip_retry(link, request);
-      done = process(order[next], std::get_if<GetResponse>(&m));
-    } catch (const Error&) {
-      failovers_.inc();
-    }
-  }
-
-  if (found.has_value()) {
-    // A probe's hit carries no ciphertext, so there is nothing to repair
-    // with; the next full GET of the tag repairs its owner.
-    if (first_missing.has_value() && get_req != nullptr) {
-      read_repair(*first_missing, *get_req, *found);
-    }
-    return Message(std::move(*found));
-  }
-  if (definitive > 0) return GetResponse{};  // a real miss: degrade to compute
-  unavailable_.inc();
-  throw StoreUnavailableError(
-      "ClusterTransport: no node answered GET or probe");
-}
-
-Message ClusterTransport::cluster_put(
-    const Message& request, const serialize::BatchReply* primary_reply) {
-  puts_.inc();
-  const auto& req = std::get<PutRequest>(request);
-  const auto order = serialize::rendezvous_order(members_, req.tag);
-  const std::size_t target = std::min(config_.replicas + 1, order.size());
-
-  std::size_t successes = 0;
-  std::size_t definitive = 0;
-  bool any_stored = false;
-  bool any_quota = false;
-  // Tally one node's answer (null: not a PUT answer).
-  const auto tally = [&](const PutResponse* pr) {
-    if (pr == nullptr) {
       failovers_.inc();
       return;
     }
-    ++definitive;
-    switch (pr->status) {
-      case PutStatus::kStored:
-        ++successes;
-        any_stored = true;
-        break;
-      case PutStatus::kAlreadyPresent:
-        ++successes;
-        break;
-      case PutStatus::kQuotaExceeded:
-        any_quota = true;
-        break;
-      case PutStatus::kRejected:
-        break;  // degraded node: definitive, but not a copy
+    if (gr->found) {
+      replies[i] = std::move(*gr);
+      w.settled = true;
+      return;
     }
+    ++w.definitive;
+    if (!w.first_missing.has_value()) w.first_missing = w.leg;
+    w.settled = w.definitive >= quorum;
   };
 
-  // Sloppy quorum: walk past failed owners so the entry still lands on
-  // `target` live nodes; the rendezvous walk on GET finds it there.
-  std::size_t next = 0;
-  if (primary_reply != nullptr) {
-    tally(std::get_if<PutResponse>(primary_reply));
-    next = 1;
-  }
-  for (; successes < target && next < order.size(); ++next) {
-    Link& link = *links_[order[next]];
-    if (skip_down(link)) continue;
-    try {
-      const Message m = link_round_trip_retry(link, request);
-      tally(std::get_if<PutResponse>(&m));
-    } catch (const Error&) {
-      failovers_.inc();
+  std::vector<BatchOp> batch_ops;  // a BatchRequest's buffer, kept per call
+  for (;;) {
+    // Each unsettled op takes its next leg: the next node of its order that
+    // is not down inside its probe window.
+    bool any_leg = false;
+    for (Walk& w : walks) {
+      w.leg = kNoLeg;
+      if (w.settled) continue;
+      while (w.next < w.order.size() && skip_down(*links_[w.order[w.next]])) {
+        ++w.next;
+      }
+      if (w.next == w.order.size()) {
+        w.settled = true;  // every node tried or skipped
+        continue;
+      }
+      w.leg = w.order[w.next++];
+      any_leg = true;
+    }
+    if (!any_leg) break;
+
+    // One frame per node this round, in ascending node index. The ops move
+    // into it and back out, whether or not the node answered.
+    for (std::size_t node = 0; node < links_.size(); ++node) {
+      std::size_t count = 0;
+      std::size_t first = 0;
+      for (std::size_t i = 0; i < walks.size(); ++i) {
+        if (walks[i].leg == node && count++ == 0) first = i;
+      }
+      if (count == 0) continue;
+      Link& link = *links_[node];
+      if (count == 1) {
+        Message frame = std::visit(
+            [](auto& op) { return Message(std::move(op)); }, ops[first]);
+        std::optional<BatchReply> answer;
+        try {
+          answer =
+              serialize::to_batch_reply(link_round_trip_retry(link, frame));
+        } catch (const Error&) {
+        }
+        take_back(frame, ops[first]);
+        note(first, answer.has_value() ? &*answer : nullptr);
+        continue;
+      }
+      Message frame{serialize::BatchRequest{std::move(batch_ops)}};
+      auto& sent = std::get<serialize::BatchRequest>(frame).ops;
+      sent.reserve(count);
+      for (std::size_t i = first; i < walks.size(); ++i) {
+        if (walks[i].leg == node) sent.push_back(std::move(ops[i]));
+      }
+      std::optional<Message> answer;
+      try {
+        answer = link_round_trip_retry(link, frame);
+      } catch (const Error&) {
+      }
+      auto* resp = answer.has_value()
+                       ? std::get_if<serialize::BatchResponse>(&*answer)
+                       : nullptr;
+      if (resp != nullptr && resp->replies.size() != count) resp = nullptr;
+      for (std::size_t i = first, j = 0; i < walks.size(); ++i) {
+        if (walks[i].leg != node) continue;
+        ops[i] = std::move(sent[j]);
+        note(i, resp != nullptr ? &resp->replies[j] : nullptr);
+        ++j;
+      }
+      sent.clear();
+      batch_ops = std::move(sent);
     }
   }
 
-  if (successes >= target) {
-    // Full quorum: the ack provably survives any single node loss.
-    return PutResponse{any_stored ? PutStatus::kStored
-                                  : PutStatus::kAlreadyPresent};
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Walk& w = walks[i];
+    if (std::holds_alternative<PutRequest>(ops[i])) {
+      if (w.copies >= quorum) {
+        // Full quorum: the ack provably survives any single node loss.
+        replies[i] = PutResponse{w.any_stored ? PutStatus::kStored
+                                              : PutStatus::kAlreadyPresent};
+      } else if (w.definitive == 0) {
+        unavailable_.inc();
+        replies[i] = ErrorResponse{ErrorCode::kUnavailable,
+                                   "ClusterTransport: no node answered PUT"};
+      } else {
+        // Below quorum: never acknowledge — the caller treats this like any
+        // rejected PUT (the result was computed anyway; only future dedup
+        // is lost).
+        partial_puts_.inc();
+        replies[i] = PutResponse{w.any_quota ? PutStatus::kQuotaExceeded
+                                             : PutStatus::kRejected};
+      }
+      continue;
+    }
+    const auto& found = std::get<GetResponse>(replies[i]);
+    if (found.found) {
+      // A probe's hit carries no ciphertext, so there is nothing to repair
+      // with; the next full GET of the tag repairs its owner.
+      const auto* get = std::get_if<GetRequest>(&ops[i]);
+      if (w.first_missing.has_value() && get != nullptr) {
+        read_repair(*w.first_missing, *get, found);
+      }
+    } else if (w.definitive == 0) {
+      unavailable_.inc();
+      replies[i] = ErrorResponse{
+          ErrorCode::kUnavailable,
+          "ClusterTransport: no node answered GET or probe"};
+    }
+    // Otherwise a real miss: the default GetResponse, degrade to compute.
   }
-  if (definitive == 0) {
-    unavailable_.inc();
-    throw StoreUnavailableError("ClusterTransport: no node answered PUT");
-  }
-  // Below quorum: never acknowledge — the caller treats this like any
-  // rejected PUT (the result was computed anyway; only future dedup is lost).
-  partial_puts_.inc();
-  return PutResponse{any_quota ? PutStatus::kQuotaExceeded
-                               : PutStatus::kRejected};
+  walk_ns_.record(sw.elapsed_ns());
+  return replies;
 }
 
 void ClusterTransport::read_repair(std::size_t owner, const GetRequest& req,

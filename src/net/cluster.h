@@ -1,17 +1,23 @@
 // Client-side store routing (docs/PROTOCOL.md §8): every runtime's one data
 // path, from a single store (a one-node cluster) to a replicated cluster.
 //
-// ClusterTransport routes each GET/PUT across N store nodes by rendezvous-
-// hashing the computation tag (serialize/rendezvous.h): element 0 of the
-// preference order is the tag's primary owner, the next `replicas` elements
-// its replicas. Unlike the single-connection Transport it operates on
-// decoded messages, not opaque frames — routing needs the tag, and the tag
-// is inside the frame — so every node has its *own* StoreLink
+// ClusterTransport routes GETs, PUTs and probes across N store nodes by
+// rendezvous-hashing each computation tag (serialize/rendezvous.h): element 0
+// of the preference order is the tag's primary owner, the next `replicas`
+// elements its replicas. Unlike the single-connection Transport it operates
+// on decoded ops, not opaque frames — routing needs the tag, and the tag is
+// inside the frame — so every node has its *own* StoreLink
 // (net/store_link.h): an attested SecureChannel (sequence numbers are
 // per-connection) over its own transport. A node's link dials the node
 // itself, and re-dials it after its connection drops; a single store
 // adopts the caller's attested connection as it is, and never re-dials.
-// Every leg of a walk runs on the calling thread.
+//
+// route() is the one routing call: a single op is a list of one. All of a
+// call's ops walk together, in rounds. In each round every unsettled op
+// takes its next leg, and each node some op needs gets one frame, in
+// ascending node index: a plain message when it carries one op, a
+// BatchRequest otherwise. A frame that fails fails that leg for every op in
+// it. Every leg runs on the calling thread.
 //
 // Failure semantics, chaos-tested (tests/chaos_cluster_test.cc):
 //
@@ -23,8 +29,8 @@
 //   * GET walks the same order until an entry is found or a quorum of
 //     *definitive* answers (found / not-found) accumulates; failures extend
 //     the walk, which also finds sloppily-placed entries. Zero definitive
-//     answers means the cluster is unreachable: StoreUnavailableError, the
-//     runtime's degrade-to-compute signal.
+//     answers means the cluster is unreachable: the op's reply is
+//     ErrorResponse{kUnavailable}, the runtime's degrade-to-compute signal.
 //   * A header-only probe walks exactly like a GET.
 //   * Read-repair: when a replica serves a GET hit after the tag's owner
 //     definitively missed, the entry is pushed back to the owner as an
@@ -36,8 +42,8 @@
 //     requests themselves plus explicit heartbeat probes. A failed leg to an
 //     up node, or a failed heartbeat, is retried once inline, and the retry
 //     re-dials (re-attest, fresh key); a down node is skipped without I/O
-//     until `probe_interval_ms` elapses, when one request is admitted as
-//     the probe.
+//     until `probe_interval_ms` elapses, when one frame is admitted as the
+//     probe.
 #pragma once
 
 #include <atomic>
@@ -96,14 +102,14 @@ class ClusterTransport {
   ClusterTransport(const ClusterTransport&) = delete;
   ClusterTransport& operator=(const ClusterTransport&) = delete;
 
-  /// Route one application request (GET, PUT, probe or a BatchRequest of
-  /// them) across the cluster. Must be called from inside the application
-  /// enclave (each node leg is one StoreLink round trip, with its own
-  /// OCALL).
-  /// Payloads move through the walk: every leg seals from `request`, and a
-  /// found entry is moved into the reply. Throws StoreUnavailableError when
-  /// no node can serve — the degrade-to-compute signal.
-  serialize::Message round_trip_message(serialize::Message request);
+  /// Route `ops` across the cluster and answer each one, index-aligned.
+  /// Must be called from inside the application enclave (each frame is one
+  /// StoreLink round trip, with its own OCALL). Ops move into each frame
+  /// and back out of it, and a found entry is moved into its reply, so no
+  /// payload is copied. Never throws for a store failure: an op that no
+  /// node answered gets ErrorResponse{kUnavailable}.
+  std::vector<serialize::BatchReply> route(
+      std::vector<serialize::BatchOp> ops);
 
   /// Heartbeat one node (by index); updates its health state. Returns the
   /// response when the node answered.
@@ -164,27 +170,8 @@ class ClusterTransport {
   /// True when the walk should skip this node without attempting I/O.
   bool skip_down(Link& link) const;
   void register_telemetry();
-
-  /// The quorum walks over `request`'s preference order (cluster_get takes
-  /// a GET or a probe). `primary_reply`,
-  /// when given, is the primary's answer from a batched sub-frame: it counts
-  /// as the walk's first leg, and the walk goes on at the next node.
-  serialize::Message cluster_get(
-      const serialize::Message& request,
-      serialize::BatchReply* primary_reply = nullptr);
-  serialize::Message cluster_put(
-      const serialize::Message& request,
-      const serialize::BatchReply* primary_reply = nullptr);
-  /// Batched routing: ops are grouped by rendezvous primary and forwarded as
-  /// one BatchRequest per node. A batched sub-answer is authoritative when a
-  /// single leg settles it (found GETs always; everything when the quorum is
-  /// 1); otherwise — quorum PUTs, definitive misses with replicas, per-op
-  /// errors — the op's walk goes on from that answer. An op whose primary
-  /// could not be reached walks its whole order. So batching never weakens
-  /// the chaos-tested ack/read-repair guarantees. An op whose walk also
-  /// fails yields ErrorResponse{kUnavailable}; the call itself always
-  /// returns a full BatchResponse.
-  serialize::Message cluster_batch(serialize::BatchRequest req);
+  /// Push a GET hit's entry back to `owner`, which definitively missed it:
+  /// one plain, quota-charged PUT, best effort.
   void read_repair(std::size_t owner, const serialize::GetRequest& req,
                    const serialize::GetResponse& found);
 

@@ -36,16 +36,13 @@ ChannelKeyExchange::ChannelKeyExchange(sgx::Enclave& self) : self_(self) {
   pair_ = crypto::x25519_generate(seeded);
 }
 
-HandshakeMessage ChannelKeyExchange::hello(const sgx::Measurement& peer,
-                                           std::uint8_t version) const {
+HandshakeMessage ChannelKeyExchange::hello(
+    const sgx::Measurement& peer) const {
   HandshakeMessage msg;
   msg.public_key = pair_.public_key;
   // The report's user_data carries the ephemeral public key, binding it to
-  // this enclave's measurement for the addressee. v2+ hellos append the
-  // protocol-version byte so it is covered by the report MAC (downgrade
-  // resistance); a legacy hello stays bit-identical to pre-versioning builds.
-  Bytes user_data(pair_.public_key.begin(), pair_.public_key.end());
-  if (version > kProtocolVersionLegacy) user_data.push_back(version);
+  // this enclave's measurement for the addressee.
+  const Bytes user_data(pair_.public_key.begin(), pair_.public_key.end());
   msg.report = self_.create_report(peer, user_data);
   return msg;
 }

@@ -11,7 +11,6 @@ namespace speed::runtime {
 
 using serialize::GetRequest;
 using serialize::GetResponse;
-using serialize::Message;
 using serialize::PutRequest;
 using serialize::PutResponse;
 using serialize::PutStatus;
@@ -34,6 +33,22 @@ constexpr std::array<telemetry::LabelValue,
 /// header and GCM tag, and the envelope's kind byte and u32 op count.
 constexpr std::size_t kBatchFrameOverhead =
     net::SecureChannel::kFrameHeaderSize + crypto::kGcmTagSize + 1 + 4;
+
+/// How many of `available` queued ops, oldest first (`op_at(k)` is the
+/// k-th), one frame carries: at most `max_ops`, within the byte cap a
+/// default store admits. An op too large for any frame still ships, alone.
+template <typename OpAt>
+std::size_t ops_in_frame(std::size_t available, std::size_t max_ops,
+                         const OpAt& op_at) {
+  std::size_t take = 0;
+  std::size_t frame_bytes = kBatchFrameOverhead;
+  while (take < available && take < max_ops) {
+    frame_bytes += serialize::encoded_size(op_at(take));
+    if (take > 0 && frame_bytes > serialize::kMaxFrameBytes) break;
+    ++take;
+  }
+  return take;
+}
 
 }  // namespace
 
@@ -167,46 +182,6 @@ mle::FunctionIdentity DedupRuntime::resolve(
   return mle::FunctionIdentity{desc, *measurement};
 }
 
-Message DedupRuntime::secure_round_trip(Message request) {
-  // Throws when the store cannot serve; the callers degrade that to compute.
-  const Stopwatch rtt_sw;
-  Message response = cluster_->round_trip_message(std::move(request));
-  metrics_.round_trip_ns.record(rtt_sw.elapsed_ns());
-  return response;
-}
-
-namespace {
-
-/// Lift a batch sub-reply back to a top-level message; a per-op error
-/// becomes StoreUnavailableError so exactly this call degrades.
-Message reply_to_message(serialize::BatchReply reply) {
-  if (auto* get_resp = std::get_if<GetResponse>(&reply)) {
-    return Message(std::move(*get_resp));
-  }
-  if (const auto* put_resp = std::get_if<PutResponse>(&reply)) {
-    return Message(*put_resp);
-  }
-  const auto& err = std::get<serialize::ErrorResponse>(reply);
-  throw net::StoreUnavailableError("DedupRuntime: batched op refused: " +
-                                   err.detail);
-}
-
-}  // namespace
-
-Message DedupRuntime::batched_round_trip(Message request) {
-  if (!config_.batching.enabled) return secure_round_trip(std::move(request));
-  serialize::BatchOp op;
-  if (auto* get = std::get_if<GetRequest>(&request)) {
-    op = std::move(*get);
-  } else if (auto* put = std::get_if<PutRequest>(&request)) {
-    op = std::move(*put);
-  } else {
-    return secure_round_trip(std::move(request));  // only GET/PUT batch
-  }
-  std::vector<serialize::BatchReply> replies = batch_execute({std::move(op)});
-  return reply_to_message(std::move(replies.front()));
-}
-
 std::vector<serialize::BatchReply> DedupRuntime::batch_execute(
     std::vector<serialize::BatchOp> ops) {
   // Group commit: every caller queues its ops in the shared pending list. A
@@ -230,15 +205,10 @@ std::vector<serialize::BatchReply> DedupRuntime::batch_execute(
       batch_done_cv_.wait(batch_mu_);
       continue;
     }
-    // Take the oldest ops that fit one frame a default store admits; an op
-    // too large for any frame still ships, alone.
-    std::size_t take = 0;
-    std::size_t frame_bytes = kBatchFrameOverhead;
-    while (take < batch_pending_.size() && take < serialize::kMaxBatchOps) {
-      frame_bytes += serialize::encoded_size(batch_pending_[take]->op);
-      if (take > 0 && frame_bytes > serialize::kMaxFrameBytes) break;
-      ++take;
-    }
+    const std::size_t take = ops_in_frame(
+        batch_pending_.size(), max_frame_ops(),
+        [&pending = batch_pending_](std::size_t k)
+            -> const serialize::BatchOp& { return pending[k]->op; });
     const auto end =
         batch_pending_.begin() + static_cast<std::ptrdiff_t>(take);
     const std::vector<PendingOp*> frame(batch_pending_.begin(), end);
@@ -262,34 +232,21 @@ void DedupRuntime::ship_frame(const std::vector<PendingOp*>& frame) {
   metrics_.batches.inc();
   metrics_.batch_ops.record(frame.size());
 
-  // One op needs no envelope — and stays decodable by a legacy store. The
-  // ops are moved into the frame's message: no slot reads its op again,
-  // only its reply.
+  // The ops move into the routed list: no slot reads its op again, only its
+  // reply.
   std::string failure;
   try {
-    if (frame.size() == 1) {
-      frame.front()->reply = serialize::to_batch_reply(std::visit(
-          [this](auto& o) { return secure_round_trip(Message(std::move(o))); },
-          frame.front()->op));
-      return;
+    std::vector<serialize::BatchOp> ops;
+    ops.reserve(frame.size());
+    for (PendingOp* slot : frame) ops.push_back(std::move(slot->op));
+    const Stopwatch rtt_sw;
+    std::vector<serialize::BatchReply> replies =
+        cluster_->route(std::move(ops));
+    metrics_.round_trip_ns.record(rtt_sw.elapsed_ns());
+    for (std::size_t i = 0; i < frame.size(); ++i) {
+      frame[i]->reply = std::move(replies[i]);
     }
-    serialize::BatchRequest batch;
-    batch.ops.reserve(frame.size());
-    for (PendingOp* slot : frame) batch.ops.push_back(std::move(slot->op));
-    Message response = secure_round_trip(Message(std::move(batch)));
-    if (auto* batch_resp = std::get_if<serialize::BatchResponse>(&response);
-        batch_resp != nullptr && batch_resp->replies.size() == frame.size()) {
-      for (std::size_t i = 0; i < frame.size(); ++i) {
-        frame[i]->reply = std::move(batch_resp->replies[i]);
-      }
-      return;
-    }
-    if (const auto* err = std::get_if<serialize::ErrorResponse>(&response)) {
-      // Top-level refusal (e.g. kBatchTooLarge) applies to every op.
-      for (PendingOp* slot : frame) slot->reply = *err;
-      return;
-    }
-    failure = "malformed batch response";
+    return;
   } catch (const std::exception& e) {
     // Whatever failed, the frame's callers must still be answered.
     failure = e.what();
@@ -368,18 +325,13 @@ DedupRuntime::Outcome DedupRuntime::execute(
     // protocol failure on the GET path degrades this call to a local
     // compute, and the walk's node health and the transport's reconnect
     // restore service for later calls.
-    Message response;
-    const GetResponse* get_resp = nullptr;
+    std::vector<serialize::BatchReply> replies;
     {
       const telemetry::TraceSpan::StageTimer t(span,
                                                telemetry::Stage::kStoreGet);
-      try {
-        response = batched_round_trip(get);
-        get_resp = std::get_if<GetResponse>(&response);
-      } catch (const Error&) {
-        get_resp = nullptr;
-      }
+      replies = batch_execute(serialize::batch_of(std::move(get)));
     }
+    const auto* get_resp = std::get_if<GetResponse>(&replies.front());
     if (get_resp == nullptr) {
       // Store unreachable or talking nonsense: compute locally and skip the
       // PUT (we cannot know whether the entry exists, and the connection is
@@ -480,20 +432,15 @@ void DedupRuntime::enqueue_put(PutRequest put) {
     if (dropped) metrics_.puts_dropped.inc();
     queue_cv_.notify_one();
   } else {
-    try {
-      send_put(std::move(put));
-    } catch (const Error&) {
-      metrics_.puts_rejected.inc();
-    }
+    count_put_reply(batch_execute(serialize::batch_of(std::move(put))).front());
   }
 }
 
-void DedupRuntime::send_put(PutRequest put) {
-  // Moved into the message that ships it: the entry is never copied.
-  const Message response = secure_round_trip(Message(std::move(put)));
-  const auto* put_resp = std::get_if<PutResponse>(&response);
+void DedupRuntime::count_put_reply(const serialize::BatchReply& reply) {
+  const auto* put_resp = std::get_if<PutResponse>(&reply);
   if (put_resp == nullptr) {
-    throw ProtocolError("DedupRuntime: expected PUT_RESPONSE");
+    metrics_.puts_rejected.inc();  // failed in flight, or refused
+    return;
   }
   metrics_.puts_sent.inc();
   if (put_resp->status != PutStatus::kStored &&
@@ -514,14 +461,16 @@ void DedupRuntime::put_worker() {
         if (shutting_down_) return;
         continue;
       }
-      // With batching on, the whole queue ships under one ECALL, in as few
-      // frames as the batcher's caps allow; otherwise one PUT per ECALL,
-      // the historical behavior.
-      const std::size_t take =
-          config_.batching.enabled ? put_queue_.size() : 1;
+      // One frame's worth per ECALL: with batching off that is one PUT, so
+      // a GET never queues behind a backlog of PUT frames.
+      const std::size_t take = ops_in_frame(
+          put_queue_.size(), max_frame_ops(),
+          [&queue = put_queue_](std::size_t k) -> const serialize::BatchOp& {
+            return queue[k];
+          });
       puts.reserve(take);
       for (std::size_t i = 0; i < take; ++i) {
-        puts.emplace_back(std::move(put_queue_.front()));
+        puts.push_back(std::move(put_queue_.front()));
         put_queue_.pop_front();
       }
       puts_in_flight_ += take;
@@ -529,24 +478,11 @@ void DedupRuntime::put_worker() {
     // The worker enters the enclave for the channel crypto, like any other
     // trusted-thread ECALL.
     const std::size_t taken = puts.size();
-    try {
-      enclave_.ecall([&] {
-        for (const auto& reply : stream_ops(std::move(puts))) {
-          const auto* put_resp = std::get_if<PutResponse>(&reply);
-          if (put_resp == nullptr) {
-            metrics_.puts_rejected.inc();  // failed in flight, or refused
-            continue;
-          }
-          metrics_.puts_sent.inc();
-          if (put_resp->status != PutStatus::kStored &&
-              put_resp->status != PutStatus::kAlreadyPresent) {
-            metrics_.puts_rejected.inc();
-          }
-        }
-      });
-    } catch (const Error&) {
-      metrics_.puts_rejected.inc();
-    }
+    enclave_.ecall([&] {
+      for (const auto& reply : batch_execute(std::move(puts))) {
+        count_put_reply(reply);
+      }
+    });
     {
       MutexLock lock(queue_mu_);
       puts_in_flight_ -= taken;
@@ -635,28 +571,6 @@ DedupRuntime::Stats DedupRuntime::stats() const {
   s.stream_inline_chunks = metrics_.stream_inline_chunks.value();
   s.stream_degraded = metrics_.stream_degraded.value();
   return s;
-}
-
-std::vector<serialize::BatchReply> DedupRuntime::stream_ops(
-    std::vector<serialize::BatchOp> ops) {
-  if (ops.empty()) return {};
-  if (config_.batching.enabled) return batch_execute(std::move(ops));
-  // Unbatched (or v1-only peer): one plain round trip per op, failures
-  // mapped to per-op error replies so the caller's degrade logic is
-  // identical on both paths.
-  std::vector<serialize::BatchReply> replies;
-  replies.reserve(ops.size());
-  for (serialize::BatchOp& op : ops) {
-    try {
-      replies.push_back(serialize::to_batch_reply(std::visit(
-          [this](auto& o) { return secure_round_trip(Message(std::move(o))); },
-          op)));
-    } catch (const Error& e) {
-      replies.emplace_back(serialize::ErrorResponse{
-          serialize::ErrorCode::kUnavailable, e.what()});
-    }
-  }
-  return replies;
 }
 
 }  // namespace speed::runtime

@@ -21,15 +21,18 @@
 // connection, timeout, or malformed frame on the GET path degrades the call
 // to `compute()` (counted in `Stats::degraded_calls`), and a failed PUT is
 // counted and dropped; no store failure ever throws into the application.
-// Every runtime routes its store traffic through one net::ClusterTransport —
-// a single store is a one-node cluster — whose per-node net::StoreLink seals,
-// ships and opens each frame on the calling thread. A failed round trip
-// drops the link's connection (its sequence numbers are in an unknown state
-// and are never reused); the walk retries an up node once inline, and the
-// retry re-dials the node, re-running the attested handshake for a fresh
-// session key. A node that keeps failing goes down, and calls skip it
-// without I/O until its probe window expires (see net/cluster.h,
-// docs/PROTOCOL.md §6).
+// Every op a runtime sends — a call's GET, its sync or async PUT, a
+// StreamSession window — is submitted to one group-commit batcher
+// (batch_execute), whose leader hands a frame's worth of ops to the
+// runtime's one net::ClusterTransport — a single store is a one-node
+// cluster — as one routed list: a single op is a batch of one. The
+// cluster's per-node net::StoreLink seals, ships and opens each frame on the
+// leader's thread. A failed round trip drops the link's connection (its
+// sequence numbers are in an unknown state and are never reused); the walk
+// retries an up node once inline, and the retry re-dials the node,
+// re-running the attested handshake for a fresh session key. A node that
+// keeps failing goes down, and calls skip it without I/O until its probe
+// window expires (see net/cluster.h, docs/PROTOCOL.md §6).
 #pragma once
 
 #include <array>
@@ -92,22 +95,18 @@ struct RuntimeConfig {
   /// Ring receiving completed spans; nullptr = the process-global ring.
   telemetry::TraceRing* trace_ring = nullptr;
 
-  /// Client-side micro-batching (wire protocol v2), self-clocked like a
-  /// group commit. When enabled, GETs from application threads, drained
-  /// async PUTs and StreamSession windows coalesce into BatchRequest frames,
-  /// each paying one channel round trip — and, server-side, one enclave
-  /// transition — for all its ops. A caller that finds no frame in flight
-  /// ships at once; callers that arrive during that round trip queue, and
-  /// when its reply lands one of them ships everything queued. So a lone
-  /// caller never waits, and frames grow with load, with no timer. A frame
-  /// carries at most serialize::kMaxBatchOps ops and kMaxFrameBytes sealed
-  /// bytes, the store's default limits (a larger op ships alone). A frame
-  /// with a single op is sent as a plain v1 message, so enabling batching
-  /// against a legacy store degrades gracefully under low concurrency; only
-  /// enable it when the negotiated version is >= net::kProtocolVersionBatch
-  /// (see TcpAppConnection::protocol_version). Disabled by default: behavior
-  /// is then bit-for-bit the pre-batching one-message-per-round-trip
-  /// protocol.
+  /// How many ops one frame may carry. Every store op goes through one
+  /// self-clocked group-commit batcher: a caller that finds no frame in
+  /// flight ships at once; callers that arrive during that round trip
+  /// queue, and when its reply lands one of them ships the oldest queued
+  /// ops that fit a frame. So a lone caller never waits, frames grow with
+  /// load with no timer, and a runtime has one frame in flight. Enabled, a
+  /// frame carries up to serialize::kMaxBatchOps ops and kMaxFrameBytes
+  /// sealed bytes, the store's default limits (a larger op ships alone), as
+  /// one BatchRequest that pays one channel round trip — and, server-side,
+  /// one enclave transition — for all of them. Disabled (the default), a
+  /// frame carries one op. A frame with one op is a plain message either
+  /// way.
   struct Batching {
     bool enabled = false;
   };
@@ -199,37 +198,24 @@ class DedupRuntime {
   /// stream metric cells through the runtime's private machinery.
   friend class StreamSession;
 
-  /// Ship a run of ops (a chunk window, or drained async PUTs) and return
-  /// their replies in input order. With batching enabled the run rides the
-  /// micro-batcher in as few frames as its caps allow (split per node by the
-  /// cluster); otherwise each op is a plain v1 round trip. Transport
-  /// failures surface as per-op ErrorResponse{kUnavailable} — never as
-  /// exceptions — so the caller can degrade op by op.
-  std::vector<serialize::BatchReply> stream_ops(
-      std::vector<serialize::BatchOp> ops);
-
-  /// One request/response routed by the cluster; the request's payload
-  /// moves through. Must be called from inside the enclave; throws
-  /// StoreUnavailableError when the store cannot be reached.
-  serialize::Message secure_round_trip(serialize::Message request);
-
-  /// Like secure_round_trip, but routes through the micro-batcher when
-  /// batching is enabled: the op may share a BatchRequest frame with other
-  /// threads' ops. A per-op ErrorResponse surfaces as StoreUnavailableError,
-  /// so only this call degrades.
-  serialize::Message batched_round_trip(serialize::Message request);
-
-  /// Submit `ops` to the micro-batcher and wait for their replies (in input
-  /// order). Whichever caller finds no frame in flight leads: it ships the
-  /// oldest pending ops that fit one frame and holds leadership through the
-  /// round trip. A whole-frame transport failure is reported as
-  /// ErrorResponse{kUnavailable} per op.
+  /// The one function that ships ops: submit `ops` to the micro-batcher
+  /// and wait for their replies (in input order). Whichever caller finds no
+  /// frame in flight leads: it ships the oldest pending ops that fit one
+  /// frame (see RuntimeConfig::Batching) and holds leadership through the
+  /// round trip. Store failures surface as per-op
+  /// ErrorResponse{kUnavailable} — never as exceptions — so each caller
+  /// degrades op by op. Must be called from inside the enclave.
   std::vector<serialize::BatchReply> batch_execute(
       std::vector<serialize::BatchOp> ops);
+  /// Ops one frame may carry: the batch envelope's cap, or one.
+  std::size_t max_frame_ops() const {
+    return config_.batching.enabled ? serialize::kMaxBatchOps : 1;
+  }
 
   void enqueue_put(serialize::PutRequest put);
   void put_worker();
-  void send_put(serialize::PutRequest put);
+  /// Count a PUT's reply, from the sync or the async path.
+  void count_put_reply(const serialize::BatchReply& reply);
 
   /// Hot-result cache (guarded by cache_mu_; only touched inside ECALLs).
   /// Lookup copies the plaintext out and refreshes recency; insert evicts
@@ -259,10 +245,11 @@ class DedupRuntime {
     std::array<telemetry::Histogram,
                static_cast<std::size_t>(telemetry::CallOutcome::kCount)>
         call_ns;
-    /// Store round trips issued by this runtime (GET + PUT), timed around
-    /// secure_round_trip.
+    /// Frames shipped by this runtime, each timed around its cluster
+    /// route.
     telemetry::Histogram round_trip_ns;
-    /// Batch frames shipped by the micro-batcher and their op counts.
+    /// Frames shipped by the micro-batcher (one-op frames too) and their op
+    /// counts.
     telemetry::Counter batches;
     telemetry::Histogram batch_ops;
     /// Streaming data path (see Stats for semantics).
@@ -319,7 +306,7 @@ class DedupRuntime {
   Mutex queue_mu_{LockRank::kRuntimeQueue};
   CondVar queue_cv_;
   CondVar drained_cv_;
-  std::deque<serialize::PutRequest> put_queue_ GUARDED_BY(queue_mu_);
+  std::deque<serialize::BatchOp> put_queue_ GUARDED_BY(queue_mu_);
   std::size_t puts_in_flight_ GUARDED_BY(queue_mu_) = 0;
   bool shutting_down_ GUARDED_BY(queue_mu_) = false;
   std::thread put_thread_;

@@ -159,7 +159,7 @@ StreamHandle StreamSession::put_trusted(ByteView data) {
   bool stream_tag_taken = false;  // an entry failing the check squats on it
   {
     const std::vector<BatchReply> replies =
-        rt_.stream_ops({make_probe(plan.stream_tag())});
+        rt_.batch_execute(serialize::batch_of(make_probe(plan.stream_tag())));
     const auto* resp = std::get_if<GetResponse>(&replies.front());
     if (resp != nullptr && resp->found) {
       if (header_checks(plan.stream_context(), *resp)) {
@@ -197,8 +197,8 @@ StreamHandle StreamSession::put_trusted(ByteView data) {
     e.size = static_cast<std::uint32_t>(plan.chunk(i).size);
     e.key = plan.chunk_context(i).unwrap_material();
   };
-  // One batched probe frame for `chunks` (per-node sub-batches in cluster
-  // mode: each chunk tag routes to its own primary). A found chunk is
+  // One batched probe frame for `chunks` (in cluster mode each chunk walks
+  // its own tag's owners, one frame per node per round). A found chunk is
   // referenced if its header passes the check and inlined otherwise (first
   // write wins: a foreign entry cannot be replaced). Returns the misses.
   const auto probe_chunks = [&](const std::vector<std::size_t>& chunks) {
@@ -207,7 +207,8 @@ StreamHandle StreamSession::put_trusted(ByteView data) {
     for (const std::size_t i : chunks) {
       probes.emplace_back(make_probe(plan.chunk_tag(i)));
     }
-    const std::vector<BatchReply> replies = rt_.stream_ops(std::move(probes));
+    const std::vector<BatchReply> replies =
+        rt_.batch_execute(std::move(probes));
     std::vector<std::size_t> misses;
     for (std::size_t j = 0; j < chunks.size(); ++j) {
       const std::size_t i = chunks[j];
@@ -248,7 +249,7 @@ StreamHandle StreamSession::put_trusted(ByteView data) {
                                  plan.chunk_bytes(i), drbg));
     }
     const std::vector<BatchReply> put_replies =
-        rt_.stream_ops(std::move(puts));
+        rt_.batch_execute(std::move(puts));
 
     std::vector<std::size_t> raced;  // kAlreadyPresent: another writer won
     for (std::size_t j = 0; j < misses.size(); ++j) {
@@ -290,9 +291,9 @@ StreamHandle StreamSession::put_trusted(ByteView data) {
   if (stream_tag_taken) {
     inline_manifest();  // squatted stream tag: first write wins
   } else {
-    std::vector<BatchReply> replies = rt_.stream_ops(
-        {make_put(plan.stream_context(), plan.stream_tag(), manifest_plain,
-                  drbg)});
+    std::vector<BatchReply> replies =
+        rt_.batch_execute(serialize::batch_of(make_put(
+            plan.stream_context(), plan.stream_tag(), manifest_plain, drbg)));
     const auto* put_resp = std::get_if<PutResponse>(&replies.front());
     if (put_resp == nullptr) {
       degraded = true;
@@ -301,8 +302,8 @@ StreamHandle StreamSession::put_trusted(ByteView data) {
       // Raced manifest writer: the handle's unwrap material opens theirs
       // (same stream) once its header passes the check.
       rt_.metrics_.puts_sent.inc();
-      const std::vector<BatchReply> reprobe =
-          rt_.stream_ops({make_probe(plan.stream_tag())});
+      const std::vector<BatchReply> reprobe = rt_.batch_execute(
+          serialize::batch_of(make_probe(plan.stream_tag())));
       const auto* resp = std::get_if<GetResponse>(&reprobe.front());
       if (resp == nullptr) degraded = true;
       if (resp == nullptr || !header_checks(plan.stream_context(), *resp)) {
@@ -350,7 +351,8 @@ StreamHandle StreamSession::put_whole_call(const chunk::ChunkPlan& plan,
     rt_.metrics_.stream_inline_chunks.inc();
   };
 
-  std::vector<BatchReply> replies = rt_.stream_ops({make_get(tag)});
+  std::vector<BatchReply> replies =
+      rt_.batch_execute(serialize::batch_of(make_get(tag)));
   const auto* get_resp = std::get_if<GetResponse>(&replies.front());
   if (get_resp == nullptr) {
     rt_.metrics_.stream_degraded.inc();
@@ -380,7 +382,8 @@ StreamHandle StreamSession::put_whole_call(const chunk::ChunkPlan& plan,
   put.entry.challenge = std::move(wk.challenge)
                             .release_for(secret::Purpose::of(
                                 "rce_challenge_publish"));
-  std::vector<BatchReply> put_replies = rt_.stream_ops({std::move(put)});
+  std::vector<BatchReply> put_replies =
+      rt_.batch_execute(serialize::batch_of(std::move(put)));
   const auto* put_resp = std::get_if<PutResponse>(&put_replies.front());
   if (put_resp == nullptr) {
     rt_.metrics_.stream_degraded.inc();
@@ -393,7 +396,8 @@ StreamHandle StreamSession::put_whole_call(const chunk::ChunkPlan& plan,
     return handle;
   }
   if (put_resp->status == PutStatus::kAlreadyPresent) {
-    std::vector<BatchReply> reget = rt_.stream_ops({make_get(tag)});
+    std::vector<BatchReply> reget =
+        rt_.batch_execute(serialize::batch_of(make_get(tag)));
     const auto* reget_resp = std::get_if<GetResponse>(&reget.front());
     std::optional<secret::Buffer> key;
     if (reget_resp != nullptr) {
@@ -422,7 +426,8 @@ Bytes StreamSession::get_trusted(const StreamHandle& handle) {
       if (handle.key.size() != mle::kResultKeySize) {
         throw ProtocolError("stream get: malformed handle key");
       }
-      std::vector<BatchReply> replies = rt_.stream_ops({make_get(handle.tag)});
+      std::vector<BatchReply> replies =
+          rt_.batch_execute(serialize::batch_of(make_get(handle.tag)));
       const auto* get_resp = std::get_if<GetResponse>(&replies.front());
       if (get_resp == nullptr || !get_resp->found) {
         throw net::StoreUnavailableError("stream get: entry unavailable");
@@ -442,7 +447,8 @@ Bytes StreamSession::get_trusted(const StreamHandle& handle) {
     }
 
     case StreamHandle::Kind::kStream: {
-      std::vector<BatchReply> replies = rt_.stream_ops({make_get(handle.tag)});
+      std::vector<BatchReply> replies =
+          rt_.batch_execute(serialize::batch_of(make_get(handle.tag)));
       const auto* get_resp = std::get_if<GetResponse>(&replies.front());
       if (get_resp == nullptr || !get_resp->found) {
         throw net::StoreUnavailableError("stream get: manifest unavailable");
@@ -503,7 +509,8 @@ Bytes StreamSession::assemble(const chunk::Manifest& manifest) {
     for (std::size_t j = base; j < end; ++j) {
       gets.emplace_back(make_get(manifest.entries[refs[j]].tag));
     }
-    const std::vector<BatchReply> replies = rt_.stream_ops(std::move(gets));
+    const std::vector<BatchReply> replies =
+        rt_.batch_execute(std::move(gets));
     for (std::size_t j = base; j < end; ++j) {
       const std::size_t i = refs[j];
       const chunk::ManifestEntry& e = manifest.entries[i];

@@ -437,6 +437,12 @@ Message decode_message(ByteView data) {
   return out;
 }
 
+std::vector<BatchOp> batch_of(BatchOp op) {
+  std::vector<BatchOp> ops;
+  ops.push_back(std::move(op));
+  return ops;
+}
+
 BatchReply to_batch_reply(Message&& reply) {
   return std::visit(
       [](auto&& m) -> BatchReply {

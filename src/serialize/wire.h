@@ -208,6 +208,9 @@ using BatchOp = std::variant<GetRequest, PutRequest, ProbeRequest>;
 /// carries an ErrorResponse without disturbing its neighbors.
 using BatchReply = std::variant<GetResponse, PutResponse, ErrorResponse>;
 
+/// A run of one op, moved in: a braced list would copy the op's payload.
+std::vector<BatchOp> batch_of(BatchOp op);
+
 /// Envelope carrying many GET/PUT/probe sub-requests; the store executes
 /// them in order inside a single enclave crossing and replies
 /// entry-for-entry.

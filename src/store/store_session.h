@@ -44,17 +44,12 @@ class StoreSession {
           return net::SecureChannel(std::move(*key), /*is_initiator=*/false);
         })) {
     client_hello_ = client_hello;
-    peer_version_ = net::negotiate_version(net::kProtocolVersionCurrent,
-                                           net::handshake_version(client_hello));
   }
 
   /// The store's half of the handshake.
   net::HandshakeMessage server_hello() const {
     return key_exchange_.hello(client_hello_.report.source_measurement);
   }
-
-  /// Protocol version negotiated with this client (min of both hellos).
-  std::uint8_t peer_version() const { return peer_version_; }
 
   /// Cap on ops per batch frame; an oversized batch gets a clean wire
   /// ErrorResponse instead of service. 0 = unlimited.
@@ -162,7 +157,6 @@ class StoreSession {
   net::HandshakeMessage client_hello_;
   net::SecureChannel channel_ GUARDED_BY(mu_);
   Bytes plain_ GUARDED_BY(mu_);  ///< the current request, then its reply
-  std::uint8_t peer_version_ = net::kProtocolVersionLegacy;
   std::size_t max_batch_entries_ = 0;
   std::size_t max_frame_bytes_ = 0;
   // 560: held across the dispatch into the store (shard 600+), which nests

@@ -516,8 +516,6 @@ TcpAppConnection connect_tcp_app(sgx::Enclave& app,
 
   TcpAppConnection conn;
   conn.session_key = std::move(*key);
-  conn.protocol_version = net::negotiate_version(
-      net::kProtocolVersionCurrent, net::handshake_version(server_hello));
   conn.transport = std::make_unique<net::TcpTransport>(std::move(socket));
   return conn;
 }

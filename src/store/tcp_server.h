@@ -125,9 +125,6 @@ class StoreTcpServer {
 struct TcpAppConnection {
   secret::Buffer session_key;
   std::unique_ptr<net::Transport> transport;
-  /// Wire-protocol version negotiated with the store (min of both hellos);
-  /// batch frames require >= net::kProtocolVersionBatch.
-  std::uint8_t protocol_version = net::kProtocolVersionLegacy;
 };
 
 TcpAppConnection connect_tcp_app(sgx::Enclave& app,

@@ -1,5 +1,5 @@
 // Conformance suite for the batched wire protocol (docs/PROTOCOL.md §9):
-// batch codec, version negotiation, per-entry statuses, server frame/batch
+// batch codec, per-entry statuses, server frame/batch
 // limits, the server's pipelining, connection placement and backpressure,
 // the client micro-batcher, and cluster batch routing. The
 // disconnect/fault-injection variants live in batch_chaos_test.cc.
@@ -136,45 +136,6 @@ TEST(BatchWireTest, ImplausibleOpCountRejectedBeforeAllocation) {
                SerializationError);
 }
 
-// ---------------------------------------------------- version negotiation --
-
-TEST(BatchVersionTest, HandshakeCarriesAndNegotiatesVersion) {
-  sgx::Platform platform(fast_model());
-  auto app = platform.create_enclave("version-app");
-  const net::ChannelKeyExchange kx(*app);
-  const sgx::Measurement store_meas{};
-
-  const auto v1_hello = kx.hello(store_meas, net::kProtocolVersionLegacy);
-  EXPECT_EQ(net::handshake_version(v1_hello), net::kProtocolVersionLegacy);
-  const auto v2_hello = kx.hello(store_meas);
-  EXPECT_EQ(net::handshake_version(v2_hello), net::kProtocolVersionBatch);
-
-  EXPECT_EQ(net::negotiate_version(net::kProtocolVersionBatch,
-                                   net::kProtocolVersionLegacy),
-            net::kProtocolVersionLegacy);
-  EXPECT_EQ(net::negotiate_version(net::kProtocolVersionBatch,
-                                   net::kProtocolVersionBatch),
-            net::kProtocolVersionBatch);
-}
-
-TEST(BatchVersionTest, SessionRecordsPeerVersion) {
-  sgx::Platform platform(fast_model());
-  store::ResultStore result_store(platform);
-  auto app = platform.create_enclave("version-app");
-  const net::ChannelKeyExchange kx(*app);
-
-  store::StoreSession legacy(
-      result_store,
-      kx.hello(result_store.enclave().measurement(),
-               net::kProtocolVersionLegacy));
-  EXPECT_EQ(legacy.peer_version(), net::kProtocolVersionLegacy);
-
-  const net::ChannelKeyExchange kx2(*app);
-  store::StoreSession current(
-      result_store, kx2.hello(result_store.enclave().measurement()));
-  EXPECT_EQ(current.peer_version(), net::kProtocolVersionBatch);
-}
-
 // ------------------------------------------------------- session batches --
 
 // Raw secure-channel client around an in-process AppConnection: wraps and
@@ -283,18 +244,6 @@ TEST(BatchSessionTest, OversizedBatchRefusedSessionSurvives) {
 
 // ------------------------------------------------------------ TCP server --
 
-TEST(BatchTcpTest, ClientNegotiatesBatchVersion) {
-  sgx::Platform platform(fast_model());
-  store::ResultStore result_store(platform);
-  store::StoreTcpServer server(result_store, 0);
-
-  auto app = platform.create_enclave("nego-app");
-  auto conn = store::connect_tcp_app(*app,
-                                     result_store.enclave().measurement(),
-                                     "127.0.0.1", server.port());
-  EXPECT_EQ(conn.protocol_version, net::kProtocolVersionBatch);
-}
-
 TEST(BatchTcpTest, LegacyV1ClientServedByNewServer) {
   sgx::Platform platform(fast_model());
   store::ResultStore result_store(platform);
@@ -303,13 +252,10 @@ TEST(BatchTcpTest, LegacyV1ClientServedByNewServer) {
   auto app = platform.create_enclave("v1-app");
   net::FramedSocket sock = net::tcp_connect("127.0.0.1", server.port());
   const net::ChannelKeyExchange kx(*app);
-  // A pre-batching client: its hello advertises no version byte beyond
-  // legacy, and it only ever sends single-op frames.
+  // A pre-batching client: it only ever sends single-op frames.
   sock.send_frame(net::encode_handshake(
-      kx.hello(result_store.enclave().measurement(),
-               net::kProtocolVersionLegacy)));
+      kx.hello(result_store.enclave().measurement())));
   const auto server_hello = net::decode_handshake(sock.recv_frame());
-  EXPECT_EQ(net::handshake_version(server_hello), net::kProtocolVersionBatch);
   auto key = kx.derive(server_hello, result_store.enclave().measurement());
   ASSERT_TRUE(key.has_value());
   net::SecureChannel channel(std::move(*key), /*is_initiator=*/true);
@@ -699,11 +645,11 @@ struct GateTransport : net::Transport {
   std::unique_ptr<net::Transport> inner;
 };
 
-/// speed_runtime_batch_ops summed over every live runtime.
-telemetry::HistogramSnapshot batch_ops_histogram() {
+/// The histogram family `name` summed over every live runtime or store.
+telemetry::HistogramSnapshot merged_histogram(const std::string& name) {
   telemetry::HistogramSnapshot merged;
   for (const auto& family : telemetry::Registry::global().collect()) {
-    if (family.name != "speed_runtime_batch_ops") continue;
+    if (family.name != name) continue;
     for (const auto& sample : family.samples) merged.merge(sample.hist);
   }
   return merged;
@@ -766,7 +712,7 @@ TEST(MicroBatchTest, CallersArrivingDuringARoundTripShareTheNextFrame) {
   // frame its reply released carried all seven that queued meanwhile.
   EXPECT_EQ(loopback->round_trips() - trips_before, 2u);
   EXPECT_EQ(rt.stats().hits, static_cast<std::uint64_t>(kCallers));
-  const telemetry::HistogramSnapshot frames = batch_ops_histogram();
+  const telemetry::HistogramSnapshot frames = merged_histogram("speed_runtime_batch_ops");
   EXPECT_EQ(frames.count, 2u);
   EXPECT_EQ(frames.sum, static_cast<std::uint64_t>(kCallers));
   EXPECT_EQ(frames.max, static_cast<std::uint64_t>(kCallers - 1));
@@ -804,23 +750,22 @@ TEST(MicroBatchTest, RunPastTheOpCapShipsAsFramesTheSessionAccepts) {
   EXPECT_EQ(stats.stream_chunks, serialize::kMaxBatchOps + 1);
   EXPECT_EQ(stats.stream_inline_chunks, 0u);  // no op was refused
   EXPECT_EQ(stats.stream_degraded, 0u);
-  EXPECT_EQ(batch_ops_histogram().max, serialize::kMaxBatchOps);
+  EXPECT_EQ(merged_histogram("speed_runtime_batch_ops").max, serialize::kMaxBatchOps);
   EXPECT_EQ(s.get(handle), data);
 }
 
 TEST(MicroBatchTest, QueuedLargePutsShipInFramesTheServerAdmits) {
   // Eight concurrent 1 MiB misses queue eight 1 MiB PUTs while the first
-  // one's frame is held on the wire. The worker then drains all seven
-  // others at once, and they must reach a default server in frames under
-  // its max_frame_bytes: one oversized frame would be refused and close
-  // the connection, losing every PUT in it.
+  // one's frame is held on the wire. The worker then drains the others a
+  // frame's worth at a time, and they must reach a default server in frames
+  // under its max_frame_bytes: one oversized frame would be refused and
+  // close the connection, losing every PUT in it.
   sgx::Platform platform(fast_model());
   store::ResultStore result_store(platform);
   store::StoreTcpServer server(result_store, 0);
   auto app = platform.create_enclave("large-put-app");
   auto conn = store::connect_tcp_app(
       *app, result_store.enclave().measurement(), "127.0.0.1", server.port());
-  ASSERT_GE(conn.protocol_version, net::kProtocolVersionBatch);
   auto held = std::make_unique<SlowTransport>(
       std::move(conn.transport), std::chrono::milliseconds(50), 512 * 1024);
   SlowTransport* wire = held.get();
@@ -890,13 +835,41 @@ TEST(MicroBatchTest, SequentialCallsDegradeToPlainMessages) {
   EXPECT_EQ(rt.stats().degraded_calls, 0u);
 }
 
+TEST(MicroBatchTest, UnbatchedStreamPutOnAClusterSendsNoBatchRequest) {
+  // With batching off every frame carries one op, second legs included: a
+  // stream put's windows over a replicated cluster reach the stores as
+  // plain messages, never as a BatchRequest.
+  SPEED_SEEDED_RNG(rng, 0x0B0A7C4Eull);
+  sgx::Platform platform(fast_model());
+  store::InprocClusterConfig cc;
+  cc.nodes = 3;
+  cc.cluster.replicas = 1;
+  store::InprocCluster cluster(platform, cc);
+  auto app = platform.create_enclave("unbatched-stream-app");
+  runtime::DedupRuntime rt(*app, cluster.connect(*app),
+                           runtime::RuntimeConfig{});
+  rt.libraries().register_library("stream-lib", "1", as_bytes("code"));
+  runtime::StreamConfig stream_config;
+  stream_config.chunker = {64, 64, 64};  // a 64-chunk window
+  runtime::StreamSession s(rt, rt.resolve({"stream-lib", "1", "put(bytes)"}),
+                           stream_config);
+  const Bytes data = rng.bytes(64 * 64);
+
+  const runtime::StreamHandle handle = s.put(data);
+  EXPECT_EQ(s.get(handle), data);
+  EXPECT_EQ(rt.stats().stream_chunks, 64u);
+  EXPECT_EQ(rt.stats().stream_inline_chunks, 0u);
+  EXPECT_EQ(merged_histogram("speed_runtime_batch_ops").max, 1u);
+  EXPECT_EQ(merged_histogram("speed_store_batch_ops").count, 0u);
+}
+
 // ---------------------------------------------------------- cluster batch --
 
 TEST(ClusterBatchTest, BatchRoutesAcrossNodes) {
   sgx::Platform platform(fast_model());
   store::InprocClusterConfig cc;
   cc.nodes = 3;
-  cc.cluster.replicas = 0;  // quorum 1: every sub-answer is authoritative
+  cc.cluster.replicas = 0;  // quorum 1: every first leg settles its op
   store::InprocCluster cluster(platform, cc);
   auto app = platform.create_enclave("cb-app");
   auto transport = cluster.connect(*app);
@@ -913,22 +886,19 @@ TEST(ClusterBatchTest, BatchRoutesAcrossNodes) {
     tags.push_back(t);
   }
 
-  BatchRequest batch;
-  for (const Tag& t : tags) batch.ops.emplace_back(make_put(t, me));
-  for (const Tag& t : tags) batch.ops.emplace_back(make_get(t, me));
-  batch.ops.emplace_back(make_get(nth_tag(0x5D, 0), me));  // never stored
+  std::vector<BatchOp> ops;
+  for (const Tag& t : tags) ops.emplace_back(make_put(t, me));
+  for (const Tag& t : tags) ops.emplace_back(make_get(t, me));
+  ops.emplace_back(make_get(nth_tag(0x5D, 0), me));  // never stored
 
-  const Message reply = app->ecall(
-      [&] { return transport->round_trip_message(Message(batch)); });
-  const auto* resp = std::get_if<BatchResponse>(&reply);
-  ASSERT_NE(resp, nullptr);
-  ASSERT_EQ(resp->replies.size(), 2u * kTags + 1);
+  const std::vector<BatchReply> replies =
+      app->ecall([&] { return transport->route(std::move(ops)); });
+  ASSERT_EQ(replies.size(), 2u * kTags + 1);
   for (std::size_t i = 0; i < kTags; ++i) {
-    EXPECT_EQ(std::get<PutResponse>(resp->replies[i]).status,
-              PutStatus::kStored);
-    EXPECT_TRUE(std::get<GetResponse>(resp->replies[kTags + i]).found);
+    EXPECT_EQ(std::get<PutResponse>(replies[i]).status, PutStatus::kStored);
+    EXPECT_TRUE(std::get<GetResponse>(replies[kTags + i]).found);
   }
-  EXPECT_FALSE(std::get<GetResponse>(resp->replies[2 * kTags]).found);
+  EXPECT_FALSE(std::get<GetResponse>(replies[2 * kTags]).found);
   // Tags spread across nodes: more than one store holds entries.
   int populated = 0;
   for (std::size_t n = 0; n < cc.nodes; ++n) {
@@ -947,27 +917,23 @@ TEST(ClusterBatchTest, ReplicatedPutsKeepQuorumAckSemantics) {
   auto transport = cluster.connect(*app);
   const sgx::Measurement me = app->measurement();
 
-  BatchRequest batch;
+  std::vector<BatchOp> ops;
   constexpr std::uint8_t kTags = 8;
   for (std::uint8_t n = 0; n < kTags; ++n) {
-    batch.ops.emplace_back(make_put(nth_tag(0x6C, n), me));
+    ops.emplace_back(make_put(nth_tag(0x6C, n), me));
   }
   for (std::uint8_t n = 0; n < kTags; ++n) {
-    batch.ops.emplace_back(make_get(nth_tag(0x6D, n), me));  // never stored
+    ops.emplace_back(make_get(nth_tag(0x6D, n), me));  // never stored
   }
-  const Message reply = app->ecall(
-      [&] { return transport->round_trip_message(Message(batch)); });
-  const auto* resp = std::get_if<BatchResponse>(&reply);
-  ASSERT_NE(resp, nullptr);
-  ASSERT_EQ(resp->replies.size(), 2u * kTags);
+  const std::vector<BatchReply> replies =
+      app->ecall([&] { return transport->route(std::move(ops)); });
+  ASSERT_EQ(replies.size(), 2u * kTags);
   for (std::size_t i = 0; i < kTags; ++i) {
-    EXPECT_EQ(std::get<PutResponse>(resp->replies[i]).status,
-              PutStatus::kStored);
-    EXPECT_FALSE(std::get<GetResponse>(resp->replies[kTags + i]).found);
+    EXPECT_EQ(std::get<PutResponse>(replies[i]).status, PutStatus::kStored);
+    EXPECT_FALSE(std::get<GetResponse>(replies[kTags + i]).found);
   }
-  // The primary's batched answer is each walk's first leg, so no op asks
-  // its primary twice: a PUT reaches its two owners once each, and a miss
-  // asks two nodes.
+  // Each op's legs go to distinct nodes, so no op asks its primary twice:
+  // a PUT reaches its two owners once each, and a miss asks two nodes.
   std::uint64_t store_puts = 0;
   std::uint64_t store_gets = 0;
   std::uint64_t duplicate_puts = 0;
@@ -994,6 +960,54 @@ TEST(ClusterBatchTest, ReplicatedPutsKeepQuorumAckSemantics) {
           << "owner " << order[i] << " missing acked entry " << int(n);
     }
   }
+}
+
+TEST(ClusterBatchTest, SecondLegsShareOneFramePerNode) {
+  // Quorum 2: every new PUT and every miss takes a second leg after its
+  // primary's. The ops walk together in rounds, one frame per node per
+  // round, so however many ops walk on, the routed list costs at most two
+  // store ECALLs per node.
+  SPEED_SEEDED_RNG(rng, 0x5EC0D1E6ull);
+  sgx::Platform platform(fast_model());
+  store::InprocClusterConfig cc;
+  cc.nodes = 3;
+  cc.cluster.replicas = 1;
+  store::InprocCluster cluster(platform, cc);
+  auto app = platform.create_enclave("legs-app");
+  auto transport = cluster.connect(*app);
+  const sgx::Measurement me = app->measurement();
+  const auto random_tag = [&rng] {
+    Tag t;
+    for (auto& b : t) b = static_cast<std::uint8_t>(rng());
+    return t;
+  };
+  const auto store_ecalls = [&] {
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < cc.nodes; ++i) {
+      n += cluster.store(i).enclave().ecall_count();
+    }
+    return n;
+  };
+
+  constexpr std::size_t kOps = 8;
+  std::vector<BatchOp> ops;
+  for (std::size_t n = 0; n < kOps; ++n) {
+    ops.emplace_back(make_put(random_tag(), me));
+  }
+  for (std::size_t n = 0; n < kOps; ++n) {
+    ops.emplace_back(make_get(random_tag(), me));  // never stored
+  }
+  const std::uint64_t before = store_ecalls();
+  const std::vector<BatchReply> replies =
+      app->ecall([&] { return transport->route(std::move(ops)); });
+  const std::uint64_t ecalls = store_ecalls() - before;
+
+  ASSERT_EQ(replies.size(), 2 * kOps);
+  for (std::size_t i = 0; i < kOps; ++i) {
+    EXPECT_EQ(std::get<PutResponse>(replies[i]).status, PutStatus::kStored);
+    EXPECT_FALSE(std::get<GetResponse>(replies[kOps + i]).found);
+  }
+  EXPECT_LE(ecalls, 2 * cc.nodes);
 }
 
 // -------------------------------------------------------------- listener --

@@ -29,9 +29,10 @@ namespace speed {
 namespace {
 
 using net::ClusterTransport;
+using serialize::BatchOp;
+using serialize::BatchReply;
 using serialize::GetRequest;
 using serialize::GetResponse;
-using serialize::Message;
 using serialize::PutRequest;
 using serialize::PutResponse;
 using serialize::PutStatus;
@@ -67,8 +68,11 @@ struct ChaosCluster {
     return t;
   }
 
-  Message call(const Message& request) {
-    return app->ecall([&] { return transport->round_trip_message(request); });
+  /// One op routed as a list of one.
+  BatchReply call(BatchOp op) {
+    return app->ecall([&] {
+      return transport->route(serialize::batch_of(std::move(op))).front();
+    });
   }
 
   /// One PUT; returns true iff the cluster ACKNOWLEDGED it (full quorum).
@@ -79,7 +83,7 @@ struct ChaosCluster {
     req.entry.challenge = Bytes{7, 7};
     req.entry.wrapped_key = Bytes(16, 0x31);
     req.entry.result_ct = Bytes(40, 0xab);
-    const Message m = call(req);
+    const BatchReply m = call(req);
     const auto* resp = std::get_if<PutResponse>(&m);
     return resp != nullptr && (resp->status == PutStatus::kStored ||
                                resp->status == PutStatus::kAlreadyPresent);
@@ -89,7 +93,7 @@ struct ChaosCluster {
     GetRequest req;
     req.tag = tag;
     req.requester = app->measurement();
-    const Message m = call(req);
+    const BatchReply m = call(req);
     const auto* resp = std::get_if<GetResponse>(&m);
     return resp != nullptr && resp->found;
   }

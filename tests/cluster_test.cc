@@ -22,6 +22,8 @@ namespace speed {
 namespace {
 
 using net::ClusterTransport;
+using serialize::BatchOp;
+using serialize::BatchReply;
 using serialize::GetRequest;
 using serialize::GetResponse;
 using serialize::Message;
@@ -63,8 +65,11 @@ class ClusterTest : public ::testing::Test {
     return t;
   }
 
-  Message call(const Message& request) {
-    return app_->ecall([&] { return transport_->round_trip_message(request); });
+  /// One op routed as a list of one.
+  BatchReply call(BatchOp op) {
+    return app_->ecall([&] {
+      return transport_->route(serialize::batch_of(std::move(op))).front();
+    });
   }
 
   PutStatus put(const Tag& tag) {
@@ -74,7 +79,7 @@ class ClusterTest : public ::testing::Test {
     req.entry.challenge = Bytes{1, 2, 3, 4};
     req.entry.wrapped_key = Bytes(16, 0x42);
     req.entry.result_ct = Bytes(48, 0x99);
-    const Message m = call(req);
+    const BatchReply m = call(req);
     const auto* resp = std::get_if<PutResponse>(&m);
     EXPECT_NE(resp, nullptr);
     return resp != nullptr ? resp->status : PutStatus::kRejected;
@@ -88,7 +93,7 @@ class ClusterTest : public ::testing::Test {
     GetRequest req;
     req.tag = tag;
     req.requester = app_->measurement();
-    const Message m = call(req);
+    const BatchReply m = call(req);
     const auto* resp = std::get_if<GetResponse>(&m);
     EXPECT_NE(resp, nullptr);
     return resp != nullptr && resp->found;
@@ -197,18 +202,22 @@ TEST_F(ClusterTest, PutIsAckedOnlyAtFullQuorum) {
   EXPECT_FALSE(acked(s));
   EXPECT_GT(transport_->stats().partial_puts, 0u);
 
-  // All nodes down: not even a definitive rejection is possible — the walk
-  // throws StoreUnavailableError, the runtime's degrade-to-compute signal.
+  // All nodes down: not even a definitive rejection is possible — the op's
+  // reply is kUnavailable, the runtime's degrade-to-compute signal.
   cluster_->kill(2);
+  const auto unavailable = [](const BatchReply& reply) {
+    const auto* err = std::get_if<serialize::ErrorResponse>(&reply);
+    return err != nullptr && err->code == serialize::ErrorCode::kUnavailable;
+  };
   PutRequest req;
   req.tag = random_tag(rng);
   req.requester = app_->measurement();
   req.entry.result_ct = Bytes(8, 1);
-  EXPECT_THROW(call(req), net::StoreUnavailableError);
+  EXPECT_TRUE(unavailable(call(req)));
   GetRequest get;
   get.tag = t;
   get.requester = app_->measurement();
-  EXPECT_THROW(call(get), net::StoreUnavailableError);
+  EXPECT_TRUE(unavailable(call(get)));
   EXPECT_GT(transport_->stats().unavailable, 0u);
 }
 
@@ -255,7 +264,7 @@ TEST_F(ClusterTest, ProbeHitNeverReadRepairs) {
   serialize::ProbeRequest probe;
   probe.tag = tag;
   probe.requester = app_->measurement();
-  const Message m = call(probe);
+  const BatchReply m = call(probe);
   const auto* resp = std::get_if<GetResponse>(&m);
   ASSERT_NE(resp, nullptr);
   ASSERT_TRUE(resp->found);
@@ -327,8 +336,8 @@ TEST_F(ClusterTest, NodeDownAtConstructionIsDialedWhenItReturns) {
   GetRequest req;
   req.tag = tag;
   req.requester = app_->measurement();
-  const Message m =
-      app_->ecall([&] { return client->round_trip_message(req); });
+  const BatchReply m = app_->ecall(
+      [&] { return client->route(serialize::batch_of(req)).front(); });
   EXPECT_NE(std::get_if<GetResponse>(&m), nullptr);
   EXPECT_EQ(client->node_health(1), ClusterTransport::NodeHealth::kUp);
 }
